@@ -1,16 +1,21 @@
 """Ring particle processes, ringing-path dynamics, and exact stationary laws.
 
-Everything here is exact: rates are rationals, the stationary distribution is
-the one-dimensional null space of the transposed generator computed by
-Gaussian elimination over ``fractions.Fraction``, and the balance equation is
-re-verified state by state on the result.  Floating point appears only in the
-Monte-Carlo sampler.
+Everything here is exact: rates are rationals, and the stationary
+distribution is the one-dimensional null space of the transposed generator.
+That generator is kept sparse, one ``{column: Fraction}`` dict per state, and
+solved by sparse rational elimination with Markowitz pivots: the shortest
+active row pivots next, on its column shared by the fewest active rows (ties
+by index), which keeps fill-in low on ring chains.  The result is re-verified
+state by state against the balance equation, from one O(T) tally of flux out
+of and into every state over the T transitions.  Floating point appears only
+in the Monte-Carlo sampler.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,7 +46,18 @@ class RateParams:
         return cls((Fraction(1),) * n)
 
     def __getitem__(self, site: int) -> Fraction:
-        return self.x[(site - 1) % len(self.x)]
+        if not 1 <= site <= len(self.x):
+            raise IndexError(f"rate site {site} outside 1..{len(self.x)}")
+        return self.x[site - 1]
+
+
+def _site_rates(x: RateParams | None, n: int) -> RateParams:
+    """``x``, or unit rates when absent; a length other than ``n`` is rejected."""
+    if x is None:
+        return RateParams.ones(n)
+    if len(x.x) != n:
+        raise ValueError(f"expected {n} rate parameters, got {len(x.x)}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -67,12 +83,16 @@ class ChainSpec:
             if rate <= 0:
                 raise ValueError("rates must be positive")
 
-    @property
-    def index(self) -> dict:
-        return {s: i for i, s in enumerate(self.states)}
-
-    def out_edges(self, i: int) -> list[tuple[int, Fraction]]:
-        return [(dst, rate) for src, dst, rate in self.transitions if src == i]
+    def flux(self, weights: Sequence) -> tuple[list, list]:
+        """Per-state total flux out and in under ``weights`` (indexed like
+        ``states``), from one pass over the transitions."""
+        out = [0] * len(self.states)
+        into = [0] * len(self.states)
+        for src, dst, rate in self.transitions:
+            f = weights[src] * rate
+            out[src] += f
+            into[dst] += f
+        return out, into
 
 
 @dataclass(frozen=True)
@@ -121,8 +141,7 @@ def enumerate_states(lam: Sequence[int], n: int, kind: str) -> list[Word]:
     if kind == "tasep":
         if len(lam) > n:
             raise ValueError(f"cannot place {len(lam)} particles on {n} exclusion sites")
-        letters = lam + (0,) * (n - len(lam))
-        return [FermionicWord(p) for p in sorted(set(itertools.permutations(letters)))]
+        return [FermionicWord(p) for p in _multiset_permutations(lam + (0,) * (n - len(lam)))]
     if kind == "tazrp":
         placements_per_value = []
         values = sorted(set(lam), reverse=True)
@@ -138,6 +157,24 @@ def enumerate_states(lam: Sequence[int], n: int, kind: str) -> list[Word]:
             states.append(BosonicWord(tuple(tuple(sorted(s)) for s in sites)))
         return states
     raise ValueError(f"unknown kind {kind!r}")
+
+
+def _multiset_permutations(letters: Sequence[int]):
+    """Distinct permutations of ``letters`` in lexicographic order, by next-permutation."""
+    a = sorted(letters)
+    last = len(a) - 1
+    while True:
+        yield tuple(a)
+        i = last - 1
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = last
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = a[:i:-1]
 
 
 def _compositions(total: int, parts: int):
@@ -176,6 +213,7 @@ def tazrp_transitions(w: BosonicWord, x: RateParams) -> list[tuple[BosonicWord, 
     """The top particle of each occupied site hops one site right, rate 1/x_j."""
     out = []
     n = w.n
+    x = _site_rates(x, n)
     for j in range(1, n + 1):
         site = w.sites[j - 1]
         if not site:
@@ -222,7 +260,7 @@ def tasep_chain(lam: Sequence[int], n: int) -> ChainSpec:
 
 
 def tazrp_chain(lam: Sequence[int], n: int, x: RateParams | None = None) -> ChainSpec:
-    x = x or RateParams.ones(n)
+    x = _site_rates(x, n)
     return _build_chain(enumerate_states(lam, n, "tazrp"), lambda w: tazrp_transitions(w, x))
 
 
@@ -266,37 +304,75 @@ def _strongly_connected(n_states: int, transitions) -> bool:
     return len(reach(fwd)) == n_states and len(reach(bwd)) == n_states
 
 
-def nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right null space of a rational matrix, by row reduction."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
+def nullspace(rows, ncols: int | None = None) -> list[list[Fraction]]:
+    """Basis of the right null space of a rational matrix, by sparse elimination.
+
+    Each row is a dense list or a ``{column: value}`` dict.  ``ncols`` defaults
+    to the widest row: the longest dense row, or one past the largest dict
+    column.  Pivots follow the Markowitz rule: the shortest active row is
+    eliminated next, on its column shared by the fewest active rows, ties
+    broken by the lower index.  Pivot columns are then back-substituted, so
+    the basis has one vector per non-pivot column, in increasing column order,
+    with 1 at that column and 0 at the other non-pivot columns.
+    """
+    sparse = []
+    width = 0
+    for r in rows:
+        if isinstance(r, dict):
+            sparse.append({c: Fraction(v) for c, v in r.items() if v != 0})
+            width = max(width, max(r, default=-1) + 1)
+        else:
+            sparse.append({c: Fraction(v) for c, v in enumerate(r) if v != 0})
+            width = max(width, len(r))
+    if ncols is None:
+        ncols = width
+    elif width > ncols:
+        raise ValueError(f"row entries beyond column {ncols - 1}")
+
+    col_rows = defaultdict(set)  # column -> active rows with a nonzero entry there
+    for i, row in enumerate(sparse):
+        for c in row:
+            col_rows[c].add(i)
+    active = set(range(len(sparse)))
+    pivots = []  # (column, rest of its row scaled so the pivot entry is 1)
+    while active:
+        i = min(active, key=lambda k: (len(sparse[k]), k))
+        active.discard(i)
+        row = sparse[i]
+        if not row:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
+        for c in row:
+            col_rows[c].discard(i)
+        c = min(row, key=lambda j: (len(col_rows[j]), j))
+        inv = 1 / row[c]
+        rest = {j: v * inv for j, v in row.items() if j != c}
+        for k in col_rows.pop(c):
+            other = sparse[k]
+            f = other.pop(c)
+            for j, v in rest.items():
+                if j in other:
+                    nv = other[j] - f * v
+                    if nv:
+                        other[j] = nv
+                    else:
+                        del other[j]
+                        col_rows[j].discard(k)
+                else:
+                    other[j] = -f * v
+                    col_rows[j].add(k)
+        pivots.append((c, rest))
+
+    pivot_cols = {c for c, _ in pivots}
     basis = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            v[pc] = -m[ri][fc]
-        basis.append(v)
+    for free in range(ncols):
+        if free in pivot_cols:
+            continue
+        v = {free: Fraction(1)}
+        for c, rest in reversed(pivots):
+            s = sum(val * v[j] for j, val in rest.items() if j in v)
+            if s:
+                v[c] = -s
+        basis.append([v.get(j, Fraction(0)) for j in range(ncols)])
     return basis
 
 
@@ -304,20 +380,20 @@ def stationary_exact(chain: ChainSpec) -> RationalDistribution:
     """Exact stationary law: null space of the transposed generator, verified.
 
     Raises :class:`ChainError` when the chain is empty, not strongly
-    connected, or the null space is not one-dimensional.
+    connected, or the null space is not one-dimensional, and when the solution
+    is not strictly positive or fails the balance re-check.
     """
     ns = len(chain.states)
     if ns == 0:
         raise ChainError("empty chain")
     if not _strongly_connected(ns, chain.transitions):
         raise ChainError("chain is not irreducible")
-    # generator Q: Q[i][j] = total rate i -> j, diagonal makes rows sum to 0
-    q = [[Fraction(0)] * ns for _ in range(ns)]
+    # row i of the transposed generator: rates into state i, minus the exit rate of i
+    qt: list[dict] = [{} for _ in range(ns)]
     for src, dst, rate in chain.transitions:
-        q[src][dst] += rate
-        q[src][src] -= rate
-    qt = [[q[j][i] for j in range(ns)] for i in range(ns)]
-    basis = nullspace(qt)
+        qt[dst][src] = qt[dst].get(src, 0) + rate
+        qt[src][src] = qt[src].get(src, 0) - rate
+    basis = nullspace(qt, ns)
     if len(basis) != 1:
         raise ChainError(f"null space has dimension {len(basis)}, expected 1")
     v = basis[0]
@@ -327,12 +403,9 @@ def stationary_exact(chain: ChainSpec) -> RationalDistribution:
     probs = [vi / total for vi in v]
     if any(p <= 0 for p in probs):
         raise ChainError("stationary vector is not strictly positive")
-    # balance: total flux out of each state equals total flux in
-    for i in range(ns):
-        out_flux = sum(probs[i] * rate for src, _, rate in chain.transitions if src == i)
-        in_flux = sum(probs[src] * rate for src, dst, rate in chain.transitions if dst == i)
-        if out_flux != in_flux:
-            raise ChainError("balance equation violated by solver output")
+    out_flux, in_flux = chain.flux(probs)
+    if out_flux != in_flux:
+        raise ChainError("balance equation violated by solver output")
     return RationalDistribution(dict(zip(chain.states, probs)))
 
 
@@ -404,7 +477,7 @@ def ring_forward_bosonic(d: BosonicMLQ, i: int, x: RateParams | None = None) -> 
     n = d.n
     if not 1 <= i <= n:
         raise IndexError(f"site {i} outside 1..{n}")
-    x = x or RateParams.ones(n)
+    x = _site_rates(x, n)
     a = i
     new_rows = []
     for row in d.rows:
@@ -430,7 +503,7 @@ def ring_reverse_bosonic(d: BosonicMLQ, i: int, x: RateParams | None = None) -> 
     n = d.n
     if not 1 <= i <= n:
         raise IndexError(f"site {i} outside 1..{n}")
-    x = x or RateParams.ones(n)
+    x = _site_rates(x, n)
     # path values b_L..b_0; b_j depends on row j+1
     b = [0] * (d.k + 1)
     b[d.k] = i
@@ -470,7 +543,7 @@ def mlq_chain(kind: str, alpha: Sequence[int], n: int, x: RateParams | None = No
                     transitions.append((idx, index[img], Fraction(1)))
         return ChainSpec(tuple(states), tuple(transitions))
     if kind == "bosonic":
-        x = x or RateParams.ones(n)
+        x = _site_rates(x, n)
         states = list(enumerate_queues(alpha, n, "bosonic"))
         index = {s: i for i, s in enumerate(states)}
         transitions = []
@@ -492,31 +565,37 @@ def simulate_ctmc(chain: ChainSpec, seed: int, jumps: int) -> dict:
     """Occupation-time frequencies from a seeded jump-by-jump simulation.
 
     Holding times are exponential with the exact exit rate; the trajectory and
-    the returned table are bitwise reproducible for a fixed seed.  Reaching a
-    state with no outgoing transition raises :class:`ChainError`.
+    the returned table are bitwise reproducible for a fixed seed.  Each jump
+    target is the first transition, in transition order, whose cumulative
+    float rate reaches the uniform draw.  Reaching a state with no outgoing
+    transition raises :class:`ChainError`; ``jumps`` below 1 raises
+    ``ValueError``.
     """
+    if jumps < 1:
+        raise ValueError(f"jumps must be at least 1, got {jumps}")
     ns = len(chain.states)
     if ns == 0:
         raise ChainError("empty chain")
-    edges: list[list[tuple[int, float]]] = [[] for _ in range(ns)]
+    rates: list[list[float]] = [[] for _ in range(ns)]
+    targets: list[list[int]] = [[] for _ in range(ns)]
     for src, dst, rate in chain.transitions:
-        edges[src].append((dst, float(rate)))
+        rates[src].append(float(rate))
+        targets[src].append(dst)
+    # the exit rate comes from sum(), which may round differently from the
+    # running total (compensated on newer Pythons); a draw past the running
+    # total falls back to the last transition
+    totals = [sum(r) for r in rates]
+    cumulative = [list(itertools.accumulate(r)) for r in rates]
     rng = random.Random(seed)
     occupation = [0.0] * ns
     state = 0
     for _ in range(jumps):
-        total = sum(r for _, r in edges[state])
+        total = totals[state]
         if total <= 0:
             raise ChainError(f"absorbing state reached: {chain.states[state]!r}")
         occupation[state] += rng.expovariate(total)
-        u = rng.random() * total
-        acc = 0.0
-        nxt = edges[state][-1][0]
-        for dst, r in edges[state]:
-            acc += r
-            if u <= acc:
-                nxt = dst
-                break
-        state = nxt
+        dsts = targets[state]
+        k = bisect_left(cumulative[state], rng.random() * total)
+        state = dsts[k] if k < len(dsts) else dsts[-1]
     span = sum(occupation)
     return {s: occupation[i] / span for i, s in enumerate(chain.states)}

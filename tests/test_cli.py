@@ -116,6 +116,14 @@ class TestStationaryCommand:
         doc = json.loads(out)
         assert sum(Fraction(e["prob"]) for e in doc["entries"]) == 1
 
+    def test_mc_zero_jumps_is_input_error(self, capsys):
+        code, out, err = run(
+            capsys, "stationary", "--model", "tasep", "--lambda", "2,1", "--n", "3", "--method", "mc", "--jumps", "0"
+        )
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+
     def test_mlq_bosonic_weights(self, capsys):
         code, out, _ = run(
             capsys, "stationary", "--model", "mlq-bosonic", "--lambda", "2,1", "--n", "3", "--x", "1,2,3"

@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlqueues import (
     BosonicMLQ,
@@ -50,6 +53,12 @@ class TestStateSpaces:
 
     def test_single_state(self):
         assert len(enumerate_states((1,), 1, "tasep")) == 1
+
+    def test_tasep_states_are_sorted_distinct_permutations(self):
+        for lam, n in (((1,), 1), ((1, 1), 3), ((2, 1), 4), ((1, 1, 1), 3), ((2, 2), 4), ((2, 2, 1), 5), ((3, 1, 1), 6)):
+            letters = lam + (0,) * (n - len(lam))
+            want = sorted(set(itertools.permutations(letters)))
+            assert [w.letters for w in enumerate_states(lam, n, "tasep")] == want
 
     def test_too_many_particles_rejected(self):
         with pytest.raises(ValueError):
@@ -143,6 +152,78 @@ class TestStationaryExact:
         basis = nullspace(rows)
         assert len(basis) == 1
         assert basis[0] == [Fraction(1), Fraction(1), Fraction(1)]
+
+    def test_nullspace_rank_deficient_dense_and_dict_rows(self):
+        dense = [[1, -1, 0, 0, 0], [2, -2, 0, 0, 0], [0, 0, 3, -1, 0], [1, -1, 3, -1, 0]]
+        as_dicts = [{0: 1, 1: -1}, {0: 2, 1: -2}, {2: 3, 3: -1}, {0: 1, 1: -1, 2: 3, 3: -1}]
+        for basis in (nullspace(dense), nullspace(as_dicts, 5)):
+            assert len(basis) == 3  # rank 2 on 5 columns
+            assert _rank(basis) == 3
+            for v in basis:
+                assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in dense)
+        assert nullspace(dense) == nullspace(as_dicts, 5)
+
+    @settings(max_examples=80, derandomize=True)
+    @given(st.data())
+    def test_random_irreducible_chain_is_stationary(self, data):
+        ns = data.draw(st.integers(1, 6))
+        rate = st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))
+        order = data.draw(st.permutations(range(ns)))
+        # a cycle through every state makes the chain irreducible; extra edges may repeat
+        edges = [(order[k], order[(k + 1) % ns]) for k in range(ns)] if ns > 1 else []
+        extra = data.draw(st.lists(st.tuples(st.integers(0, ns - 1), st.integers(0, ns - 1)), max_size=2 * ns))
+        edges += [(a, b) for a, b in extra if a != b]
+        chain = ChainSpec(tuple(range(ns)), tuple((a, b, data.draw(rate)) for a, b in edges))
+        q = [[Fraction(0)] * ns for _ in range(ns)]
+        for src, dst, r in chain.transitions:
+            q[src][dst] += r
+            q[src][src] -= r
+        dist = stationary_exact(chain)
+        pi = [dist[s] for s in range(ns)]
+        assert all(p > 0 for p in pi) and sum(pi) == 1
+        assert all(sum(pi[i] * q[i][j] for i in range(ns)) == 0 for j in range(ns))
+
+    def test_flux_tally(self):
+        chain = ChainSpec(
+            ("a", "b", "c"),
+            ((0, 1, Fraction(2)), (1, 2, Fraction(1)), (2, 0, Fraction(3)), (0, 2, Fraction(1))),
+        )
+        out, into = chain.flux([Fraction(1), Fraction(2), Fraction(5)])
+        assert out == [3, 2, 15]
+        assert into == [15, 2, 3]
+
+
+def _rank(rows) -> int:
+    m = [[Fraction(v) for v in r] for r in rows]
+    rank = 0
+    for c in range(len(m[0])):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][c] / m[rank][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+class TestRateParams:
+    def test_index_outside_sites_rejected(self):
+        assert X123[3] == 3
+        for site in (0, 4):
+            with pytest.raises(IndexError):
+                X123[site]
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            tazrp_chain((2, 1), 4, X123)
+        with pytest.raises(ValueError):
+            mlq_chain("bosonic", (2, 1), 4, X123)
+        with pytest.raises(ValueError):
+            ring_forward_bosonic(bq(4, (1,)), 1, X123)
+        with pytest.raises(ValueError):
+            ring_reverse_bosonic(bq(4, (1,)), 1, X123)
 
 
 class TestChainSpecValidation:
@@ -324,6 +405,22 @@ class TestSimulation:
         assert a == b
         c = simulate_ctmc(chain, seed=4, jumps=5_000)
         assert a != c
+
+    def test_pinned_table(self):
+        # seeded trajectories are bitwise reproducible, down to the last float bit
+        freqs = simulate_ctmc(tasep_chain((2, 1), 3), seed=3, jumps=5_000)
+        assert {w.letters: p for w, p in freqs.items()} == {
+            (0, 1, 2): 0.116843626251013,
+            (0, 2, 1): 0.22670621658113338,
+            (1, 0, 2): 0.20179681499768853,
+            (1, 2, 0): 0.11146827595856255,
+            (2, 0, 1): 0.11653066477811712,
+            (2, 1, 0): 0.22665440143348534,
+        }
+
+    def test_zero_jumps_rejected(self):
+        with pytest.raises(ValueError):
+            simulate_ctmc(tasep_chain((2, 1), 3), seed=0, jumps=0)
 
     def test_absorbing_state_rejected(self):
         chain = ChainSpec(("a", "b"), ((0, 1, Fraction(1)),))
