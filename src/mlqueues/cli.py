@@ -22,13 +22,14 @@ from .markov import (
     ring_forward_bosonic,
     ring_reverse,
     ring_reverse_bosonic,
+    ringing_states,
     simulate_ctmc,
     stationary_exact,
     tasep_chain,
     tazrp_chain,
 )
 from .mlq import FermionicMLQ, count_queues, enumerate_queues, twist
-from .projection import ctm_project, label_trace, project
+from .projection import ctm_project, fiber_law, label_trace, project
 
 
 def _load_json(path: str):
@@ -103,33 +104,19 @@ def cmd_stationary(args) -> int:
     model = args.model
     show_x = None if model in ("tasep", "mlq-fermionic", "ktazrp") else x.x
 
-    if model == "tasep":
-        chain = tasep_chain(lam, n)
-    elif model == "tazrp":
-        chain = tazrp_chain(lam, n, x)
-    elif model == "ktazrp":
-        chain = ktazrp_chain(lam, n)
-    elif model == "mlq-fermionic":
-        chain = mlq_chain("fermionic", lam, n)
-    elif model == "mlq-bosonic":
-        chain = mlq_chain("bosonic", lam, n, x)
-    else:
-        raise SchemaError(f"unknown model {model!r}")
-
-    queue_states = model.startswith("mlq-")
-    if args.method == "exact":
-        dist = stationary_exact(chain)
-        probs = {s: dist[s] for s in chain.states}
-    elif args.method == "mc":
-        freqs = simulate_ctmc(chain, args.seed, args.jumps)
-        total = sum((Fraction(v) for v in freqs.values()), Fraction(0))
-        probs = {s: Fraction(v) / total for s, v in freqs.items()}
-    elif args.method == "mlq":
+    if args.method == "mlq":
         probs = _fiber_probs(model, lam, n, x)
     else:
-        raise SchemaError(f"unknown method {args.method!r}")
+        chain = _chain(model, lam, n, x)
+        if args.method == "exact":
+            dist = stationary_exact(chain)
+            probs = {s: dist[s] for s in chain.states}
+        else:
+            freqs = simulate_ctmc(chain, args.seed, args.jumps)
+            total = sum((Fraction(v) for v in freqs.values()), Fraction(0))
+            probs = {s: Fraction(v) / total for s, v in freqs.items()}
 
-    if queue_states:
+    if model.startswith("mlq-"):
         entries = [
             {"state": documents.emit_queue(s), "prob": documents.format_fraction(p), "weight": list(s.weight().exponents)}
             for s, p in probs.items()
@@ -152,36 +139,27 @@ def cmd_stationary(args) -> int:
     return 0
 
 
-def _fiber_probs(model: str, lam, n: int, x: RateParams) -> dict:
-    """Stationary law via projection fibers over the conjugate-shape queues."""
-    shape = conjugate(lam)
+def _chain(model: str, lam, n: int, x: RateParams):
     if model == "tasep":
-        fibers: dict = {}
-        total = 0
-        for q in enumerate_queues(shape, n, "fermionic"):
-            w = project(q)
-            fibers[w] = fibers.get(w, 0) + 1
-            total += 1
-        return {w: Fraction(c, total) for w, c in fibers.items()}
-    if model in ("tazrp", "ktazrp"):
-        if model == "ktazrp":
-            x = RateParams.ones(n)
-        weights: dict = {}
-        z = Fraction(0)
-        for d in enumerate_queues(shape, n, "bosonic"):
-            w = project(d)
-            wt = d.weight().evaluate(x.x)
-            weights[w] = weights.get(w, Fraction(0)) + wt
-            z += wt
-        return {w: v / z for w, v in weights.items()}
-    if model == "mlq-fermionic":
-        states = list(enumerate_queues(lam, n, "fermionic"))
-        return {s: Fraction(1, len(states)) for s in states}
-    if model == "mlq-bosonic":
-        states = list(enumerate_queues(lam, n, "bosonic"))
-        z = sum((s.weight().evaluate(x.x) for s in states), Fraction(0))
-        return {s: s.weight().evaluate(x.x) / z for s in states}
-    raise SchemaError(f"no fiber method for model {model!r}")
+        return tasep_chain(lam, n)
+    if model == "tazrp":
+        return tazrp_chain(lam, n, x)
+    if model == "ktazrp":
+        return ktazrp_chain(lam, n)
+    return mlq_chain(model.removeprefix("mlq-"), lam, n, x)
+
+
+def _fiber_probs(model: str, lam, n: int, x: RateParams) -> dict:
+    """Stationary law without the chain: projection fibers over the
+    conjugate-shape queues for the ring processes, normalized queue weights
+    for the ringing chains."""
+    if model.startswith("mlq-"):
+        states = ringing_states(model.removeprefix("mlq-"), lam, n)
+        weights = [Fraction(1) if model == "mlq-fermionic" else s.weight().evaluate(x.x) for s in states]
+        total = sum(weights)
+        return {s: w / total for s, w in zip(states, weights)}
+    kind = "fermionic" if model == "tasep" else "bosonic"
+    return fiber_law(conjugate(lam), n, kind, x.x if model == "tazrp" else None)
 
 
 def cmd_ring(args) -> int:
@@ -224,37 +202,6 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-SUITES = {
-    "r-invariance": lambda bounds, seed: verify.suite_r_invariance(bounds, seed),
-    "projection": lambda bounds, seed: verify.suite_phi_equals_ctm(bounds, seed),
-    "stationary-tasep": lambda bounds, seed: _grid_report(verify.suite_stationary_tasep, verify.TASEP_GRID),
-    "stationary-tazrp": lambda bounds, seed: _tazrp_grid_report(),
-    "ringing": lambda bounds, seed: verify.suite_ringing(bounds, seed),
-    "all": lambda bounds, seed: verify.suite_all({"bounds": bounds, "seed": seed}),
-}
-
-
-def _grid_report(fn, grid):
-    reports = [fn(lam, n) for lam, n in grid]
-    failures = [f for r in reports for f in r.failures]
-    return verify.SuiteReport(
-        reports[0].suite, {"grid": [[list(lam), n] for lam, n in grid]},
-        sum(r.cases for r in reports), failures, sum(r.wall_time for r in reports),
-    )
-
-
-def _tazrp_grid_report():
-    reports = []
-    for lam, n in verify.TAZRP_GRID:
-        for xs in verify.TAZRP_X:
-            reports.append(verify.suite_stationary_tazrp(lam, n, RateParams(tuple(Fraction(v) for v in xs[:n]))))
-    failures = [f for r in reports for f in r.failures]
-    return verify.SuiteReport(
-        "stationary-tazrp", {"grid": "desk-scale defaults"}, sum(r.cases for r in reports), failures,
-        sum(r.wall_time for r in reports),
-    )
-
-
 def _parse_bounds(text: str | None) -> dict | None:
     if not text:
         return None
@@ -276,10 +223,10 @@ def cmd_verify(args) -> int:
         ok = verify.replay_witness(witness)
         print("witness reproduces" if ok else "witness does NOT reproduce", file=sys.stderr)
         return 0 if ok else 4
-    if args.suite not in SUITES:
-        raise SchemaError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
-    bounds = _parse_bounds(args.bounds)
-    report = SUITES[args.suite](bounds, args.seed)
+    suites = {**verify.SUITES, "all": lambda bounds, seed: verify.suite_all({"bounds": bounds, "seed": seed})}
+    if args.suite not in suites:
+        raise SchemaError(f"unknown suite {args.suite!r}; choose from {sorted(suites)}")
+    report = suites[args.suite](_parse_bounds(args.bounds), args.seed)
     print(report.to_text(), file=sys.stderr)
     _emit(report.to_dict())
     return 0 if report.passed else 4

@@ -126,10 +126,13 @@ class RationalDistribution:
 
 
 def conjugate(lam: Sequence[int]) -> tuple[int, ...]:
-    """Conjugate partition (column lengths of the row diagram)."""
-    lam = sorted((p for p in lam if p), reverse=True)
+    """Conjugate partition (column lengths of the row diagram); every part
+    must be positive."""
+    lam = sorted(lam, reverse=True)
     if not lam:
         return ()
+    if lam[-1] < 1:
+        raise ValueError("content partition must have positive parts")
     return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
 
 
@@ -138,6 +141,8 @@ def enumerate_states(lam: Sequence[int], n: int, kind: str) -> list[Word]:
     lam = tuple(sorted((int(p) for p in lam), reverse=True))
     if not lam or lam[-1] < 1:
         raise ValueError("content partition must have positive parts")
+    if n < 1:
+        raise ValueError(f"ring size must be positive, got {n}")
     if kind == "tasep":
         if len(lam) > n:
             raise ValueError(f"cannot place {len(lam)} particles on {n} exclusion sites")
@@ -523,37 +528,32 @@ def ring_reverse_bosonic(d: BosonicMLQ, i: int, x: RateParams | None = None) -> 
     return BosonicMLQ(d.n, tuple(new_rows)), _wrap(b[0] + 1, n), rate
 
 
-def mlq_chain(kind: str, alpha: Sequence[int], n: int, x: RateParams | None = None) -> ChainSpec:
-    """Ringing-path chain on a queue family.
+def ringing_states(kind: str, alpha: Sequence[int], n: int) -> list:
+    """The queues a ringing-path chain runs on.  The fermionic chain is only
+    defined for straight shapes (twisted fermionic ringing does not project to
+    the exclusion process); the bosonic chain accepts any composition."""
+    if kind == "fermionic" and any(a < b for a, b in zip(alpha, list(alpha)[1:])):
+        raise ShapeError(f"fermionic ringing chain needs a straight shape, got {tuple(alpha)}")
+    return list(enumerate_queues(alpha, n, kind))
 
-    The fermionic chain is only defined for straight shapes (twisted fermionic
-    ringing does not project to the exclusion process); the bosonic chain
-    accepts any composition.  Self-loop ringings (empty columns) are dropped.
-    """
-    if kind == "fermionic":
-        if any(a < b for a, b in zip(alpha, list(alpha)[1:])):
-            raise ShapeError(f"fermionic ringing chain needs a straight shape, got {tuple(alpha)}")
-        states = list(enumerate_queues(alpha, n, "fermionic"))
-        index = {s: i for i, s in enumerate(states)}
-        transitions = []
-        for idx, qstate in enumerate(states):
-            for site in range(1, n + 1):
-                img, _ = ring_forward(qstate, site)
-                if img != qstate:
-                    transitions.append((idx, index[img], Fraction(1)))
-        return ChainSpec(tuple(states), tuple(transitions))
+
+def mlq_chain(kind: str, alpha: Sequence[int], n: int, x: RateParams | None = None) -> ChainSpec:
+    """Ringing-path chain on :func:`ringing_states`; self-loop ringings (empty
+    columns) are dropped."""
     if kind == "bosonic":
         x = _site_rates(x, n)
-        states = list(enumerate_queues(alpha, n, "bosonic"))
-        index = {s: i for i, s in enumerate(states)}
-        transitions = []
-        for idx, dstate in enumerate(states):
-            for site in range(1, n + 1):
-                img, _, rate = ring_forward_bosonic(dstate, site, x)
-                if img != dstate:
-                    transitions.append((idx, index[img], rate))
-        return ChainSpec(tuple(states), tuple(transitions))
-    raise ValueError(f"unknown kind {kind!r}")
+    states = ringing_states(kind, alpha, n)
+    index = {s: i for i, s in enumerate(states)}
+    transitions = []
+    for idx, state in enumerate(states):
+        for site in range(1, n + 1):
+            if kind == "fermionic":
+                img, rate = ring_forward(state, site)[0], Fraction(1)
+            else:
+                img, _, rate = ring_forward_bosonic(state, site, x)
+            if img != state:
+                transitions.append((idx, index[img], rate))
+    return ChainSpec(tuple(states), tuple(transitions))
 
 
 # ---------------------------------------------------------------------------

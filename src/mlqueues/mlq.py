@@ -199,6 +199,8 @@ def multisets_colex(n: int, size: int) -> Iterator[tuple[int, ...]]:
 
 def count_queues(alpha: Sequence[int], n: int, kind: str) -> int:
     """Closed-form size of the queue family of the given shape."""
+    if n < 1:
+        raise ValueError(f"ring size must be positive, got {n}")
     total = 1
     for a in alpha:
         if a < 0:

@@ -20,10 +20,11 @@ obligation, not an assumption.
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ShapeError
-from .mlq import MLQ, BosonicMLQ, FermionicMLQ, twist
+from .mlq import MLQ, BosonicMLQ, FermionicMLQ, enumerate_queues, twist
 from .pairing import pair_strictly_left, pair_weakly_right
 from .words import (
     BosonicWord,
@@ -158,6 +159,19 @@ def label_trace(q: MLQ) -> list[Word]:
         out.append(word)
     out.reverse()
     return out
+
+
+def fiber_law(shape: Sequence[int], n: int, kind: str, x: Sequence[Fraction] | None = None) -> dict:
+    """Law of ``project(q)`` over the queues of ``shape`` on ``n`` sites, each
+    weighing 1, or its weight monomial at the site values ``x`` if given."""
+    if x is not None and len(x) != n:
+        raise ValueError(f"expected {n} site values, got {len(x)}")
+    mass: dict = {}
+    for q in enumerate_queues(shape, n, kind):
+        w = project(q)
+        mass[w] = mass.get(w, 0) + (1 if x is None else q.weight().evaluate(x))
+    total = sum(mass.values())
+    return {w: Fraction(m) / total for w, m in mass.items()}
 
 
 def ferrari_martin(q: MLQ) -> Word:

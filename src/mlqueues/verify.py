@@ -1,29 +1,32 @@
 """Verification suites: bounded exhaustive sweeps plus seeded random cases.
 
-Each suite certifies one family of identities by brute force at desk scale
-and reports pass/fail with replayable witnesses.  Suites exhaust the smallest
-nontrivial parameter box first, then sample larger instances from a seeded
-generator, so every run is deterministic given (bounds, seed).  Case
-evaluation is pure, so cases may be spread over a small thread pool (capped
-by the MLQ_THREADS environment variable); failures merge back in case order,
-making reports identical regardless of scheduling.
+Every identity is a pure check in one table, ``CHECKS``, keyed by the witness
+kinds it emits.  A check takes one case, a dict of inputs (a queue, a site, a
+shape, rates, a seed), and returns the witnesses it found there.  Each witness
+records every case field next to what was found, so :func:`replay_witness`
+rebuilds the case from the witness alone and re-runs the same check.  A suite
+is a case generator plus its checks, run serially in case order: it exhausts
+the smallest nontrivial parameter box first, then samples larger instances
+from a seeded generator, so every report is deterministic given (bounds, seed).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+from . import documents
+from .errors import SchemaError
 from .markov import (
     RateParams,
+    _wrap,
     conjugate,
+    enumerate_states,
     mlq_chain,
     ring_forward,
     ring_forward_bosonic,
@@ -35,7 +38,7 @@ from .markov import (
     tazrp_chain,
     tazrp_transitions,
 )
-from .mlq import BosonicMLQ, FermionicMLQ, MLQ, enumerate_queues, twist
+from .mlq import BosonicMLQ, FermionicMLQ, MLQ, count_queues, enumerate_queues, twist
 from .projection import (
     apply_row_particlewise,
     canonical_order_bosonic,
@@ -43,6 +46,7 @@ from .projection import (
     ctm_components,
     ctm_project,
     ferrari_martin,
+    fiber_law,
     label_trace,
     project,
 )
@@ -50,10 +54,8 @@ from .words import BosonicWord, FermionicWord
 
 
 def worker_count() -> int:
-    env = os.environ.get("MLQ_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    """Number of threads the suites run on: always 1, cases run serially."""
+    return 1
 
 
 @dataclass
@@ -91,32 +93,104 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _run_cases(suite: str, parameters: dict, cases: Sequence, check: Callable) -> SuiteReport:
-    """Evaluate ``check`` over ``cases``, merging failures by case index.
+# ---------------------------------------------------------------------------
+# the check table
+# ---------------------------------------------------------------------------
 
-    The merge order is independent of the worker count, so reports are
-    identical whatever MLQ_THREADS says.
-    """
+
+@dataclass(frozen=True)
+class Check:
+    """``run(case)`` returns the witnesses found on one case; ``fields`` maps each
+    case field to its witness parser; ``units(case)`` counts the report cases."""
+
+    run: Callable[[dict], list]
+    fields: dict
+    units: Callable[[dict], int]
+
+
+CHECKS: dict[str, Check] = {}
+
+
+def _check(*kinds: str, fields: dict, units: Callable[[dict], int] = lambda case: 1):
+    """Register the decorated function as the check for witness ``kinds``."""
+
+    def register(run) -> Check:
+        CHECKS.update(dict.fromkeys(kinds, Check(run, fields, units)))
+        return CHECKS[kinds[0]]
+
+    return register
+
+
+def _field(ok: Callable[[object], bool], what: str, read: Callable = lambda value: value):
+    """Parser of one witness field: ``read(value)`` once ``ok(value)`` holds."""
+
+    def parse(name: str, value):
+        if not ok(value):
+            raise SchemaError(f"witness field {name!r} must be {what}")
+        return read(value)
+
+    return parse
+
+
+def _queue_kind(*kinds: str):
+    return _field(lambda v: isinstance(v, dict) and v.get("kind") in kinds, f"a {' or '.join(kinds)} queue",
+                  lambda v: documents.parse_queue(v))
+
+
+def _read_rates(value) -> RateParams | None:
+    return None if value is None else RateParams(tuple(documents.parse_fraction(v) for v in value))
+
+
+_ANY_QUEUE, _FERMIONIC, _BOSONIC = _queue_kind("fermionic", "bosonic"), _queue_kind("fermionic"), _queue_kind("bosonic")
+_INT = _field(lambda v: type(v) is int, "an integer")
+_FLAG = _field(lambda v: type(v) is bool, "true or false")
+_MODEL = _field(lambda v: v in ("tasep", "tazrp"), "'tasep' or 'tazrp'")
+_PARTS = _field(lambda v: isinstance(v, list) and all(type(p) is int for p in v), "a list of integers", tuple)
+_RATES = _field(lambda v: isinstance(v, list), "a list of rationals", _read_rates)
+_RATES_OR_NONE = _field(lambda v: v is None or isinstance(v, list), "a list of rationals or null", _read_rates)
+
+
+def _json(value):
+    """A case value as witness JSON."""
+    if isinstance(value, (FermionicMLQ, BosonicMLQ)):
+        return documents.emit_queue(value)
+    if isinstance(value, RateParams):
+        return [documents.format_fraction(v) for v in value.x]
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _witness(kind: str, case: dict, **found) -> dict:
+    return {"check": kind, **{name: _json(value) for name, value in case.items()}, **found}
+
+
+def replay_witness(witness) -> bool:
+    """Re-run the check a witness names on the case it records; True iff the
+    re-run returns an equal witness.  Raises :class:`SchemaError` for a witness
+    that is not an object, names no registered kind, or lacks or mistypes a
+    case field."""
+    if not isinstance(witness, dict):
+        raise SchemaError("a witness must be a JSON object")
+    kind = witness.get("check")
+    if not isinstance(kind, str) or kind not in CHECKS:
+        raise SchemaError(f"unknown witness kind {kind!r}; known kinds: {sorted(CHECKS)}")
+    check = CHECKS[kind]
+    missing = [name for name in check.fields if name not in witness]
+    if missing:
+        raise SchemaError(f"{kind} witness lacks the fields {missing}")
+    case = {name: parse(name, witness[name]) for name, parse in check.fields.items()}
+    return witness in json.loads(json.dumps(check.run(case)))
+
+
+def _run(suite: str, parameters: dict, parts: Iterable[tuple[Check, Iterable[dict]]]) -> SuiteReport:
+    """Run each check over its cases, serially and in order."""
     start = time.perf_counter()
-    workers = min(worker_count(), max(1, len(cases)))
-    found: list[tuple[int, dict]] = []
-    if workers == 1 or len(cases) < 64:
-        for idx, case in enumerate(cases):
-            w = check(case)
-            if w is not None:
-                found.append((idx, w))
-    else:
-        indexed = list(enumerate(cases))
-        blocks = [indexed[i::workers] for i in range(workers)]
-
-        def run_block(block):
-            return [(idx, w) for idx, case in block for w in (check(case),) if w is not None]
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for got in pool.map(run_block, blocks):
-                found.extend(got)
-    failures = [w for _, w in sorted(found, key=lambda iw: iw[0])]
-    return SuiteReport(suite, parameters, len(cases), failures, time.perf_counter() - start)
+    failures: list = []
+    cases = 0
+    for check, batch in parts:
+        for case in batch:
+            failures.extend(check.run(case))
+            cases += check.units(case)
+    return SuiteReport(suite, parameters, cases, failures, time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -185,97 +259,65 @@ def _sweep_queues(bounds: dict, seed: int) -> list[MLQ]:
     return cases
 
 
-def _queue_doc(q: MLQ) -> dict:
-    return {
-        "kind": "fermionic" if isinstance(q, FermionicMLQ) else "bosonic",
-        "n": q.n,
-        "rows": [list(r) for r in q.rows],
-    }
-
-
-def _word_doc(w) -> dict:
-    if isinstance(w, FermionicWord):
-        return {"kind": "fermionic_word", "n": w.n, "letters": list(w.letters)}
-    return {"kind": "bosonic_word", "n": w.n, "sites": [list(s) for s in w.sites]}
-
-
 # ---------------------------------------------------------------------------
-# suites
+# checks and suites
 # ---------------------------------------------------------------------------
 
 
-def suite_r_invariance(bounds: dict | None = None, seed: int = 0) -> SuiteReport:
-    """Projection is unchanged by every row twist."""
-    b = _bounds(bounds)
-    queues = _sweep_queues(b, seed)
-
-    def check(q: MLQ):
-        base = project(q)
-        for i in range(1, q.k):
-            other = project(twist(q, i))
-            if other != base:
-                return {
-                    "check": "twist-invariance",
-                    "queue": _queue_doc(q),
-                    "i": i,
-                    "expected": _word_doc(base),
-                    "got": _word_doc(other),
-                }
-        return None
-
-    return _run_cases("r-invariance", {"bounds": b, "seed": seed}, queues, check)
+@_check("twist-invariance", fields={"queue": _ANY_QUEUE})
+def check_twist_invariance(case: dict) -> list:
+    """Projection is unchanged by every row twist; reports the first twist that changes it."""
+    q = case["queue"]
+    base = project(q)
+    for i in range(1, q.k):
+        other = project(twist(q, i))
+        if other != base:
+            got = documents.emit_word(other)
+            return [_witness("twist-invariance", case, i=i, expected=documents.emit_word(base), got=got)]
+    return []
 
 
-def suite_phi_equals_ctm(bounds: dict | None = None, seed: int = 0) -> SuiteReport:
-    """All projection routes agree: row fold, corner-transfer reading,
-    straight-queue label passing, one-particle-at-a-time replay, plus the
-    component relabelling identity under a twist and the content law."""
-    b = _bounds(bounds)
-    queues = _sweep_queues(b, seed)
-    order_sample = set(random.Random(seed + 1).sample(range(len(queues)), min(len(queues), 60)))
-
-    def check(item):
-        idx, q = item
-        w = project(q)
-        if ctm_project(q) != w:
-            return {"check": "fold-vs-ctm", "queue": _queue_doc(q), "fold": _word_doc(w), "ctm": _word_doc(ctm_project(q))}
-        lam = tuple(sorted(q.shape, reverse=True))
-        for j in range(1, q.k + 1):
-            if sum(w.layer(j)) != lam[j - 1]:
-                return {"check": "content-law", "queue": _queue_doc(q), "layer": j}
-        if q.is_straight and ferrari_martin(q) != w:
-            return {"check": "fold-vs-label-passing", "queue": _queue_doc(q)}
-        before = ctm_components(q)
-        for i in range(1, q.k):
-            after = ctm_components(twist(q, i))
-            perm = list(range(q.k))
-            perm[i - 1], perm[i] = perm[i], perm[i - 1]
-            if after != [before[p] for p in perm]:
-                return {"check": "component-swap", "queue": _queue_doc(q), "i": i}
-        case_rng = random.Random((seed + 1) * 1_000_003 + idx)
-        if _particlewise_mismatch(q, idx in order_sample, case_rng):
-            return {"check": "particlewise", "queue": _queue_doc(q)}
-        return None
-
-    return _run_cases(
-        "projection-consistency", {"bounds": b, "seed": seed}, list(enumerate(queues)), check
-    )
+@_check(
+    "fold-vs-ctm", "content-law", "fold-vs-label-passing", "component-swap", "particlewise",
+    fields={"queue": _ANY_QUEUE, "all_orders": _FLAG, "order_seed": _INT},
+)
+def check_projection_routes(case: dict) -> list:
+    """Fold, corner transfer, label passing (straight queues) and particlewise
+    replay (every priority order if ``all_orders``, sampled from ``order_seed``
+    when too many) agree, with the content law and the component swap under
+    twists.  Reports the first disagreement."""
+    q = case["queue"]
+    w = project(q)
+    ctm = ctm_project(q)
+    if ctm != w:
+        return [_witness("fold-vs-ctm", case, fold=documents.emit_word(w), ctm=documents.emit_word(ctm))]
+    lam = tuple(sorted(q.shape, reverse=True))
+    for j in range(1, q.k + 1):
+        if sum(w.layer(j)) != lam[j - 1]:
+            return [_witness("content-law", case, layer=j)]
+    if q.is_straight and ferrari_martin(q) != w:
+        return [_witness("fold-vs-label-passing", case)]
+    before = ctm_components(q)
+    for i in range(1, q.k):
+        after = ctm_components(twist(q, i))
+        perm = list(range(q.k))
+        perm[i - 1], perm[i] = perm[i], perm[i - 1]
+        if after != [before[p] for p in perm]:
+            return [_witness("component-swap", case, i=i)]
+    if _particlewise_mismatch(q, case["all_orders"], random.Random(case["order_seed"])):
+        return [_witness("particlewise", case)]
+    return []
 
 
-def _priority_orders_fermionic(word: FermionicWord):
-    by_label: dict[int, list[int]] = {}
-    for j in word.support():
-        by_label.setdefault(word.letters[j - 1], []).append(j)
-    classes = [by_label[a] for a in sorted(by_label, reverse=True)]
-    for perms in itertools.product(*[itertools.permutations(c) for c in classes]):
-        yield tuple(j for block in perms for j in block)
-
-
-def _priority_orders_bosonic(word: BosonicWord):
-    by_label: dict[int, list[tuple[int, int]]] = {}
-    for j in range(1, word.n + 1):
-        for a in word.sites[j - 1]:
-            by_label.setdefault(a, []).append((j, a))
+def _priority_orders(word):
+    """Every order of the word's particles that takes larger labels first."""
+    if isinstance(word, FermionicWord):
+        particles = [(word.letters[j - 1], j) for j in word.support()]
+    else:
+        particles = [(a, (j, a)) for j in range(1, word.n + 1) for a in word.sites[j - 1]]
+    by_label: dict = {}
+    for a, p in particles:
+        by_label.setdefault(a, []).append(p)
     classes = [by_label[a] for a in sorted(by_label, reverse=True)]
     for perms in itertools.product(*[itertools.permutations(c) for c in classes]):
         yield tuple(p for block in perms for p in block)
@@ -294,7 +336,7 @@ def _particlewise_mismatch(q: MLQ, all_orders: bool, rng: random.Random) -> bool
         if all_orders:
             n_particles = len(word.content())
             if n_particles <= 6:
-                orders = _priority_orders_fermionic(word) if fermionic else _priority_orders_bosonic(word)
+                orders = _priority_orders(word)
             else:
                 orders = _random_orders(word, rng, 50)
             for order in orders:
@@ -320,177 +362,195 @@ def _random_orders(word, rng: random.Random, count: int):
         yield tuple(order)
 
 
+def suite_r_invariance(bounds: dict | None = None, seed: int = 0) -> SuiteReport:
+    """Projection is unchanged by every row twist."""
+    b = _bounds(bounds)
+    cases = [{"queue": q} for q in _sweep_queues(b, seed)]
+    return _run("r-invariance", {"bounds": b, "seed": seed}, [(check_twist_invariance, cases)])
+
+
+def suite_phi_equals_ctm(bounds: dict | None = None, seed: int = 0) -> SuiteReport:
+    """All projection routes agree (:func:`check_projection_routes`); 60 seeded
+    cases replay the particles in every priority order."""
+    b = _bounds(bounds)
+    queues = _sweep_queues(b, seed)
+    order_sample = set(random.Random(seed + 1).sample(range(len(queues)), min(len(queues), 60)))
+    cases = [
+        {"queue": q, "all_orders": idx in order_sample, "order_seed": (seed + 1) * 1_000_003 + idx}
+        for idx, q in enumerate(queues)
+    ]
+    return _run("projection-consistency", {"bounds": b, "seed": seed}, [(check_projection_routes, cases)])
+
+
+@_check(
+    "fiber-count", "fiber-weight", "fiber-support",
+    fields={"model": _MODEL, "lambda": _PARTS, "n": _INT, "x": _RATES_OR_NONE},
+    units=lambda case: len(enumerate_states(conjugate(case["lambda"]), case["n"], case["model"])),
+)
+def check_stationary_fibers(case: dict) -> list:
+    """The ``tasep`` or ``tazrp`` (rates ``x``) chain on content conj(lambda) has
+    the fiber law of the lambda-shaped queues as its exact stationary law."""
+    lam, n, x = case["lambda"], case["n"], case["x"]
+    if case["model"] == "tasep":
+        chain, kind, mismatch = tasep_chain(conjugate(lam), n), "fermionic", "fiber-count"
+    else:
+        chain, kind, mismatch = tazrp_chain(conjugate(lam), n, x), "bosonic", "fiber-weight"
+    fibers = fiber_law(lam, n, kind, None if x is None else x.x)
+    exact = stationary_exact(chain)
+    found = [
+        _witness(mismatch, case, state=documents.emit_word(s), fiber=str(fibers.get(s, 0)), exact=str(p))
+        for s, p in exact.items()
+        if fibers.get(s, 0) != p
+    ]
+    escaped = [documents.emit_word(w) for w in sorted(set(fibers) - set(exact.probs), key=str)]
+    if escaped:
+        found.append(_witness("fiber-support", case, detail="projection image escapes the state space", words=escaped))
+    return found
+
+
+def _fiber_suite(model: str, grid, parameters: dict) -> SuiteReport:
+    cases = [{"model": model, "lambda": lam, "n": n, "x": x} for lam, n, x in grid]
+    return _run(f"stationary-{model}", parameters, [(check_stationary_fibers, cases)])
+
+
 def suite_stationary_tasep(lam: Sequence[int] = (2, 1), n: int = 3) -> SuiteReport:
     """Exclusion-process stationary law equals projection fiber counting.
 
     ``lam`` is the queue shape; the exclusion process runs on words whose
     content is the conjugate partition.
     """
-    start = time.perf_counter()
-    lam = tuple(sorted((int(p) for p in lam), reverse=True))
-    fibers: dict = {}
-    total = 0
-    for q in enumerate_queues(lam, n, "fermionic"):
-        w = project(q)
-        fibers[w] = fibers.get(w, 0) + 1
-        total += 1
-    exact = stationary_exact(tasep_chain(conjugate(lam), n))
-    failures = []
-    for state in exact.probs:
-        fiber = Fraction(fibers.get(state, 0), total)
-        if fiber != exact[state]:
-            failures.append(
-                {"check": "fiber-count", "state": _word_doc(state), "fiber": str(fiber), "exact": str(exact[state])}
-            )
-    if sum(fibers.values()) != total or set(fibers) - set(exact.probs):
-        failures.append({"check": "fiber-support", "detail": "projection image escapes the state space"})
-    return SuiteReport(
-        "stationary-tasep",
-        {"lambda": list(lam), "n": n, "queues": total},
-        len(exact.probs),
-        failures,
-        time.perf_counter() - start,
-    )
+    lam = tuple(sorted(map(int, lam), reverse=True))
+    parameters = {"lambda": list(lam), "n": n, "queues": count_queues(lam, n, "fermionic")}
+    return _fiber_suite("tasep", [(lam, n, None)], parameters)
 
 
 def suite_stationary_tazrp(lam: Sequence[int] = (2, 1), n: int = 3, x: RateParams | None = None) -> SuiteReport:
     """Zero-range stationary law equals the weighted projection fiber sums."""
-    start = time.perf_counter()
-    lam = tuple(sorted((int(p) for p in lam), reverse=True))
+    lam = tuple(sorted(map(int, lam), reverse=True))
     x = x or RateParams.ones(n)
-    fiber_weight: dict = {}
-    z = Fraction(0)
-    for d in enumerate_queues(lam, n, "bosonic"):
-        w = project(d)
-        wt = d.weight().evaluate(x.x)
-        fiber_weight[w] = fiber_weight.get(w, Fraction(0)) + wt
-        z += wt
-    exact = stationary_exact(tazrp_chain(conjugate(lam), n, x))
-    failures = []
-    for state in exact.probs:
-        fiber = fiber_weight.get(state, Fraction(0)) / z
-        if fiber != exact[state]:
-            failures.append(
-                {"check": "fiber-weight", "state": _word_doc(state), "fiber": str(fiber), "exact": str(exact[state])}
-            )
-    if set(fiber_weight) - set(exact.probs):
-        failures.append({"check": "fiber-support", "detail": "projection image escapes the state space"})
-    return SuiteReport(
-        "stationary-tazrp",
-        {"lambda": list(lam), "n": n, "x": [str(v) for v in x.x]},
-        len(exact.probs),
-        failures,
-        time.perf_counter() - start,
-    )
+    return _fiber_suite("tazrp", [(lam, n, x)], {"lambda": list(lam), "n": n, "x": [str(v) for v in x.x]})
 
 
-def _wrap(site: int, n: int) -> int:
-    return (site - 1) % n + 1
+TASEP_GRID = [((2, 1), 3), ((2, 1), 4), ((2, 1), 5), ((2, 2), 3), ((2, 2), 4), ((2, 2), 5),
+              ((3, 1), 3), ((3, 1), 4), ((3, 1), 5), ((2, 1, 1), 3), ((2, 1, 1), 4), ((2, 1, 1), 5)]
+TAZRP_GRID = [((2, 1), 2), ((2, 1), 3), ((2, 2), 2), ((2, 2), 3)]
+TAZRP_X = [(1, 1, 1), (1, 2, 3), (2, 3, 5)]
 
 
-def suite_ringing(bounds: dict | None = None, seed: int = 0) -> SuiteReport:
-    """Ringing-path identities: inverses, weights, stationarity, projection,
-    twist commutation, and the twisted-fermionic counterexample search."""
-    start = time.perf_counter()
-    failures: list = []
-    cases = 0
-    rng = random.Random(seed)
+def _suite_tasep_grid(bounds: dict | None, seed: int) -> SuiteReport:
+    grid = [(lam, n, None) for lam, n in TASEP_GRID]
+    return _fiber_suite("tasep", grid, {"grid": [[list(lam), n] for lam, n in TASEP_GRID]})
 
-    # mutual inverses, fermionic, exhaustive
-    for lam in ((1,), (2, 1), (2, 2, 1)):
-        for n in range(max(2, lam[0]), 5):
-            for q in enumerate_queues(lam, n, "fermionic"):
-                for i in range(1, n + 1):
-                    cases += 1
-                    if ring_reverse(*ring_forward(q, i)) != (q, i) or ring_forward(*ring_reverse(q, i)) != (q, i):
-                        failures.append({"check": "ring-inverse", "queue": _queue_doc(q), "site": i})
 
-    # mutual inverses and weight identity, bosonic, randomized
-    for _ in range(500):
-        d = _random_queue(rng, "bosonic", 5, 4, 3)
-        i = rng.randint(1, d.n)
-        cases += 1
-        img, exit_site, _ = ring_forward_bosonic(d, i)
-        back, back_site, _ = ring_reverse_bosonic(img, exit_site)
-        fwd_of_rev = ring_forward_bosonic(*ring_reverse_bosonic(d, i)[:2])
-        if (back, back_site) != (d, i) or fwd_of_rev[:2] != (d, i):
-            failures.append({"check": "ring-inverse-bosonic", "queue": _queue_doc(d), "site": i})
-        want = list(d.weight().exponents)
-        want[_wrap(exit_site + 1, d.n) - 1] += 1
-        want[i - 1] -= 1
-        if list(img.weight().exponents) != want:
-            failures.append({"check": "ring-weight", "queue": _queue_doc(d), "site": i})
+def _suite_tazrp_grid(bounds: dict | None, seed: int) -> SuiteReport:
+    """``TAZRP_GRID`` with each rate vector of ``TAZRP_X`` cut to n sites."""
+    grid = [(lam, n, RateParams(tuple(Fraction(v) for v in xs[:n]))) for lam, n in TAZRP_GRID for xs in TAZRP_X]
+    return _fiber_suite("tazrp", grid, {"grid": [[list(lam), n] for lam, n in TAZRP_GRID], "x": TAZRP_X})
 
-    # stationarity of the weight monomials on the bosonic chain
-    x = RateParams((Fraction(1), Fraction(2), Fraction(3)))
-    chain = mlq_chain("bosonic", (2, 1), 3, x)
-    weights = {s: s.weight().evaluate(x.x) for s in chain.states}
-    out_flux, in_flux = chain.flux([weights[s] for s in chain.states])
-    for state, out_f, in_f in zip(chain.states, out_flux, in_flux):
-        cases += 1
-        if out_f != in_f:
-            failures.append({"check": "weight-balance", "state": _queue_doc(state)})
-    total_w = sum(weights.values())
+
+@_check("ring-inverse", fields={"queue": _FERMIONIC, "site": _INT})
+def check_ring_inverse(case: dict) -> list:
+    """Fermionic forward and reverse ringing at a site are mutual inverses."""
+    q, i = case["queue"], case["site"]
+    if ring_reverse(*ring_forward(q, i)) != (q, i) or ring_forward(*ring_reverse(q, i)) != (q, i):
+        return [_witness("ring-inverse", case)]
+    return []
+
+
+@_check("ring-inverse-bosonic", "ring-weight", fields={"queue": _BOSONIC, "site": _INT})
+def check_ring_bosonic(case: dict) -> list:
+    """Bosonic ringing is inverted by reverse ringing and moves one unit of
+    weight from the entry site to the site after the exit."""
+    d, i = case["queue"], case["site"]
+    found = []
+    img, exit_site, _ = ring_forward_bosonic(d, i)
+    back, back_site, _ = ring_reverse_bosonic(img, exit_site)
+    fwd_of_rev = ring_forward_bosonic(*ring_reverse_bosonic(d, i)[:2])
+    if (back, back_site) != (d, i) or fwd_of_rev[:2] != (d, i):
+        found.append(_witness("ring-inverse-bosonic", case))
+    want = list(d.weight().exponents)
+    want[_wrap(exit_site + 1, d.n) - 1] += 1
+    want[i - 1] -= 1
+    if list(img.weight().exponents) != want:
+        found.append(_witness("ring-weight", case))
+    return found
+
+
+@_check(
+    "weight-balance", "weight-stationary", fields={"lambda": _PARTS, "n": _INT, "x": _RATES},
+    units=lambda case: count_queues(case["lambda"], case["n"], "bosonic"),
+)
+def check_weight_stationary(case: dict) -> list:
+    """The weight monomials at ``x`` balance the bosonic ringing chain state by
+    state, and normalized they are its exact stationary law."""
+    x = case["x"]
+    chain = mlq_chain("bosonic", case["lambda"], case["n"], x)
+    weights = [s.weight().evaluate(x.x) for s in chain.states]
+    out_flux, in_flux = chain.flux(weights)
+    found = [
+        _witness("weight-balance", case, state=documents.emit_queue(s))
+        for s, out_f, in_f in zip(chain.states, out_flux, in_flux)
+        if out_f != in_f
+    ]
+    total = sum(weights)
     exact = stationary_exact(chain)
-    if any(exact[s] != weights[s] / total_w for s in chain.states):
-        failures.append({"check": "weight-stationary", "detail": "exact law differs from normalized weights"})
-
-    # chain projection onto the zero-range process, straight and twisted
-    for alpha in ((2, 1), (1, 2)):
-        f = _projection_identity_failures(alpha, 3, x)
-        cases += f.pop("cases")
-        failures.extend(f["failures"])
-
-    # twists commute with both ringing maps
-    for d in _exhaustive_queues("bosonic", 3, 3, 2):
-        for m in range(1, d.k):
-            for i in range(1, d.n + 1):
-                cases += 1
-                td = twist(d, m)
-                if twist(ring_forward_bosonic(d, i)[0], m) != ring_forward_bosonic(td, i)[0]:
-                    failures.append({"check": "twist-forward-commute", "queue": _queue_doc(d), "m": m, "site": i})
-                if twist(ring_reverse_bosonic(d, i)[0], m) != ring_reverse_bosonic(td, i)[0]:
-                    failures.append({"check": "twist-reverse-commute", "queue": _queue_doc(d), "m": m, "site": i})
-
-    # a twisted fermionic queue whose ringing does not project
-    witness = find_ringing_counterexample(4, 4)
-    cases += 1
-    if witness is None:
-        failures.append({"check": "ringing-counterexample", "detail": "no witness found in the search box"})
-
-    params = {"seed": seed, "counterexample": witness}
-    return SuiteReport("ringing", params, cases, failures, time.perf_counter() - start)
+    if any(exact[s] != w / total for s, w in zip(chain.states, weights)):
+        found.append(_witness("weight-stationary", case, detail="exact law differs from normalized weights"))
+    return found
 
 
-def _projection_identity_failures(alpha: Sequence[int], n: int, x: RateParams) -> dict:
-    """Transition-by-transition projection check for the bosonic ringing chain."""
-    failures = []
-    cases = 0
-    for d in enumerate_queues(alpha, n, "bosonic"):
-        cases += 1
-        tau = project(d)
-        zr_rates: dict = {}
-        for target, rate in tazrp_transitions(tau, x):
-            zr_rates[target] = zr_rates.get(target, Fraction(0)) + rate
-        mlq_rates: dict = {}
-        for site in range(1, n + 1):
-            img, _, rate = ring_forward_bosonic(d, site, x)
-            if img == d:
-                continue
-            w = project(img)
-            if w == tau:
-                continue
-            mlq_rates[w] = mlq_rates.get(w, Fraction(0)) + rate
-        if zr_rates != mlq_rates:
-            failures.append(
-                {
-                    "check": "chain-projection",
-                    "queue": _queue_doc(d),
-                    "zr": {str(k): str(v) for k, v in zr_rates.items()},
-                    "mlq": {str(k): str(v) for k, v in mlq_rates.items()},
-                }
-            )
-    return {"cases": cases, "failures": failures}
+@_check("chain-projection", fields={"queue": _BOSONIC, "x": _RATES})
+def check_chain_projection(case: dict) -> list:
+    """Ringing moves out of a bosonic queue project onto the zero-range moves (and rates) out of its projection."""
+    d, x = case["queue"], case["x"]
+    tau = project(d)
+    zr_rates: dict = {}
+    for target, rate in tazrp_transitions(tau, x):
+        zr_rates[target] = zr_rates.get(target, Fraction(0)) + rate
+    mlq_rates: dict = {}
+    for site in range(1, d.n + 1):
+        img, _, rate = ring_forward_bosonic(d, site, x)
+        if img == d:
+            continue
+        w = project(img)
+        if w == tau:
+            continue
+        mlq_rates[w] = mlq_rates.get(w, Fraction(0)) + rate
+    if zr_rates != mlq_rates:
+        zr, mlq = ({str(k): str(v) for k, v in rates.items()} for rates in (zr_rates, mlq_rates))
+        return [_witness("chain-projection", case, zr=zr, mlq=mlq)]
+    return []
+
+
+@_check("twist-forward-commute", "twist-reverse-commute", fields={"queue": _BOSONIC, "m": _INT, "site": _INT})
+def check_twist_commute(case: dict) -> list:
+    """Twisting rows m, m+1 commutes with forward and with reverse ringing."""
+    d, m, i = case["queue"], case["m"], case["site"]
+    td = twist(d, m)
+    found = []
+    if twist(ring_forward_bosonic(d, i)[0], m) != ring_forward_bosonic(td, i)[0]:
+        found.append(_witness("twist-forward-commute", case))
+    if twist(ring_reverse_bosonic(d, i)[0], m) != ring_reverse_bosonic(td, i)[0]:
+        found.append(_witness("twist-reverse-commute", case))
+    return found
+
+
+@_check("ringing-projection-counterexample", fields={"queue": _FERMIONIC})
+def check_ringing_projection(case: dict) -> list:
+    """The first site where ringing moves a fermionic queue's projection more
+    than one exclusion step: the expected finding on twisted queues."""
+    q = case["queue"]
+    w = project(q)
+    neighbours = {t for t, _ in tasep_transitions(w)}
+    for i in range(1, q.n + 1):
+        img, _ = ring_forward(q, i)
+        if img == q:
+            continue
+        w2 = project(img)
+        if w2 != w and w2 not in neighbours:
+            word, image_word = documents.emit_word(w), documents.emit_word(w2)
+            return [_witness("ringing-projection-counterexample", case, site=i, word=word, image_word=image_word)]
+    return []
 
 
 def find_ringing_counterexample(max_n: int = 4, max_k: int = 4) -> dict | None:
@@ -502,90 +562,59 @@ def find_ringing_counterexample(max_n: int = 4, max_k: int = 4) -> dict | None:
                 if all(a >= b for a, b in zip(alpha, alpha[1:])):
                     continue  # straight shapes project; skip
                 for q in enumerate_queues(alpha, n, "fermionic"):
-                    w = project(q)
-                    neighbours = {t for t, _ in tasep_transitions(w)}
-                    for i in range(1, n + 1):
-                        img, _ = ring_forward(q, i)
-                        if img == q:
-                            continue
-                        w2 = project(img)
-                        if w2 != w and w2 not in neighbours:
-                            return {
-                                "check": "ringing-projection-counterexample",
-                                "queue": _queue_doc(q),
-                                "site": i,
-                                "word": _word_doc(w),
-                                "image_word": _word_doc(w2),
-                            }
+                    found = check_ringing_projection.run({"queue": q})
+                    if found:
+                        return found[0]
     return None
 
 
-def replay_witness(witness: dict) -> bool:
-    """Re-run the check a witness came from; True iff the finding reproduces."""
-    from . import documents
-
-    check = witness.get("check")
-    if check == "ringing-projection-counterexample":
-        q = documents.parse_queue(witness["queue"])
-        w = project(q)
-        img, _ = ring_forward(q, witness["site"])
-        w2 = project(img)
-        neighbours = {t for t, _ in tasep_transitions(w)}
-        return (
-            w == documents.parse_word(witness["word"])
-            and w2 == documents.parse_word(witness["image_word"])
-            and w2 != w
-            and w2 not in neighbours
-        )
-    if check == "twist-invariance":
-        q = documents.parse_queue(witness["queue"])
-        return project(twist(q, witness["i"])) != project(q)
-    if check == "fold-vs-ctm":
-        q = documents.parse_queue(witness["queue"])
-        return ctm_project(q) != project(q)
-    if check == "fold-vs-label-passing":
-        q = documents.parse_queue(witness["queue"])
-        return ferrari_martin(q) != project(q)
-    if check == "particlewise":
-        q = documents.parse_queue(witness["queue"])
-        return _particlewise_mismatch(q, True, random.Random(0))
-    if check == "content-law":
-        q = documents.parse_queue(witness["queue"])
-        j = witness["layer"]
-        return sum(project(q).layer(j)) != sorted(q.shape, reverse=True)[j - 1]
-    if check == "component-swap":
-        q = documents.parse_queue(witness["queue"])
-        i = witness["i"]
-        before = ctm_components(q)
-        after = ctm_components(twist(q, i))
-        perm = list(range(q.k))
-        perm[i - 1], perm[i] = perm[i], perm[i - 1]
-        return after != [before[p] for p in perm]
-    raise ValueError(f"no replay rule for witness kind {check!r}")
+@_check("ringing-counterexample", fields={"max_n": _INT, "max_k": _INT})
+def check_ringing_search(case: dict) -> list:
+    """The counterexample search finds a witness within ``max_n`` sites and ``max_k`` rows."""
+    if find_ringing_counterexample(case["max_n"], case["max_k"]) is None:
+        return [_witness("ringing-counterexample", case, detail="no witness found in the search box")]
+    return []
 
 
-TASEP_GRID = [((2, 1), 3), ((2, 1), 4), ((2, 1), 5), ((2, 2), 3), ((2, 2), 4), ((2, 2), 5),
-              ((3, 1), 3), ((3, 1), 4), ((3, 1), 5), ((2, 1, 1), 3), ((2, 1, 1), 4), ((2, 1, 1), 5)]
-TAZRP_GRID = [((2, 1), 2), ((2, 1), 3), ((2, 2), 2), ((2, 2), 3)]
-TAZRP_X = [(1, 1, 1), (1, 2, 3), (2, 3, 5)]
+def suite_ringing(bounds: dict | None = None, seed: int = 0) -> SuiteReport:
+    """Ringing-path identities: inverses, weights, stationarity, projection,
+    twist commutation, and the twisted-fermionic counterexample search."""
+    rng = random.Random(seed)
+    x = RateParams((Fraction(1), Fraction(2), Fraction(3)))
+    fermionic = ((q, n) for lam in ((1,), (2, 1), (2, 2, 1)) for n in range(max(2, lam[0]), 5)
+                 for q in enumerate_queues(lam, n, "fermionic"))
+    bosonic = (_random_queue(rng, "bosonic", 5, 4, 3) for _ in range(500))  # lazy: each queue, then its site
+    parts = [
+        (check_ring_inverse, ({"queue": q, "site": i} for q, n in fermionic for i in range(1, n + 1))),
+        (check_ring_bosonic, ({"queue": d, "site": rng.randint(1, d.n)} for d in bosonic)),
+        (check_weight_stationary, [{"lambda": (2, 1), "n": 3, "x": x}]),
+        (check_chain_projection, ({"queue": d, "x": x} for alpha in ((2, 1), (1, 2))
+                                  for d in enumerate_queues(alpha, 3, "bosonic"))),
+        (check_twist_commute, ({"queue": d, "m": m, "site": i} for d in _exhaustive_queues("bosonic", 3, 3, 2)
+                               for m in range(1, d.k) for i in range(1, d.n + 1))),
+        (check_ringing_search, [{"max_n": 4, "max_k": 4}]),
+    ]
+    params = {"seed": seed, "counterexample": find_ringing_counterexample(4, 4)}
+    return _run("ringing", params, parts)
+
+
+# name -> suite(bounds, seed), in the order suite_all runs them
+SUITES: dict[str, Callable[[dict | None, int], SuiteReport]] = {
+    "r-invariance": suite_r_invariance,
+    "projection": suite_phi_equals_ctm,
+    "stationary-tasep": _suite_tasep_grid,
+    "stationary-tazrp": _suite_tazrp_grid,
+    "ringing": suite_ringing,
+}
 
 
 def suite_all(config: dict | None = None) -> SuiteReport:
-    """Run every suite at desk-scale defaults and merge the reports."""
+    """Run every suite in ``SUITES`` at desk-scale defaults and merge the reports."""
     config = config or {}
     seed = config.get("seed", 0)
     bounds = config.get("bounds")
     start = time.perf_counter()
-    reports = [
-        suite_r_invariance(bounds, seed),
-        suite_phi_equals_ctm(bounds, seed),
-    ]
-    for lam, n in TASEP_GRID:
-        reports.append(suite_stationary_tasep(lam, n))
-    for lam, n in TAZRP_GRID:
-        for xs in TAZRP_X:
-            reports.append(suite_stationary_tazrp(lam, n, RateParams(tuple(Fraction(v) for v in xs[:n]))))
-    reports.append(suite_ringing(bounds, seed))
+    reports = [suite(bounds, seed) for suite in SUITES.values()]
     failures = [f for r in reports for f in r.failures]
     return SuiteReport(
         "all",

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mlqueues import documents
+from mlqueues import cli, documents
 from mlqueues.cli import main
 
 from conftest import bq, bw, fq, fw
@@ -139,6 +139,50 @@ class TestStationaryCommand:
         assert "model error" in err
 
 
+MODELS = ("tasep", "tazrp", "ktazrp", "mlq-fermionic", "mlq-bosonic")
+
+
+class TestStationaryInputs:
+    @pytest.mark.parametrize("n", ("0", "-1"))
+    @pytest.mark.parametrize("method", ("exact", "mlq"))
+    @pytest.mark.parametrize("model", MODELS)
+    def test_ring_size_below_one_is_input_error(self, capsys, model, method, n):
+        code, out, err = run(capsys, "stationary", "--model", model, "--lambda", "2,1", "--n", n, "--method", method)
+        assert code == 2
+        assert out == ""
+        assert "input error" in err
+
+    @pytest.mark.parametrize(
+        "model, lam, n, code",
+        [
+            ("tasep", "2,0", 3, 2),  # zero part
+            ("tazrp", "2,0", 3, 2),
+            ("ktazrp", "0", 3, 2),
+            ("tasep", "", 3, 2),  # no parts
+            ("tasep", "1,1,1,1", 3, 2),  # more particles than exclusion sites
+            ("mlq-fermionic", "4", 3, 2),  # row longer than the ring
+            ("mlq-bosonic", "-1", 3, 2),
+            ("mlq-fermionic", "1,2", 3, 3),  # twisted fermionic shape
+            ("mlq-fermionic", "1,2", 0, 3),
+        ],
+    )
+    def test_fiber_route_keeps_the_exact_exit_code(self, capsys, model, lam, n, code):
+        argv = ("stationary", "--model", model, "--lambda", lam, "--n", str(n))
+        assert run(capsys, *argv, "--method", "exact")[0] == code
+        assert run(capsys, *argv, "--method", "mlq")[0] == code
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_fiber_route_builds_no_chain(self, capsys, monkeypatch, model):
+        def no_chain(*args, **kwargs):
+            raise AssertionError("--method mlq built a chain")
+
+        for name in ("tasep_chain", "tazrp_chain", "ktazrp_chain", "mlq_chain"):
+            monkeypatch.setattr(cli, name, no_chain)
+        code, out, _ = run(capsys, "stationary", "--model", model, "--lambda", "2,1", "--n", "3", "--method", "mlq")
+        assert code == 0
+        assert sum(Fraction(e["prob"]) for e in json.loads(out)["entries"]) == 1
+
+
 class TestRingCommand:
     def test_six_example_site_one(self, tmp_path, capsys):
         path = write_doc(tmp_path, SIX_QUEUE_DOC)
@@ -211,6 +255,31 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--witness", str(path))
         assert code == 0
         assert "reproduces" in err
+
+
+    @pytest.mark.parametrize(
+        "witness",
+        [
+            [],
+            {"check": "twist-invariance"},
+            {"check": "nonsense"},
+            {"check": ["twist-invariance"]},
+            {"check": "twist-invariance", "queue": [[1], [2]]},
+            {"check": "ring-inverse", "queue": {"kind": "fermionic", "n": 3, "rows": [[1]]}, "site": "1"},
+            {"check": "particlewise", "queue": {"kind": "fermionic", "n": 3, "rows": [[1]]}, "all_orders": 1,
+             "order_seed": 0},
+            {"check": "weight-balance", "lambda": [2, 1], "n": 3, "x": ["0", "1", "1"]},
+            {"check": "weight-balance", "lambda": [2, 1], "n": 3, "x": None},
+            {"check": "chain-projection", "queue": {"kind": "fermionic", "n": 3, "rows": [[1]]}, "x": ["1", "1", "1"]},
+            {"check": "fiber-count", "model": "asep", "lambda": [2, 1], "n": 3, "x": None},
+            {"check": "fiber-weight", "model": "tazrp", "lambda": "2,1", "n": 3, "x": None},
+        ],
+    )
+    def test_malformed_witness_is_input_error(self, tmp_path, capsys, witness):
+        code, out, err = run(capsys, "verify", "--witness", write_doc(tmp_path, witness))
+        assert code == 2
+        assert out == ""
+        assert "input error" in err
 
 
 class TestRenderCommand:

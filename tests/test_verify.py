@@ -1,8 +1,13 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from mlqueues import verify
+from mlqueues.cli import main
+from mlqueues.markov import ChainSpec, RateParams, RationalDistribution
+from mlqueues.mlq import FermionicMLQ
+from mlqueues.words import BosonicWord, FermionicWord
 from mlqueues.verify import (
     SuiteReport,
     find_ringing_counterexample,
@@ -110,12 +115,137 @@ def test_suite_all_smoke():
 
 
 def test_worker_cap_env_var(monkeypatch):
-    monkeypatch.setenv("MLQ_THREADS", "1")
-    assert verify.worker_count() == 1
-    serial = suite_r_invariance(SMALL, seed=3)
+    # suites run serially; MLQ_THREADS is no longer read
     monkeypatch.setenv("MLQ_THREADS", "3")
-    assert verify.worker_count() == 3
-    threaded = suite_r_invariance(SMALL, seed=3)
-    assert serial.passed == threaded.passed
-    assert serial.cases == threaded.cases
-    assert serial.failures == threaded.failures
+    assert verify.worker_count() == 1
+
+
+# ---------------------------------------------------------------------------
+# the check table: one injected fault per witness kind
+# ---------------------------------------------------------------------------
+
+
+def _empty_word(q, *_):
+    return FermionicWord((0,) * q.n) if isinstance(q, FermionicMLQ) else BosonicWord(((),) * q.n)
+
+
+def _plain_swap(q, i):
+    rows = q.rows
+    return type(q)(q.n, rows[: i - 1] + (rows[i], rows[i - 1]) + rows[i + 1 :])
+
+
+def _uniform_fibers(real):
+    def law(*args, **kwargs):
+        words = real(*args, **kwargs)
+        return {w: Fraction(1, len(words)) for w in words}
+
+    return law
+
+
+def _escaping_fibers(real):
+    def law(shape, n, kind, x=None):
+        words = dict(real(shape, n, kind, x))
+        words[FermionicWord((0,) * n) if kind == "fermionic" else BosonicWord(((),) * n)] = Fraction(0)
+        return words
+
+    return law
+
+
+def _shifted_exit(real):
+    def ring(d, i, x=None):
+        img, exit_site, rate = real(d, i, x)
+        return img, exit_site % d.n + 1, rate
+
+    return ring
+
+
+def _row_dependent_site(real):
+    def ring(d, i, x=None):
+        return real(d, (i + len(d.rows[0]) - 1) % d.n + 1, x)
+
+    return ring
+
+
+def _first_rate_doubled(real):
+    def chain(*args, **kwargs):
+        c = real(*args, **kwargs)
+        (src, dst, rate), rest = c.transitions[0], c.transitions[1:]
+        return ChainSpec(c.states, ((src, dst, 2 * rate),) + rest)
+
+    return chain
+
+
+def _uniform_law(chain):
+    return RationalDistribution({s: Fraction(1, len(chain.states)) for s in chain.states})
+
+
+def _doubled_rates(real):
+    return lambda w, x: [(t, 2 * r) for t, r in real(w, x)]
+
+
+SWEEP = lambda: verify.suite_phi_equals_ctm(SMALL, seed=1)  # noqa: E731
+RINGING = lambda: verify.suite_ringing(None, 0)  # noqa: E731
+TASEP = lambda: verify.suite_stationary_tasep((2, 1), 3)  # noqa: E731
+TAZRP = lambda: verify.suite_stationary_tazrp((2, 1), 2, RateParams((Fraction(1), Fraction(2))))  # noqa: E731
+
+# witness kind -> (report whose failures hold the witness, {verify attribute: fault built from the real one})
+FAULTS = {
+    "twist-invariance": (lambda: verify.suite_r_invariance(SMALL, seed=1), {"twist": lambda real: _plain_swap}),
+    "fold-vs-ctm": (SWEEP, {"ctm_project": lambda real: _empty_word}),
+    "content-law": (SWEEP, {"project": lambda real: _empty_word, "ctm_project": lambda real: _empty_word}),
+    "fold-vs-label-passing": (SWEEP, {"ferrari_martin": lambda real: _empty_word}),
+    "component-swap": (SWEEP, {"ctm_components": lambda real: lambda q, j=1: [tuple(r) for r in q.rows]}),
+    "particlewise": (SWEEP, {"apply_row_particlewise": lambda real: lambda row, label, word, order=None: word}),
+    "fiber-count": (TASEP, {"fiber_law": _uniform_fibers}),
+    "fiber-weight": (TAZRP, {"fiber_law": _uniform_fibers}),
+    "fiber-support": (TASEP, {"fiber_law": _escaping_fibers}),
+    "ring-inverse": (RINGING, {"ring_reverse": lambda real: lambda q, i: (q, i)}),
+    "ring-inverse-bosonic": (RINGING, {"ring_reverse_bosonic": lambda real: lambda d, i, x=None: (d, i, Fraction(1))}),
+    "ring-weight": (RINGING, {"ring_forward_bosonic": _shifted_exit}),
+    "weight-balance": (RINGING, {"mlq_chain": _first_rate_doubled}),
+    "weight-stationary": (RINGING, {"stationary_exact": lambda real: _uniform_law}),
+    "chain-projection": (RINGING, {"tazrp_transitions": _doubled_rates}),
+    "twist-forward-commute": (RINGING, {"ring_forward_bosonic": _row_dependent_site}),
+    "twist-reverse-commute": (RINGING, {"ring_reverse_bosonic": _row_dependent_site}),
+    "ringing-counterexample": (RINGING, {"enumerate_queues": lambda real: lambda *args: iter(())}),
+}
+
+
+def _replay_code(tmp_path, capsys, witness):
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(witness))
+    code = main(["verify", "--witness", str(path)])
+    return code, capsys.readouterr().err
+
+
+def test_every_witness_kind_is_registered():
+    assert set(verify.CHECKS) == set(FAULTS) | {"ringing-projection-counterexample"}
+    assert len(verify.CHECKS) == 19
+
+
+@pytest.mark.parametrize("kind", sorted(FAULTS))
+def test_suite_witness_replays_under_its_fault_only(kind, monkeypatch, tmp_path, capsys):
+    run_suite, faults = FAULTS[kind]
+    with monkeypatch.context() as patch:
+        for name, make in faults.items():
+            patch.setattr(verify, name, make(getattr(verify, name)))
+        report = run_suite()
+        witness = next(w for w in report.failures if w["check"] == kind)
+        code, err = _replay_code(tmp_path, capsys, witness)
+        assert (code, err.strip()) == (0, "witness reproduces")
+    code, err = _replay_code(tmp_path, capsys, witness)
+    assert (code, err.strip()) == (4, "witness does NOT reproduce")
+
+
+def test_counterexample_witness_replays_under_its_fault_only(monkeypatch, tmp_path, capsys):
+    # the real counterexample replays anywhere; with no exclusion step counted
+    # as a neighbour the search stops earlier, on a move that is one
+    real = verify.find_ringing_counterexample(4, 4)
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "tasep_transitions", lambda w: [])
+        witness = verify.find_ringing_counterexample(4, 4)
+        assert witness != real
+        code, err = _replay_code(tmp_path, capsys, witness)
+        assert (code, err.strip()) == (0, "witness reproduces")
+    code, err = _replay_code(tmp_path, capsys, witness)
+    assert (code, err.strip()) == (4, "witness does NOT reproduce")
