@@ -31,7 +31,7 @@ from .markov import (
     tazrp_chain,
     tazrp_transitions,
 )
-from .pairing import PairingResult, Token, cyclic_match, pair_strictly_left, pair_weakly_right
+from .pairing import PairingResult, pair_strictly_left, pair_weakly_right
 from .projection import (
     apply_row_bosonic,
     apply_row_fermionic,

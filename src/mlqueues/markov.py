@@ -23,11 +23,7 @@ from typing import Hashable, Sequence
 
 from .errors import ChainError, ShapeError
 from .mlq import BosonicMLQ, FermionicMLQ, enumerate_queues
-from .words import BosonicWord, FermionicWord, Word
-
-
-def _wrap(site: int, n: int) -> int:
-    return (site - 1) % n + 1
+from .words import BosonicWord, FermionicWord, Word, _wrap
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .pairing import pair_strictly_left, pair_weakly_right
+from .pairing import _match
+from .words import indicator_multiset, multiset_indicator
 
 
 @dataclass(frozen=True)
@@ -137,18 +138,11 @@ def twist(q: MLQ, i: int) -> MLQ:
     """
     if not 1 <= i < q.k:
         raise IndexError(f"twist index {i} outside 1..{q.k - 1}")
-    lower, upper = q.rows[i - 1], q.rows[i]
-    if isinstance(q, FermionicMLQ):
-        res = pair_weakly_right(lower, upper, q.n)
-        lo = set(lower) - set(res.unpaired_lower) | set(res.unpaired_upper)
-        up = set(upper) - set(res.unpaired_upper) | set(res.unpaired_lower)
-        new_rows = q.rows[: i - 1] + (tuple(sorted(lo)), tuple(sorted(up))) + q.rows[i + 1 :]
-        return FermionicMLQ(q.n, new_rows)
-    res = pair_strictly_left(lower, upper, q.n)
-    lo = Counter(lower) - Counter(res.unpaired_lower) + Counter(res.unpaired_upper)
-    up = Counter(upper) - Counter(res.unpaired_upper) + Counter(res.unpaired_lower)
-    new_rows = q.rows[: i - 1] + (tuple(sorted(lo.elements())), tuple(sorted(up.elements()))) + q.rows[i + 1 :]
-    return BosonicMLQ(q.n, new_rows)
+    lower, upper = (multiset_indicator(row, q.n) for row in q.rows[i - 1 : i + 1])
+    _, unpaired_lower, unpaired_upper = _match(lower, upper, isinstance(q, FermionicMLQ))
+    lo = [c - out + into for c, out, into in zip(lower, unpaired_lower, unpaired_upper)]
+    up = [c - out + into for c, out, into in zip(upper, unpaired_upper, unpaired_lower)]
+    return type(q)(q.n, q.rows[: i - 1] + (indicator_multiset(lo), indicator_multiset(up)) + q.rows[i + 1 :])
 
 
 def apply_twists(q: MLQ, word: Sequence[int]) -> MLQ:

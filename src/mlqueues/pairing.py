@@ -1,34 +1,32 @@
 """Cylindrical bracket matching and the two-row pairing maps.
 
-Particles of two rows on the ring are encoded as a bracket sequence scanned
-site by site; matching the brackets on the cylinder pairs upper-row particles
-to lower-row particles.  The same-site emission order is the crux:
+Two rows on the ring are given as per-site particle counts.  Scanning the
+sites in order, one row's particles act as opening brackets and the other's
+as closing brackets; matching the brackets on the cylinder pairs upper-row
+particles to lower-row particles.  The same-site emission order is the crux:
 
 * weakly-right pairing emits opens (upper row) before closes (lower row) at a
   shared site, so an upper particle may pair straight down;
 * strictly-left pairing emits closes (upper row) before opens (lower row), so
   a same-site pair is impossible and every pairing line travels left.
 
-After the linear stack pass, the surviving tokens always read as a block of
-closes followed by a block of opens.  On the cylinder the k-th leftover close
-(in scan order) matches the k-th leftover open counted from the right; this
-is the unique completion in which no matched pair encloses an unmatched
-token.  Which close meets which open is recorded for diagnostics only; all
-consumers depend only on the matched/unmatched site multisets, which agree
-with every valid completion.
+The scan keeps its open brackets as ``[site, count]`` runs on a stack, so the
+work per site is one push and a few pops whatever the multiplicities.  After
+the linear pass, the surviving brackets read as a block of closes followed by
+a block of opens.  On the cylinder the k-th leftover close (in scan order)
+matches the k-th leftover open counted from the right, so the wrap step peels
+the top open runs against the first close runs; this is the unique completion
+in which no matched pair encloses an unmatched bracket.  Which close meets
+which open is recorded for diagnostics only; all consumers depend only on the
+matched/unmatched site counts, which agree with every valid completion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
-
-class Token(NamedTuple):
-    kind: str  # "open" | "close"
-    site: int
-    row: str  # "lower" | "upper"
-    instance: int
+from .words import indicator_multiset
 
 
 @dataclass(frozen=True)
@@ -53,46 +51,74 @@ class PairingResult:
         return tuple(sorted(l for _, l in self.pairs))
 
 
-def cyclic_match(tokens: Sequence[Token]) -> tuple[list[tuple[Token, Token]], list[Token]]:
-    """Match open/close tokens on the cylinder.
+def _close(stack: list[list[int]], site: int, count: int, runs: list) -> int:
+    """Match ``count`` closes at ``site`` against the open runs on top of
+    ``stack``; append (open site, close site, count) runs and return how many
+    closes found no open."""
+    while count and stack:
+        top = stack[-1]
+        m = min(count, top[1])
+        runs.append((top[0], site, m))
+        count -= m
+        top[1] -= m
+        if not top[1]:
+            stack.pop()
+    return count
 
-    Returns (pairs, unmatched) where each pair is (open token, close token).
-    The unmatched list is homogeneous: all opens or all closes.
+
+def _match(lower: Sequence[int], upper: Sequence[int], weakly_right: bool) -> tuple[list, list[int], list[int]]:
+    """Cylindrically pair two rows given as per-site counts (index 0 is site 1).
+
+    Weakly right: the upper row opens and is emitted first at a shared site;
+    otherwise (strictly left) the lower row opens and the upper row, emitted
+    first, closes.  Returns ``(runs, unpaired_lower, unpaired_upper)``: runs
+    are (upper index, lower index, count) triples, the unpaired rows are
+    per-site counts.
     """
-    pairs: list[tuple[Token, Token]] = []
-    stack: list[Token] = []
-    loose_closes: list[Token] = []
-    for tok in tokens:
-        if tok.kind == "open":
-            stack.append(tok)
-        elif tok.kind == "close":
-            if stack:
-                pairs.append((stack.pop(), tok))
-            else:
-                loose_closes.append(tok)
-        else:
-            raise ValueError(f"bad token kind {tok.kind!r}")
-    # Wrap-around: the cyclic residue reads ")...)(...("; peeling adjacent
-    # pairs off the seam matches the k-th close with the k-th open from the
-    # right until one side runs out.
-    p = min(len(stack), len(loose_closes))
-    for k in range(p):
-        pairs.append((stack[len(stack) - 1 - k], loose_closes[k]))
-    unmatched = stack[: len(stack) - p] + loose_closes[p:]
-    return pairs, unmatched
+    opens, closes = (upper, lower) if weakly_right else (lower, upper)
+    stack: list[list[int]] = []  # open runs [site, count], innermost last
+    loose: list[list[int]] = []  # close runs that met no open, in scan order
+    runs: list[tuple[int, int, int]] = []
+    for j, (o, c) in enumerate(zip(opens, closes)):
+        if o and weakly_right:
+            stack.append([j, o])
+        if c:
+            c = _close(stack, j, c, runs)
+            if c:
+                loose.append([j, c])
+        if o and not weakly_right:
+            stack.append([j, o])
+    # Wrap-around: the residue reads ")...)(...("; peeling adjacent pairs off
+    # the seam matches the first close runs with the top open runs.
+    for run in loose:
+        run[1] = _close(stack, run[0], run[1], runs)
+        if not stack:
+            break
+    unmatched_opens, unmatched_closes = [0] * len(opens), [0] * len(closes)
+    for j, c in stack:
+        unmatched_opens[j] = c
+    for j, c in loose:
+        unmatched_closes[j] = c
+    if weakly_right:
+        return runs, unmatched_closes, unmatched_opens
+    return [(c, o, m) for o, c, m in runs], unmatched_opens, unmatched_closes
 
 
-def _build_result(tokens: Sequence[Token]) -> PairingResult:
-    pairs, unmatched = cyclic_match(tokens)
-    couples = []
-    for open_tok, close_tok in pairs:
-        upper, lower = (open_tok, close_tok) if open_tok.row == "upper" else (close_tok, open_tok)
-        couples.append((upper.site, lower.site))
-    return PairingResult(
-        pairs=tuple(sorted(couples)),
-        unpaired_upper=tuple(sorted(t.site for t in unmatched if t.row == "upper")),
-        unpaired_lower=tuple(sorted(t.site for t in unmatched if t.row == "lower")),
-    )
+def _row_counts(row: Iterable[int], n: int, fermionic: bool) -> list[int]:
+    counts = [0] * n
+    for j in row:
+        if not 1 <= j <= n:
+            raise ValueError(f"site {j} outside 1..{n}")
+        if fermionic and counts[j - 1]:
+            raise ValueError("fermionic row contains a duplicate site")
+        counts[j - 1] += 1
+    return counts
+
+
+def _result(lower: list[int], upper: list[int], weakly_right: bool) -> PairingResult:
+    runs, unpaired_lower, unpaired_upper = _match(lower, upper, weakly_right)
+    couples = [(u + 1, l + 1) for u, l, m in runs for _ in range(m)]
+    return PairingResult(tuple(sorted(couples)), indicator_multiset(unpaired_upper), indicator_multiset(unpaired_lower))
 
 
 def pair_weakly_right(lower: Iterable[int], upper: Iterable[int], n: int) -> PairingResult:
@@ -101,27 +127,7 @@ def pair_weakly_right(lower: Iterable[int], upper: Iterable[int], n: int) -> Pai
     Both rows are subsets of {1..n}; a particle may pair straight down to its
     own site.
     """
-    lo = set()
-    for j in lower:
-        if not 1 <= j <= n:
-            raise ValueError(f"site {j} outside 1..{n}")
-        if j in lo:
-            raise ValueError("fermionic row contains a duplicate site")
-        lo.add(j)
-    up = set()
-    for j in upper:
-        if not 1 <= j <= n:
-            raise ValueError(f"site {j} outside 1..{n}")
-        if j in up:
-            raise ValueError("fermionic row contains a duplicate site")
-        up.add(j)
-    tokens = []
-    for j in range(1, n + 1):
-        if j in up:
-            tokens.append(Token("open", j, "upper", 0))
-        if j in lo:
-            tokens.append(Token("close", j, "lower", 0))
-    return _build_result(tokens)
+    return _result(_row_counts(lower, n, fermionic=True), _row_counts(upper, n, fermionic=True), True)
 
 
 def pair_strictly_left(lower: Iterable[int], upper: Iterable[int], n: int) -> PairingResult:
@@ -130,22 +136,4 @@ def pair_strictly_left(lower: Iterable[int], upper: Iterable[int], n: int) -> Pa
     Rows are multisets over {1..n}; same-site pairs cannot form, so a pairing
     line may wrap the full circle back to its own site.
     """
-    from collections import Counter
-
-    lo = Counter()
-    up = Counter()
-    for j in lower:
-        if not 1 <= j <= n:
-            raise ValueError(f"site {j} outside 1..{n}")
-        lo[j] += 1
-    for j in upper:
-        if not 1 <= j <= n:
-            raise ValueError(f"site {j} outside 1..{n}")
-        up[j] += 1
-    tokens = []
-    for j in range(1, n + 1):
-        for i in range(up[j]):
-            tokens.append(Token("close", j, "upper", i))
-        for i in range(lo[j]):
-            tokens.append(Token("open", j, "lower", i))
-    return _build_result(tokens)
+    return _result(_row_counts(lower, n, fermionic=False), _row_counts(upper, n, fermionic=False), False)

@@ -25,8 +25,9 @@ from typing import Iterable, Sequence
 
 from .errors import ShapeError
 from .mlq import MLQ, BosonicMLQ, FermionicMLQ, enumerate_queues, twist
-from .pairing import pair_strictly_left, pair_weakly_right
+from .pairing import _match, pair_strictly_left, pair_weakly_right
 from .words import (
+    _wrap,
     BosonicWord,
     FermionicWord,
     Indicator,
@@ -38,13 +39,39 @@ from .words import (
 )
 
 
-def _wrap(site: int, n: int) -> int:
-    return (site - 1) % n + 1
-
-
 # ---------------------------------------------------------------------------
 # single-row operators
 # ---------------------------------------------------------------------------
+
+
+def _pass_down(row: list[int], fresh_label: int, word: Word, a: int, k: int, weakly_right: bool) -> list[list[int]]:
+    """Per-site labels of the row particles (given as per-site counts) after
+    the label classes a..k of ``word`` pass down by cylindrical pairing."""
+    n = len(row)
+    # unpaired (row, word) counts against each class r and above
+    unpaired = {r: _match(row, word.layer(r), weakly_right)[1:] for r in range(a, k + 1)}
+    s = max((r for r in range(a, k + 1) if not any(unpaired[r][0])), default=a)
+
+    labels: list[list[int]] = [[] for _ in range(n)]
+    prev = [0] * n
+    for r in range(k, s - 1, -1):
+        unpaired_row = unpaired[r][0]
+        for j in range(n):
+            paired = row[j] - unpaired_row[j]
+            if paired > prev[j]:
+                labels[j] += [r] * (paired - prev[j])
+            prev[j] = paired
+    for j in range(n):
+        if row[j] > prev[j]:
+            labels[j] += [fresh_label] * (row[j] - prev[j])
+    prev = [0] * n
+    for r in range(s, a - 1, -1):
+        unpaired_word = unpaired[r][1]
+        for j in range(n):
+            if unpaired_word[j] > prev[j]:
+                labels[j] += [r - 1] * (unpaired_word[j] - prev[j])
+            prev[j] = unpaired_word[j]
+    return labels
 
 
 def apply_row_fermionic(row: Iterable[int], fresh_label: int, word: FermionicWord) -> FermionicWord:
@@ -56,79 +83,41 @@ def apply_row_fermionic(row: Iterable[int], fresh_label: int, word: FermionicWor
     every word particle collapse (all labels drop by one).
     """
     n = word.n
-    q = frozenset(row)
-    if any(not 1 <= j <= n for j in q):
-        raise ValueError("row site outside the ring")
+    q = [0] * n
+    for j in row:
+        if not 1 <= j <= n:
+            raise ValueError("row site outside the ring")
+        q[j - 1] = 1
     if fresh_label < 1:
         raise ValueError("fresh label must be positive")
-    content = word.content()
-    if not content:
-        return FermionicWord(tuple(fresh_label if j + 1 in q else 0 for j in range(n)))
-    a, k = content[0], content[-1]
+    present = [r for r in word.letters if r]
+    if not present:
+        return FermionicWord(tuple(fresh_label if c else 0 for c in q))
+    a, k = min(present), max(present)
     if fresh_label > a:
         raise ValueError(f"fresh label {fresh_label} exceeds smallest word label {a}")
-
-    level = {r: frozenset(indicator_subset(word.layer(r))) for r in range(a, k + 1)}
-    s = max((r for r in range(a, k + 1) if len(level[r]) >= len(q)), default=a)
-
-    y = [0] * n
-    prev_paired: frozenset[int] = frozenset()
-    for r in range(k, s - 1, -1):
-        res = pair_weakly_right(q, level[r], n)
-        paired = frozenset(res.paired_lower)
-        for j in paired - prev_paired:
-            y[j - 1] = r
-        prev_paired = paired
-    for j in q - prev_paired:
-        y[j - 1] = fresh_label
-    prev_unpaired: frozenset[int] = frozenset()
-    for r in range(s, a - 1, -1):
-        res = pair_weakly_right(q, level[r], n)
-        unpaired = frozenset(res.unpaired_upper)
-        for j in unpaired - prev_unpaired:
-            y[j - 1] = r - 1
-        prev_unpaired = unpaired
-    return FermionicWord(tuple(y))
+    labels = _pass_down(q, fresh_label, word, a, k, True)
+    # a site never gets two labels: a word particle over a row particle pairs straight down
+    return FermionicWord(tuple(ls[0] if ls else 0 for ls in labels))
 
 
 def apply_row_bosonic(row: Iterable[int], fresh_label: int, word: BosonicWord) -> BosonicWord:
     """Bosonic analogue of :func:`apply_row_fermionic` (strictly-left pairing)."""
     n = word.n
-    d = Counter(int(j) for j in row)
-    if any(not 1 <= j <= n for j in d):
-        raise ValueError("row site outside the ring")
+    d = [0] * n
+    for j in row:
+        j = int(j)
+        if not 1 <= j <= n:
+            raise ValueError("row site outside the ring")
+        d[j - 1] += 1
     if fresh_label < 1:
         raise ValueError("fresh label must be positive")
     if word.is_empty:
-        return BosonicWord(tuple((fresh_label,) * d[j + 1] for j in range(n)))
+        return BosonicWord(tuple((fresh_label,) * c for c in d))
     a, k = word.min_label(), word.max_label
     if fresh_label > a:
         raise ValueError(f"fresh label {fresh_label} exceeds smallest word label {a}")
-
-    d_size = sum(d.values())
-    level = {
-        r: Counter({j: c for j, c in enumerate(word.layer(r), start=1) if c}) for r in range(a, k + 1)
-    }
-    s = max((r for r in range(a, k + 1) if sum(level[r].values()) >= d_size), default=a)
-
-    labels: list[list[int]] = [[] for _ in range(n)]
-    prev_paired: Counter = Counter()
-    for r in range(k, s - 1, -1):
-        res = pair_strictly_left(d.elements(), level[r].elements(), n)
-        paired = Counter(res.paired_lower)
-        for j, c in (paired - prev_paired).items():
-            labels[j - 1].extend([r] * c)
-        prev_paired = paired
-    for j, c in (d - prev_paired).items():
-        labels[j - 1].extend([fresh_label] * c)
-    prev_unpaired: Counter = Counter()
-    for r in range(s, a - 1, -1):
-        res = pair_strictly_left(d.elements(), level[r].elements(), n)
-        unpaired = Counter(res.unpaired_upper)
-        for j, c in (unpaired - prev_unpaired).items():
-            labels[j - 1].extend([r - 1] * c)
-        prev_unpaired = unpaired
-    return BosonicWord(tuple(tuple(sorted(ls)) for ls in labels))
+    return BosonicWord(tuple(map(tuple, _pass_down(d, fresh_label, word, a, k, False))))
 
 
 # ---------------------------------------------------------------------------

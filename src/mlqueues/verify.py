@@ -16,7 +16,7 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -24,7 +24,6 @@ from . import documents
 from .errors import SchemaError
 from .markov import (
     RateParams,
-    _wrap,
     conjugate,
     enumerate_states,
     mlq_chain,
@@ -50,7 +49,7 @@ from .projection import (
     label_trace,
     project,
 )
-from .words import BosonicWord, FermionicWord
+from .words import BosonicWord, FermionicWord, _wrap
 
 
 def worker_count() -> int:
@@ -438,12 +437,14 @@ TAZRP_X = [(1, 1, 1), (1, 2, 3), (2, 3, 5)]
 
 
 def _suite_tasep_grid(bounds: dict | None, seed: int) -> SuiteReport:
+    _bounds(bounds)  # the grid reads no bound, but unknown keys are still an input error
     grid = [(lam, n, None) for lam, n in TASEP_GRID]
     return _fiber_suite("tasep", grid, {"grid": [[list(lam), n] for lam, n in TASEP_GRID]})
 
 
 def _suite_tazrp_grid(bounds: dict | None, seed: int) -> SuiteReport:
     """``TAZRP_GRID`` with each rate vector of ``TAZRP_X`` cut to n sites."""
+    _bounds(bounds)
     grid = [(lam, n, RateParams(tuple(Fraction(v) for v in xs[:n]))) for lam, n in TAZRP_GRID for xs in TAZRP_X]
     return _fiber_suite("tazrp", grid, {"grid": [[list(lam), n] for lam, n in TAZRP_GRID], "x": TAZRP_X})
 
@@ -568,17 +569,24 @@ def find_ringing_counterexample(max_n: int = 4, max_k: int = 4) -> dict | None:
     return None
 
 
+def _search_witnesses(case: dict, counterexample: dict | None) -> list:
+    if counterexample is None:
+        return [_witness("ringing-counterexample", case, detail="no witness found in the search box")]
+    return []
+
+
 @_check("ringing-counterexample", fields={"max_n": _INT, "max_k": _INT})
 def check_ringing_search(case: dict) -> list:
     """The counterexample search finds a witness within ``max_n`` sites and ``max_k`` rows."""
-    if find_ringing_counterexample(case["max_n"], case["max_k"]) is None:
-        return [_witness("ringing-counterexample", case, detail="no witness found in the search box")]
-    return []
+    return _search_witnesses(case, find_ringing_counterexample(case["max_n"], case["max_k"]))
 
 
 def suite_ringing(bounds: dict | None = None, seed: int = 0) -> SuiteReport:
     """Ringing-path identities: inverses, weights, stationarity, projection,
     twist commutation, and the twisted-fermionic counterexample search."""
+    _bounds(bounds)
+    search = {"max_n": 4, "max_k": 4}
+    counterexample = find_ringing_counterexample(**search)  # one search serves the check and the parameters
     rng = random.Random(seed)
     x = RateParams((Fraction(1), Fraction(2), Fraction(3)))
     fermionic = ((q, n) for lam in ((1,), (2, 1), (2, 2, 1)) for n in range(max(2, lam[0]), 5)
@@ -592,10 +600,9 @@ def suite_ringing(bounds: dict | None = None, seed: int = 0) -> SuiteReport:
                                   for d in enumerate_queues(alpha, 3, "bosonic"))),
         (check_twist_commute, ({"queue": d, "m": m, "site": i} for d in _exhaustive_queues("bosonic", 3, 3, 2)
                                for m in range(1, d.k) for i in range(1, d.n + 1))),
-        (check_ringing_search, [{"max_n": 4, "max_k": 4}]),
+        (replace(check_ringing_search, run=lambda case: _search_witnesses(case, counterexample)), [search]),
     ]
-    params = {"seed": seed, "counterexample": find_ringing_counterexample(4, 4)}
-    return _run("ringing", params, parts)
+    return _run("ringing", {"seed": seed, "counterexample": counterexample}, parts)
 
 
 # name -> suite(bounds, seed), in the order suite_all runs them

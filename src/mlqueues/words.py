@@ -16,6 +16,11 @@ from typing import Iterable, Sequence
 Indicator = tuple[int, ...]
 
 
+def _wrap(site: int, n: int) -> int:
+    """The ring site 1..n that ``site`` denotes (sites count modulo n)."""
+    return (site - 1) % n + 1
+
+
 def subset_indicator(sites: Iterable[int], n: int) -> Indicator:
     """0/1 vector of a subset of {1..n}; inverse of :func:`indicator_subset`."""
     bits = [0] * n

@@ -242,6 +242,13 @@ class TestVerifyCommand:
         assert doc["pass"] is True
         assert "PASS" in err
 
+    @pytest.mark.parametrize("suite", ["stationary-tasep", "stationary-tazrp", "ringing"])
+    def test_unknown_bound_key_is_input_error(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--bounds", "max_turbo=3")
+        assert code == 2
+        assert out == ""
+        assert "max_turbo" in err
+
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "bogus")
         assert code == 2

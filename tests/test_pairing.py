@@ -4,25 +4,27 @@ from functools import lru_cache
 
 import pytest
 
-from mlqueues import Token, cyclic_match, pair_strictly_left, pair_weakly_right
+from mlqueues import pair_strictly_left, pair_weakly_right
+from mlqueues.pairing import _match
 
 
-def toks(pattern: str) -> tuple[Token, ...]:
-    """Token sequence from a bracket string; positions double as sites."""
-    return tuple(
-        Token("open" if c == "(" else "close", i + 1, "upper" if c == "(" else "lower", 0)
-        for i, c in enumerate(pattern)
-    )
+def bracket_rows(pattern: str):
+    """(lower, upper) site sets of a bracket string under weakly-right pairing:
+    positions double as sites, opens are upper-row particles and closes are
+    lower-row particles."""
+    lower = {i + 1 for i, c in enumerate(pattern) if c == ")"}
+    upper = {i + 1 for i, c in enumerate(pattern) if c == "("}
+    return lower, upper
 
 
-def oracle_unmatched(tokens):
+def oracle_unmatched(pattern: str):
     """Recursive elimination of cyclically adjacent open/close pairs.
 
-    Removes any open whose cyclically next surviving token is a close,
+    Removes any open whose cyclically next surviving bracket is a close,
     branching over every elimination order; returns the set of terminal
     survivor index-sets.  Independent of the stack/wrap implementation.
     """
-    n = len(tokens)
+    n = len(pattern)
 
     @lru_cache(maxsize=None)
     def terminals(remaining: frozenset) -> frozenset:
@@ -30,7 +32,7 @@ def oracle_unmatched(tokens):
         moves = []
         for pos, idx in enumerate(order):
             nxt = order[(pos + 1) % len(order)]
-            if idx != nxt and tokens[idx].kind == "open" and tokens[nxt].kind == "close":
+            if idx != nxt and pattern[idx] == "(" and pattern[nxt] == ")":
                 moves.append((idx, nxt))
         if not moves:
             return frozenset([remaining])
@@ -42,7 +44,27 @@ def oracle_unmatched(tokens):
     return terminals(frozenset(range(n)))
 
 
+def oracle_survivors(pattern: str) -> frozenset:
+    terminal_sets = oracle_unmatched(pattern)
+    assert len(terminal_sets) == 1, f"oracle not confluent on {pattern!r}"
+    return next(iter(terminal_sets))
+
+
+def split_sites(pattern: str, opens_first: bool, finest: bool) -> list[int]:
+    """Site index of each bracket: one bracket per site, or maximal blocks that
+    read as one site's emission (opens then closes if ``opens_first``)."""
+    first, second = ("(", ")") if opens_first else (")", "(")
+    site, sites = 0, []
+    for idx, c in enumerate(pattern):
+        if idx and (finest or (c == first and pattern[idx - 1] == second)):
+            site += 1
+        sites.append(site)
+    return sites
+
+
 class TestCyclicMatch:
+    """The run-length kernel behind both pairing maps, on bracket strings."""
+
     @pytest.mark.parametrize(
         "pattern,unmatched_positions",
         [
@@ -54,31 +76,29 @@ class TestCyclicMatch:
         ],
     )
     def test_bracket_strings(self, pattern, unmatched_positions):
-        pairs, unmatched = cyclic_match(toks(pattern))
-        assert tuple(sorted(t.site for t in unmatched)) == unmatched_positions
-        assert 2 * len(pairs) + len(unmatched) == len(pattern)
+        res = pair_weakly_right(*bracket_rows(pattern), len(pattern))
+        assert tuple(sorted(res.unpaired_lower + res.unpaired_upper)) == unmatched_positions
+        assert 2 * len(res.pairs) + len(unmatched_positions) == len(pattern)
 
     def test_homogeneous_leftovers(self):
         rng = random.Random(3)
         for _ in range(300):
             pattern = "".join(rng.choice("()") for _ in range(rng.randint(0, 12)))
-            _, unmatched = cyclic_match(toks(pattern))
-            kinds = {t.kind for t in unmatched}
-            assert len(kinds) <= 1
+            res = pair_weakly_right(*bracket_rows(pattern), len(pattern))
+            assert not (res.unpaired_lower and res.unpaired_upper)
 
     def test_no_unmatched_token_inside_any_pair(self):
         rng = random.Random(4)
         for _ in range(200):
             pattern = "".join(rng.choice("()") for _ in range(rng.randint(1, 12)))
-            tokens = toks(pattern)
-            pairs, unmatched = cyclic_match(tokens)
-            loose = {t.site for t in unmatched}
-            for open_tok, close_tok in pairs:
+            res = pair_weakly_right(*bracket_rows(pattern), len(pattern))
+            loose = set(res.unpaired_lower + res.unpaired_upper)
+            for open_site, close_site in res.pairs:
                 inside = set()
-                j = open_tok.site % len(tokens) + 1
-                while j != close_tok.site:
+                j = open_site % len(pattern) + 1
+                while j != close_site:
                     inside.add(j)
-                    j = j % len(tokens) + 1
+                    j = j % len(pattern) + 1
                 assert not (inside & loose)
 
     def test_agrees_with_recursive_oracle(self):
@@ -86,12 +106,34 @@ class TestCyclicMatch:
         patterns = ["".join(rng.choice("()") for _ in range(rng.randint(0, 12))) for _ in range(150)]
         patterns += ["())()((", "))(())", ")))(((", "((()))"]
         for pattern in patterns:
-            tokens = toks(pattern)
-            _, unmatched = cyclic_match(tokens)
-            got = frozenset(t.site - 1 for t in unmatched)
-            terminal_sets = oracle_unmatched(tokens)
-            assert len(terminal_sets) == 1, f"oracle not confluent on {pattern!r}"
-            assert got == next(iter(terminal_sets)), pattern
+            res = pair_weakly_right(*bracket_rows(pattern), len(pattern))
+            got = frozenset(j - 1 for j in res.unpaired_lower + res.unpaired_upper)
+            assert got == oracle_survivors(pattern), pattern
+
+    @pytest.mark.parametrize("weakly_right", [True, False])
+    def test_counts_agree_with_oracle_every_string(self, weakly_right):
+        # weakly right emits a site's opens first, strictly left its closes;
+        # grouping brackets into sites gives counts above one
+        for length in range(9):
+            for pattern in map("".join, itertools.product("()", repeat=length)):
+                survivors = oracle_survivors(pattern)
+                for finest in (True, False):
+                    sites = split_sites(pattern, weakly_right, finest)
+                    n = sites[-1] + 1 if sites else 0
+                    opens, closes = [0] * n, [0] * n
+                    for c, j in zip(pattern, sites):
+                        (opens if c == "(" else closes)[j] += 1
+                    want_opens, want_closes = [0] * n, [0] * n
+                    for idx in survivors:
+                        (want_opens if pattern[idx] == "(" else want_closes)[sites[idx]] += 1
+                    if weakly_right:
+                        runs, unpaired_lower, unpaired_upper = _match(closes, opens, True)
+                        got_opens, got_closes = unpaired_upper, unpaired_lower
+                    else:
+                        runs, unpaired_lower, unpaired_upper = _match(opens, closes, False)
+                        got_opens, got_closes = unpaired_lower, unpaired_upper
+                    assert (got_opens, got_closes) == (want_opens, want_closes), (pattern, finest)
+                    assert 2 * sum(m for _, _, m in runs) + len(survivors) == length
 
 
 class TestWeaklyRight:
@@ -151,17 +193,14 @@ class TestWeaklyRight:
             for a in subsets:
                 for b in subsets:
                     res = pair_weakly_right(a, b, n)
-                    tokens = []
+                    pattern, site_of = "", []
                     for j in sites:
-                        if j in b:
-                            tokens.append(Token("open", j, "upper", 0))
-                        if j in a:
-                            tokens.append(Token("close", j, "lower", 0))
-                    terminal_sets = oracle_unmatched(tuple(tokens))
-                    assert len(terminal_sets) == 1
-                    survivors = [tokens[i] for i in next(iter(terminal_sets))]
-                    assert sorted(t.site for t in survivors if t.row == "lower") == list(res.unpaired_lower)
-                    assert sorted(t.site for t in survivors if t.row == "upper") == list(res.unpaired_upper)
+                        for c in ("(" if j in b else "") + (")" if j in a else ""):
+                            pattern += c
+                            site_of.append(j)
+                    survivors = oracle_survivors(pattern)
+                    assert sorted(site_of[i] for i in survivors if pattern[i] == ")") == list(res.unpaired_lower)
+                    assert sorted(site_of[i] for i in survivors if pattern[i] == "(") == list(res.unpaired_upper)
 
 
 class TestStrictlyLeft:
@@ -217,12 +256,11 @@ class TestStrictlyLeft:
             for a in rows:
                 for b in rows:
                     res = pair_strictly_left(a, b, n)
-                    tokens = []
+                    pattern, site_of = "", []
                     for j in range(1, n + 1):
-                        tokens.extend(Token("close", j, "upper", i) for i in range(b.count(j)))
-                        tokens.extend(Token("open", j, "lower", i) for i in range(a.count(j)))
-                    terminal_sets = oracle_unmatched(tuple(tokens))
-                    assert len(terminal_sets) == 1
-                    survivors = [tokens[i] for i in next(iter(terminal_sets))]
-                    assert sorted(t.site for t in survivors if t.row == "lower") == list(res.unpaired_lower)
-                    assert sorted(t.site for t in survivors if t.row == "upper") == list(res.unpaired_upper)
+                        for c in ")" * b.count(j) + "(" * a.count(j):
+                            pattern += c
+                            site_of.append(j)
+                    survivors = oracle_survivors(pattern)
+                    assert sorted(site_of[i] for i in survivors if pattern[i] == "(") == list(res.unpaired_lower)
+                    assert sorted(site_of[i] for i in survivors if pattern[i] == ")") == list(res.unpaired_upper)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -105,6 +106,19 @@ class TestProject:
             q = random_queue(rng, rng.choice(("fermionic", "bosonic")), max_n=5, max_k=3, max_part=3)
             for i in range(1, q.k):
                 assert project(twist(q, i)) == project(q)
+
+    def test_pinned_digest_of_whole_families(self):
+        # digest of the projections computed before the row operators moved to
+        # the run-length pairing kernel; any change in a single word shows here
+        lines = [
+            f"{kind} {q.rows} {project(q)}"
+            for shape, n, kind in (((3, 2, 1), 5, "fermionic"), ((1, 3, 2), 5, "fermionic"),
+                                   ((2, 2, 1), 3, "bosonic"), ((1, 2, 2), 3, "bosonic"))
+            for q in enumerate_queues(shape, n, kind)
+        ]
+        assert len(lines) == 1216
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "0907c1a279a4d7b9729d8deb1fecb8313ba84b7db996328f28bf3e2f953db61e"
 
     def test_content_law(self):
         rng = random.Random(18)

@@ -60,6 +60,20 @@ class TestSuites:
         assert a.passed == b.passed
         assert a.cases == b.cases  # same exhaustive box, same random volume
 
+    def test_ringing_searches_once_per_call(self, monkeypatch):
+        calls = []
+        real = verify.find_ringing_counterexample
+
+        def counted(*args, **kwargs):
+            calls.append(args or kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "find_ringing_counterexample", counted)
+        for _ in range(2):
+            report = suite_ringing(SMALL, seed=2)
+            assert report.passed and report.parameters["counterexample"] is not None
+        assert len(calls) == 2
+
     def test_same_seed_reproduces_report(self):
         a = suite_phi_equals_ctm(SMALL, seed=5)
         b = suite_phi_equals_ctm(SMALL, seed=5)
