@@ -16,6 +16,7 @@ from .markov import (
     RateParams,
     RationalDistribution,
     conjugate,
+    count_states,
     enumerate_states,
     ktazrp_chain,
     ktazrp_transitions,
@@ -37,7 +38,6 @@ from .projection import (
     apply_row_fermionic,
     apply_row_particlewise,
     check_r_expansion,
-    combinatorial_r,
     ctm_components,
     ctm_project,
     ferrari_martin,

@@ -14,6 +14,7 @@ in the Monte-Carlo sampler.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from bisect import bisect_left
 from collections import Counter, defaultdict
@@ -22,8 +23,8 @@ from fractions import Fraction
 from typing import Hashable, Sequence
 
 from .errors import ChainError, ShapeError
-from .mlq import BosonicMLQ, FermionicMLQ, enumerate_queues
-from .words import BosonicWord, FermionicWord, Word, _wrap
+from .mlq import BosonicMLQ, FermionicMLQ, _derived, enumerate_queues
+from .words import BosonicWord, FermionicWord, Word, _wrap, indicator_multiset, multiset_indicator
 
 
 @dataclass(frozen=True)
@@ -47,13 +48,19 @@ class RateParams:
         return self.x[site - 1]
 
 
+_ONE = Fraction(1)
+
+
+def _check_rates(x: RateParams | None, n: int) -> None:
+    """Reject rates ``x`` whose length is not ``n``; None (unit rates) passes."""
+    if x is not None and len(x.x) != n:
+        raise ValueError(f"expected {n} rate parameters, got {len(x.x)}")
+
+
 def _site_rates(x: RateParams | None, n: int) -> RateParams:
     """``x``, or unit rates when absent; a length other than ``n`` is rejected."""
-    if x is None:
-        return RateParams.ones(n)
-    if len(x.x) != n:
-        raise ValueError(f"expected {n} rate parameters, got {len(x.x)}")
-    return x
+    _check_rates(x, n)
+    return RateParams.ones(n) if x is None else x
 
 
 @dataclass(frozen=True)
@@ -132,32 +139,49 @@ def conjugate(lam: Sequence[int]) -> tuple[int, ...]:
     return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
 
 
-def enumerate_states(lam: Sequence[int], n: int, kind: str) -> list[Word]:
-    """All ring words whose particle content is the partition ``lam``."""
+def _content(lam: Sequence[int], n: int, kind: str) -> tuple[int, ...]:
+    """``lam`` sorted descending, once it is a valid content for ``kind`` on ``n`` sites."""
     lam = tuple(sorted((int(p) for p in lam), reverse=True))
     if not lam or lam[-1] < 1:
         raise ValueError("content partition must have positive parts")
     if n < 1:
         raise ValueError(f"ring size must be positive, got {n}")
+    if kind not in ("tasep", "tazrp"):
+        raise ValueError(f"unknown kind {kind!r}")
+    if kind == "tasep" and len(lam) > n:
+        raise ValueError(f"cannot place {len(lam)} particles on {n} exclusion sites")
+    return lam
+
+
+def count_states(lam: Sequence[int], n: int, kind: str) -> int:
+    """Closed-form size of :func:`enumerate_states`: a multinomial for
+    ``tasep``, a product of multiset counts (one per label value) for ``tazrp``."""
+    lam = _content(lam, n, kind)
+    mults = Counter(lam).values()
     if kind == "tasep":
-        if len(lam) > n:
-            raise ValueError(f"cannot place {len(lam)} particles on {n} exclusion sites")
+        total = math.factorial(n) // math.factorial(n - len(lam))
+        return total // math.prod(math.factorial(m) for m in mults)
+    return math.prod(math.comb(m + n - 1, m) for m in mults)
+
+
+def enumerate_states(lam: Sequence[int], n: int, kind: str) -> list[Word]:
+    """All ring words whose particle content is the partition ``lam``."""
+    lam = _content(lam, n, kind)
+    if kind == "tasep":
         return [FermionicWord(p) for p in _multiset_permutations(lam + (0,) * (n - len(lam)))]
-    if kind == "tazrp":
-        placements_per_value = []
-        values = sorted(set(lam), reverse=True)
-        for v in values:
-            mult = lam.count(v)
-            placements_per_value.append([c for c in _compositions(mult, n)])
-        states = []
-        for combo in itertools.product(*placements_per_value):
-            sites = [[] for _ in range(n)]
-            for v, counts in zip(values, combo):
-                for j, c in enumerate(counts):
-                    sites[j].extend([v] * c)
-            states.append(BosonicWord(tuple(tuple(sorted(s)) for s in sites)))
-        return states
-    raise ValueError(f"unknown kind {kind!r}")
+    placements_per_value = []
+    values = sorted(set(lam), reverse=True)
+    for v in values:
+        mult = lam.count(v)
+        placements_per_value.append([c for c in _compositions(mult, n)])
+    states = []
+    for combo in itertools.product(*placements_per_value):
+        sites = [[] for _ in range(n)]
+        for v, counts in zip(values, combo):
+            for j, c in enumerate(counts):
+                sites[j].extend([v] * c)
+        states.append(BosonicWord(tuple(tuple(sorted(s)) for s in sites)))
+    return states
 
 
 def _multiset_permutations(letters: Sequence[int]):
@@ -428,18 +452,12 @@ def ring_forward(q: FermionicMLQ, i: int) -> tuple[FermionicMLQ, int]:
     a = i
     new_rows = []
     for row in q.rows:
-        cells = set(row)
-        if a in cells:
-            left = _wrap(a - 1, n)
-            if left not in cells:
-                cells.remove(a)
-                cells.add(left)
-            nxt = a
-        else:
-            nxt = _wrap(a + 1, n)
-        new_rows.append(tuple(sorted(cells)))
-        a = nxt
-    return FermionicMLQ(q.n, tuple(new_rows)), a
+        if a not in row:
+            a = _wrap(a + 1, n)
+        elif (left := _wrap(a - 1, n)) not in row:
+            row = tuple(sorted(left if s == a else s for s in row))
+        new_rows.append(row)
+    return _derived(FermionicMLQ, n, tuple(new_rows)), a
 
 
 def ring_reverse(q: FermionicMLQ, i: int) -> tuple[FermionicMLQ, int]:
@@ -449,23 +467,26 @@ def ring_reverse(q: FermionicMLQ, i: int) -> tuple[FermionicMLQ, int]:
         raise IndexError(f"site {i} outside 1..{n}")
     c = i
     new_rows = list(q.rows)
-    for j in range(q.k, 0, -1):
-        cells = set(q.rows[j - 1])
+    for j in range(q.k - 1, -1, -1):
+        row = q.rows[j]
         left = _wrap(c - 1, n)
-        if left in cells:
-            if c not in cells:
-                cells.remove(left)
-                cells.add(c)
-            nxt = c
-        else:
-            nxt = _wrap(c - 1, n)
-        new_rows[j - 1] = tuple(sorted(cells))
-        c = nxt
-    return FermionicMLQ(q.n, tuple(new_rows)), c
+        if left not in row:
+            c = left
+        elif c not in row:
+            new_rows[j] = tuple(sorted(c if s == left else s for s in row))
+    return _derived(FermionicMLQ, n, tuple(new_rows)), c
 
 
 def _column_empty(q: BosonicMLQ, i: int) -> bool:
     return all(i not in row for row in q.rows)
+
+
+def _hop(row: tuple[int, ...], src: int, dst: int, n: int) -> tuple[int, ...]:
+    """``row`` with one particle moved from site ``src`` to site ``dst``."""
+    counts = list(multiset_indicator(row, n))
+    counts[src - 1] -= 1
+    counts[dst - 1] += 1
+    return indicator_multiset(counts)
 
 
 def ring_forward_bosonic(d: BosonicMLQ, i: int, x: RateParams | None = None) -> tuple[BosonicMLQ, int, Fraction]:
@@ -473,38 +494,34 @@ def ring_forward_bosonic(d: BosonicMLQ, i: int, x: RateParams | None = None) -> 
 
     One particle hops right out of every occupied site the path visits; the
     path steps right exactly when it leaves an occupied site.  Returns the new
-    queue, the exit site, and the rate (1 on an empty column, else 1/x_i).
+    queue, the exit site, and the rate (1 on an empty column or without ``x``,
+    else 1/x_i).
     """
     n = d.n
     if not 1 <= i <= n:
         raise IndexError(f"site {i} outside 1..{n}")
-    x = _site_rates(x, n)
+    _check_rates(x, n)
     a = i
     new_rows = []
     for row in d.rows:
-        cnt = Counter(row)
-        if cnt[a]:
-            cnt[a] -= 1
-            cnt[_wrap(a + 1, n)] += 1
-            nxt = _wrap(a + 1, n)
-        else:
-            nxt = a
-        new_rows.append(tuple(sorted(cnt.elements())))
-        a = nxt
-    rate = Fraction(1) if _column_empty(d, i) else Fraction(1) / x[i]
-    return BosonicMLQ(d.n, tuple(new_rows)), _wrap(a - 1, n), rate
+        if a in row:
+            row = _hop(row, a, _wrap(a + 1, n), n)
+            a = _wrap(a + 1, n)
+        new_rows.append(row)
+    rate = _ONE if x is None or _column_empty(d, i) else _ONE / x[i]
+    return _derived(BosonicMLQ, n, tuple(new_rows)), _wrap(a - 1, n), rate
 
 
 def ring_reverse_bosonic(d: BosonicMLQ, i: int, x: RateParams | None = None) -> tuple[BosonicMLQ, int, Fraction]:
     """Inverse of :func:`ring_forward_bosonic`.
 
     The rate mirrors the forward rule through the time reversal: 1 when
-    column i+1 is empty, else 1/x_{i+1}.
+    column i+1 is empty or ``x`` is None, else 1/x_{i+1}.
     """
     n = d.n
     if not 1 <= i <= n:
         raise IndexError(f"site {i} outside 1..{n}")
-    x = _site_rates(x, n)
+    _check_rates(x, n)
     # path values b_L..b_0; b_j depends on row j+1
     b = [0] * (d.k + 1)
     b[d.k] = i
@@ -512,16 +529,12 @@ def ring_reverse_bosonic(d: BosonicMLQ, i: int, x: RateParams | None = None) -> 
         above = d.rows[j]  # row j+1
         b[j] = _wrap(b[j + 1] - 1, n) if _wrap(b[j + 1] + 1, n) in above else b[j + 1]
     new_rows = []
-    for t in range(1, d.k + 1):
-        cnt = Counter(d.rows[t - 1])
-        src = _wrap(b[t] + 1, n)
-        if cnt[src]:
-            cnt[src] -= 1
-            cnt[b[t]] += 1
-        new_rows.append(tuple(sorted(cnt.elements())))
+    for row, dst in zip(d.rows, b[1:]):
+        src = _wrap(dst + 1, n)
+        new_rows.append(_hop(row, src, dst, n) if src in row else row)
     nxt = _wrap(i + 1, n)
-    rate = Fraction(1) if _column_empty(d, nxt) else Fraction(1) / x[nxt]
-    return BosonicMLQ(d.n, tuple(new_rows)), _wrap(b[0] + 1, n), rate
+    rate = _ONE if x is None or _column_empty(d, nxt) else _ONE / x[nxt]
+    return _derived(BosonicMLQ, n, tuple(new_rows)), _wrap(b[0] + 1, n), rate
 
 
 def ringing_states(kind: str, alpha: Sequence[int], n: int) -> list:
@@ -537,14 +550,14 @@ def mlq_chain(kind: str, alpha: Sequence[int], n: int, x: RateParams | None = No
     """Ringing-path chain on :func:`ringing_states`; self-loop ringings (empty
     columns) are dropped."""
     if kind == "bosonic":
-        x = _site_rates(x, n)
+        _check_rates(x, n)
     states = ringing_states(kind, alpha, n)
     index = {s: i for i, s in enumerate(states)}
     transitions = []
     for idx, state in enumerate(states):
         for site in range(1, n + 1):
             if kind == "fermionic":
-                img, rate = ring_forward(state, site)[0], Fraction(1)
+                img, rate = ring_forward(state, site)[0], _ONE
             else:
                 img, _, rate = ring_forward_bosonic(state, site, x)
             if img != state:

@@ -10,6 +10,7 @@ by the test suite rather than assumed).
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -130,6 +131,33 @@ class BosonicMLQ:
 MLQ = FermionicMLQ | BosonicMLQ
 
 
+def _derived(cls: type, n: int, rows: tuple[tuple[int, ...], ...]) -> MLQ:
+    """A ``cls`` queue built without ``__post_init__``.
+
+    Only for rows the package derived from a validated queue: a nonempty tuple
+    of ascending int tuples of sites in 1..n, fermionic rows without repeats.
+    """
+    q = object.__new__(cls)
+    object.__setattr__(q, "n", n)
+    object.__setattr__(q, "rows", rows)
+    return q
+
+
+def _exchange(lower: Sequence[int], upper: Sequence[int], fermionic: bool) -> tuple[list[int], list[int]]:
+    """Swap the cylindrically unpaired particles of two rows given as per-site
+    counts; returns the new (lower, upper) counts.
+
+    Fermionic rows pair weakly right and must hold at most one particle per
+    site, before and after the exchange; bosonic rows pair strictly left.
+    """
+    _, unpaired_lower, unpaired_upper = _match(lower, upper, fermionic)
+    lo = [c - out + into for c, out, into in zip(lower, unpaired_lower, unpaired_upper)]
+    up = [c - out + into for c, out, into in zip(upper, unpaired_upper, unpaired_lower)]
+    if fermionic and max(max(lower), max(upper), max(lo), max(up)) > 1:
+        raise ValueError("fermionic row contains a duplicate site")
+    return lo, up
+
+
 def twist(q: MLQ, i: int) -> MLQ:
     """Swap the unpaired particles between rows i and i+1 (1-indexed, bottom-up).
 
@@ -139,10 +167,8 @@ def twist(q: MLQ, i: int) -> MLQ:
     if not 1 <= i < q.k:
         raise IndexError(f"twist index {i} outside 1..{q.k - 1}")
     lower, upper = (multiset_indicator(row, q.n) for row in q.rows[i - 1 : i + 1])
-    _, unpaired_lower, unpaired_upper = _match(lower, upper, isinstance(q, FermionicMLQ))
-    lo = [c - out + into for c, out, into in zip(lower, unpaired_lower, unpaired_upper)]
-    up = [c - out + into for c, out, into in zip(upper, unpaired_upper, unpaired_lower)]
-    return type(q)(q.n, q.rows[: i - 1] + (indicator_multiset(lo), indicator_multiset(up)) + q.rows[i + 1 :])
+    lo, up = _exchange(lower, upper, isinstance(q, FermionicMLQ))
+    return _derived(type(q), q.n, q.rows[: i - 1] + (indicator_multiset(lo), indicator_multiset(up)) + q.rows[i + 1 :])
 
 
 def apply_twists(q: MLQ, word: Sequence[int]) -> MLQ:
@@ -217,18 +243,8 @@ def enumerate_queues(alpha: Sequence[int], n: int, kind: str) -> Iterator[MLQ]:
     samplers can index into it reproducibly.
     """
     count_queues(alpha, n, kind)  # validate shape up front
-    if kind == "fermionic":
-        row_streams = [list(subsets_colex(n, a)) for a in alpha]
-        cls = FermionicMLQ
-    else:
-        row_streams = [list(multisets_colex(n, a)) for a in alpha]
-        cls = BosonicMLQ
-
-    def rec(i: int, prefix: tuple) -> Iterator[MLQ]:
-        if i == len(row_streams):
-            yield cls(n, prefix)
-            return
-        for row in row_streams[i]:
-            yield from rec(i + 1, prefix + (row,))
-
-    yield from rec(0, ())
+    if not alpha:
+        raise ValueError("a queue needs at least one row")
+    rows, cls = (subsets_colex, FermionicMLQ) if kind == "fermionic" else (multisets_colex, BosonicMLQ)
+    for q_rows in itertools.product(*[list(rows(n, a)) for a in alpha]):
+        yield _derived(cls, n, q_rows)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ShapeError
-from .mlq import MLQ, BosonicMLQ, FermionicMLQ, enumerate_queues, twist
+from .mlq import MLQ, BosonicMLQ, FermionicMLQ, _exchange, enumerate_queues
 from .pairing import _match, pair_strictly_left, pair_weakly_right
 from .words import (
     _wrap,
@@ -32,10 +32,7 @@ from .words import (
     FermionicWord,
     Indicator,
     Word,
-    indicator_multiset,
-    indicator_subset,
     multiset_indicator,
-    subset_indicator,
 )
 
 
@@ -87,6 +84,8 @@ def apply_row_fermionic(row: Iterable[int], fresh_label: int, word: FermionicWor
     for j in row:
         if not 1 <= j <= n:
             raise ValueError("row site outside the ring")
+        if q[j - 1]:
+            raise ValueError("fermionic row contains a duplicate site")
         q[j - 1] = 1
     if fresh_label < 1:
         raise ValueError("fresh label must be positive")
@@ -345,43 +344,29 @@ def _particlewise_bosonic(row, fresh_label, word, order):
 
 
 # ---------------------------------------------------------------------------
-# combinatorial R matrix and corner-transfer reading
+# corner-transfer reading and the R-matrix expansion of the row operator
 # ---------------------------------------------------------------------------
-
-
-def combinatorial_r(bottom: Sequence[int], top: Sequence[int], n: int, kind: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Swap two adjacent rows by the unpaired-particle exchange.
-
-    Input rows are (bottom, top); the result is the exchanged pair in the same
-    bottom-first order, so the first output row has the size of ``top``.
-    """
-    if kind == "fermionic":
-        q: MLQ = FermionicMLQ(n, (tuple(bottom), tuple(top)))
-    elif kind == "bosonic":
-        q = BosonicMLQ(n, (tuple(bottom), tuple(top)))
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    swapped = twist(q, 1)
-    return swapped.rows[0], swapped.rows[1]
 
 
 def ctm_components(q: MLQ, j: int = 1) -> list[Indicator]:
     """Row-j readings of the partial corner transfer: [pi_j, ..., pi_k].
 
     The i-th entry is the indicator of row j after rows j..i-1 have been
-    twisted out of the way.  As a multiset the entries are nested; this is
-    verified before returning them in index order.
+    twisted out of the way: row i, as a count vector, is exchanged down
+    through the original rows i-1, ..., j and keeps the lower output each
+    time.  As a multiset the entries are nested; this is verified before
+    returning them in index order.
     """
     if not 1 <= j <= q.k:
         raise IndexError(f"component base {j} outside 1..{q.k}")
     fermionic = isinstance(q, FermionicMLQ)
+    counts = [multiset_indicator(row, q.n) for row in q.rows]
     comps: list[Indicator] = []
     for i in range(j, q.k + 1):
-        m = q
+        carry = counts[i - 1]
         for t in range(i - 1, j - 1, -1):
-            m = twist(m, t)
-        row = m.rows[j - 1]
-        comps.append(subset_indicator(row, q.n) if fermionic else multiset_indicator(row, q.n))
+            carry = _exchange(counts[t - 1], carry, fermionic)[0]
+        comps.append(tuple(carry))
     ranked = sorted(comps, key=sum, reverse=True)
     for high, low in zip(ranked, ranked[1:]):
         if any(l > h for h, l in zip(high, low)):
@@ -403,29 +388,15 @@ def check_r_expansion(row: Sequence[int], word: Word) -> bool:
     With u = sum of its layers u_1 >= u_2 >= ... (smallest label at least 2,
     which forces u_1 = u_2), the freshly labelled output of the row operator
     at fresh label 1 must equal the row's indicator plus the first-factor
-    readings of R applied to (row, u_i) for i >= 2.
+    readings of R applied to (row, u_i) for i >= 2; R is the two-row exchange
+    behind :func:`twist`.
     """
-    if isinstance(word, FermionicWord):
-        if word.content() and word.content()[0] < 2:
-            raise ValueError("smallest word label must be at least 2")
-        n = word.n
-        layers = word.layers()
-        total = list(subset_indicator(row, n))
-        for ind in layers[1:]:
-            first, _ = combinatorial_r(tuple(sorted(row)), indicator_subset(ind), n, "fermionic")
-            for idx, b in enumerate(subset_indicator(first, n)):
-                total[idx] += b
-        lhs = apply_row_fermionic(row, 1, word)
-        return lhs.letters == tuple(total)
     if word.content() and word.content()[0] < 2:
         raise ValueError("smallest word label must be at least 2")
-    n = word.n
-    layers = word.layers()
-    stack = [multiset_indicator(row, n)]
-    for counts in layers[1:]:
-        first, _ = combinatorial_r(tuple(sorted(row)), indicator_multiset(counts), n, "bosonic")
-        stack.append(multiset_indicator(first, n))
+    fermionic = isinstance(word, FermionicWord)
+    counts = multiset_indicator(row, word.n)
+    stack = [counts] + [tuple(_exchange(counts, u, fermionic)[0]) for u in word.layers()[1:]]
+    if fermionic:
+        return apply_row_fermionic(row, 1, word).letters == tuple(map(sum, zip(*stack)))
     stack.sort(key=sum, reverse=True)
-    rhs = BosonicWord.from_layers(stack, n)
-    lhs = apply_row_bosonic(row, 1, word)
-    return lhs == rhs
+    return apply_row_bosonic(row, 1, word) == BosonicWord.from_layers(stack, word.n)

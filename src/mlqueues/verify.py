@@ -25,7 +25,7 @@ from .errors import SchemaError
 from .markov import (
     RateParams,
     conjugate,
-    enumerate_states,
+    count_states,
     mlq_chain,
     ring_forward,
     ring_forward_bosonic,
@@ -384,7 +384,7 @@ def suite_phi_equals_ctm(bounds: dict | None = None, seed: int = 0) -> SuiteRepo
 @_check(
     "fiber-count", "fiber-weight", "fiber-support",
     fields={"model": _MODEL, "lambda": _PARTS, "n": _INT, "x": _RATES_OR_NONE},
-    units=lambda case: len(enumerate_states(conjugate(case["lambda"]), case["n"], case["model"])),
+    units=lambda case: count_states(conjugate(case["lambda"]), case["n"], case["model"]),
 )
 def check_stationary_fibers(case: dict) -> list:
     """The ``tasep`` or ``tazrp`` (rates ``x``) chain on content conj(lambda) has

@@ -14,6 +14,7 @@ from mlqueues import (
     RationalDistribution,
     ShapeError,
     conjugate,
+    count_states,
     enumerate_queues,
     enumerate_states,
     ktazrp_chain,
@@ -59,6 +60,17 @@ class TestStateSpaces:
             letters = lam + (0,) * (n - len(lam))
             want = sorted(set(itertools.permutations(letters)))
             assert [w.letters for w in enumerate_states(lam, n, "tasep")] == want
+
+    def test_closed_form_count_matches_enumeration(self):
+        for kind in ("tasep", "tazrp"):
+            for n in range(1, 6):
+                for k in range(1, 4):
+                    for lam in itertools.combinations_with_replacement((3, 2, 1), k):
+                        if kind == "tasep" and k > n:
+                            with pytest.raises(ValueError):
+                                count_states(lam, n, kind)
+                            continue
+                        assert count_states(lam, n, kind) == len(enumerate_states(lam, n, kind))
 
     def test_too_many_particles_rejected(self):
         with pytest.raises(ValueError):

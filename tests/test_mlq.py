@@ -3,18 +3,25 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlqueues import (
     BosonicMLQ,
     FermionicMLQ,
     Monomial,
+    RateParams,
     apply_twists,
     count_queues,
     enumerate_queues,
+    ring_forward,
+    ring_forward_bosonic,
+    ring_reverse,
+    ring_reverse_bosonic,
     straighten,
     twist,
 )
-from mlqueues.mlq import multisets_colex, subsets_colex
+from mlqueues.mlq import _exchange, multisets_colex, subsets_colex
 
 from conftest import bq, fq
 
@@ -181,3 +188,60 @@ class TestValidation:
     def test_site_out_of_range(self):
         with pytest.raises(ValueError):
             FermionicMLQ(3, ((4,),))
+
+
+
+@st.composite
+def validated_queues(draw):
+    kind = draw(st.sampled_from(("fermionic", "bosonic")))
+    n = draw(st.integers(1, 6))
+    if kind == "fermionic":
+        row = st.lists(st.integers(1, n), max_size=n, unique=True)
+    else:
+        row = st.lists(st.integers(1, n), max_size=5)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    cls = FermionicMLQ if kind == "fermionic" else BosonicMLQ
+    return cls(n, tuple(tuple(r) for r in rows))
+
+
+def assert_matches_validated_rebuild(q):
+    rebuilt = type(q)(q.n, q.rows)
+    assert q == rebuilt and hash(q) == hash(rebuilt)
+    assert type(q.rows) is tuple and all(type(r) is tuple for r in q.rows)
+
+
+class TestDerivedQueues:
+    """Queues the package derives without re-validation equal their validated rebuild."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(validated_queues(), st.data())
+    def test_twist_and_ringing(self, q, data):
+        for i in range(1, q.k):
+            assert_matches_validated_rebuild(twist(q, i))
+        site = data.draw(st.integers(1, q.n))
+        if isinstance(q, FermionicMLQ):
+            images = [ring_forward(q, site)[0], ring_reverse(q, site)[0]]
+        else:
+            x = data.draw(st.none() | st.just(RateParams(tuple(range(1, q.n + 1)))))
+            images = [ring_forward_bosonic(q, site, x)[0], ring_reverse_bosonic(q, site, x)[0]]
+        for img in images:
+            assert_matches_validated_rebuild(img)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(("fermionic", "bosonic")), st.integers(1, 4), st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    def test_enumeration(self, kind, n, alpha):
+        if kind == "fermionic":
+            alpha = [min(a, n) for a in alpha]
+        for q in enumerate_queues(alpha, n, kind):
+            assert_matches_validated_rebuild(q)
+
+    def test_empty_shape_rejected(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            list(enumerate_queues((), 3, "fermionic"))
+
+class TestExchange:
+    def test_fermionic_count_check_fires_on_a_doubled_site(self):
+        with pytest.raises(ValueError, match="duplicate site"):
+            _exchange([2, 0, 0], [0, 1, 0], True)
+        with pytest.raises(ValueError, match="duplicate site"):
+            _exchange([1, 0, 0], [0, 2, 0], True)

@@ -15,16 +15,18 @@ from mlqueues import (
     apply_row_particlewise,
     apply_twists,
     check_r_expansion,
-    combinatorial_r,
     ctm_components,
     ctm_project,
     enumerate_queues,
     ferrari_martin,
     label_trace,
+    multiset_indicator,
     project,
     subset_indicator,
     twist,
 )
+from mlqueues import verify
+from mlqueues.documents import parse_queue
 from mlqueues.projection import canonical_order_fermionic
 
 from conftest import bq, bw, fq, fw
@@ -68,6 +70,12 @@ class TestApplyRowFermionic:
             apply_row_fermionic({1}, 3, fw("202"))
         with pytest.raises(ValueError):
             apply_row_fermionic({1}, 0, fw("000"))
+
+    def test_duplicate_site_rejected(self):
+        with pytest.raises(ValueError, match="fermionic row contains a duplicate site"):
+            apply_row_fermionic([2, 2], 1, FermionicWord((0, 0, 0)))
+        with pytest.raises(ValueError, match="fermionic row contains a duplicate site"):
+            apply_row_fermionic([1, 3, 1], 1, fw("202"))
 
 
 class TestApplyRowBosonic:
@@ -213,21 +221,26 @@ class TestParticlewise:
             apply_row_particlewise({1}, 1, fw("210"), order=(1,))  # misses a particle
 
 
+def r_matrix(bottom, top, n, kind):
+    """The combinatorial R matrix: ``twist`` on the two-row queue (bottom, top)."""
+    return twist(parse_queue({"kind": kind, "n": n, "rows": [list(bottom), list(top)]}), 1).rows
+
+
 class TestCombinatorialR:
     def test_fermionic_example(self):
-        assert combinatorial_r((1, 2, 4), (1, 3, 5, 6), 6, "fermionic") == ((1, 2, 4, 5), (1, 3, 6))
+        assert r_matrix((1, 2, 4), (1, 3, 5, 6), 6, "fermionic") == ((1, 2, 4, 5), (1, 3, 6))
 
     def test_identical_rows_fixed(self):
-        assert combinatorial_r((1, 3), (1, 3), 4, "fermionic") == ((1, 3), (1, 3))
+        assert r_matrix((1, 3), (1, 3), 4, "fermionic") == ((1, 3), (1, 3))
 
     def test_bosonic_example(self):
-        assert combinatorial_r((2, 2), (1, 2, 4, 6), 6, "bosonic") == ((1, 2, 2, 2), (4, 6))
+        assert r_matrix((2, 2), (1, 2, 4, 6), 6, "bosonic") == ((1, 2, 2, 2), (4, 6))
 
     def test_mixed_kind_rejected(self):
-        with pytest.raises(ValueError):
-            combinatorial_r((1, 1), (2,), 3, "fermionic")
-        with pytest.raises(ValueError):
-            combinatorial_r((1,), (2,), 3, "spin")
+        with pytest.raises(ValueError, match="duplicate site"):
+            r_matrix((1, 1), (2,), 3, "fermionic")
+        with pytest.raises(ValueError, match="queue kind"):
+            r_matrix((1,), (2,), 3, "spin")
 
 
 class TestCornerTransfer:
@@ -282,6 +295,23 @@ class TestCornerTransfer:
     def test_partial_readings(self):
         assert ctm_project(EX_QUEUE, 2) == fw("203022")
         assert ctm_project(EX_QUEUE, 3) == fw("121010")
+
+    def test_count_vectors_agree_with_twist_bubbling_on_sweep(self):
+        def bubbled(q, j):
+            # the definition: reading i is row j of q after twists i-1, ..., j
+            comps = []
+            for i in range(j, q.k + 1):
+                m = q
+                for t in range(i - 1, j - 1, -1):
+                    m = twist(m, t)
+                comps.append(multiset_indicator(m.rows[j - 1], q.n))
+            return comps
+
+        queues = verify._sweep_queues(verify.DEFAULT_BOUNDS, 0)
+        assert len(queues) == 6704
+        for q in queues:
+            for j in range(1, q.k + 1):
+                assert ctm_components(q, j) == bubbled(q, j)
 
 
 class TestLabelTrace:
@@ -344,7 +374,7 @@ class TestRExpansion:
             2: (1, 1, 0, 1, 1, 1, 1, 1, 0, 1, 1),
         }
         for i in (2, 3, 4, 5):
-            first, _ = combinatorial_r(row, tuple(j + 1 for j, b in enumerate(layers[i - 1]) if b), 11, "fermionic")
+            first, _ = r_matrix(row, tuple(j + 1 for j, b in enumerate(layers[i - 1]) if b), 11, "fermionic")
             assert subset_indicator(first, 11) == firsts[i]
         assert check_r_expansion(row, u)
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mlqueues import verify
+from mlqueues import markov, verify
 from mlqueues.cli import main
 from mlqueues.markov import ChainSpec, RateParams, RationalDistribution
 from mlqueues.mlq import FermionicMLQ
@@ -53,6 +53,21 @@ class TestSuites:
         report = suite_ringing(SMALL, seed=2)
         assert report.passed
         assert report.parameters["counterexample"] is not None
+
+    def test_stationary_grids_enumerate_each_chain_once(self, monkeypatch):
+        real = markov.enumerate_states
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(markov, "enumerate_states", counted)
+        monkeypatch.setattr(verify, "enumerate_states", counted, raising=False)
+        for suite, cases, chains in (("stationary-tasep", 140, 12), ("stationary-tazrp", 66, 12)):
+            calls.clear()
+            report = verify.SUITES[suite](None, 0)
+            assert (report.passed, report.cases, len(calls)) == (True, cases, chains)
 
     def test_seed_changes_keep_verdicts(self):
         a = suite_r_invariance(SMALL, seed=1)
