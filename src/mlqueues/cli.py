@@ -28,7 +28,7 @@ from .markov import (
     tasep_chain,
     tazrp_chain,
 )
-from .mlq import FermionicMLQ, count_queues, enumerate_queues, twist
+from .mlq import count_queues, enumerate_queues, twist
 from .projection import ctm_project, fiber_law, label_trace, project
 
 
@@ -164,7 +164,7 @@ def _fiber_probs(model: str, lam, n: int, x: RateParams) -> dict:
 
 def cmd_ring(args) -> int:
     q = documents.parse_queue(_load_json(args.infile))
-    if isinstance(q, FermionicMLQ):
+    if q.kind == "fermionic":
         fn = ring_reverse if args.reverse else ring_forward
         image, exit_site = fn(q, args.site)
         rate = Fraction(1)

@@ -12,7 +12,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .errors import SchemaError
-from .mlq import BosonicMLQ, FermionicMLQ, MLQ
+from .mlq import MLQ, QUEUE_CLASSES
 from .words import BosonicWord, FermionicWord, Word
 
 
@@ -34,8 +34,7 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def emit_queue(q: MLQ) -> dict:
-    kind = "fermionic" if isinstance(q, FermionicMLQ) else "bosonic"
-    return {"kind": kind, "n": q.n, "rows": [list(r) for r in q.rows]}
+    return {"kind": q.kind, "n": q.n, "rows": [list(r) for r in q.rows]}
 
 
 def parse_queue(doc: dict) -> MLQ:
@@ -49,8 +48,7 @@ def parse_queue(doc: dict) -> MLQ:
     for r in rows:
         _require(all(isinstance(j, int) and 1 <= j <= n for j in r), "row entries must be sites in 1..n")
     try:
-        cls = FermionicMLQ if kind == "fermionic" else BosonicMLQ
-        return cls(n, tuple(tuple(r) for r in rows))
+        return QUEUE_CLASSES[kind](n, tuple(tuple(r) for r in rows))
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -135,7 +133,7 @@ def _grid(rows_of_counts: list[list[int]], digits: bool) -> str:
 
 def render_queue(q: MLQ) -> str:
     """Dot diagram of a queue, top row first."""
-    digits = isinstance(q, BosonicMLQ)
+    digits = q.kind == "bosonic"
     rows = []
     for row in reversed(q.rows):
         cnt = Counter(row)

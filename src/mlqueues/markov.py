@@ -23,8 +23,8 @@ from fractions import Fraction
 from typing import Hashable, Sequence
 
 from .errors import ChainError, ShapeError
-from .mlq import BosonicMLQ, FermionicMLQ, _derived, enumerate_queues
-from .words import BosonicWord, FermionicWord, Word, _wrap, indicator_multiset, multiset_indicator
+from .mlq import MLQ, BosonicMLQ, FermionicMLQ, enumerate_queues
+from .words import BosonicWord, FermionicWord, Word, _built, _wrap, indicator_multiset, multiset_indicator
 
 
 @dataclass(frozen=True)
@@ -439,6 +439,11 @@ def stationary_exact(chain: ChainSpec) -> RationalDistribution:
 # ---------------------------------------------------------------------------
 
 
+def _require_kind(q: MLQ, kind: str) -> None:
+    if q.kind != kind:
+        raise ValueError(f"expected a {kind} queue, got a {q.kind} one")
+
+
 def ring_forward(q: FermionicMLQ, i: int) -> tuple[FermionicMLQ, int]:
     """Forward ringing transition of a fermionic queue at site i, rate 1.
 
@@ -446,6 +451,7 @@ def ring_forward(q: FermionicMLQ, i: int) -> tuple[FermionicMLQ, int]:
     hole; every particle the path lands on hops one site left when its left
     neighbour is free.
     """
+    _require_kind(q, "fermionic")
     n = q.n
     if not 1 <= i <= n:
         raise IndexError(f"site {i} outside 1..{n}")
@@ -457,11 +463,12 @@ def ring_forward(q: FermionicMLQ, i: int) -> tuple[FermionicMLQ, int]:
         elif (left := _wrap(a - 1, n)) not in row:
             row = tuple(sorted(left if s == a else s for s in row))
         new_rows.append(row)
-    return _derived(FermionicMLQ, n, tuple(new_rows)), a
+    return _built(FermionicMLQ, n=n, rows=tuple(new_rows)), a
 
 
 def ring_reverse(q: FermionicMLQ, i: int) -> tuple[FermionicMLQ, int]:
     """Inverse of :func:`ring_forward`: descends the rows undoing the hops."""
+    _require_kind(q, "fermionic")
     n = q.n
     if not 1 <= i <= n:
         raise IndexError(f"site {i} outside 1..{n}")
@@ -474,7 +481,7 @@ def ring_reverse(q: FermionicMLQ, i: int) -> tuple[FermionicMLQ, int]:
             c = left
         elif c not in row:
             new_rows[j] = tuple(sorted(c if s == left else s for s in row))
-    return _derived(FermionicMLQ, n, tuple(new_rows)), c
+    return _built(FermionicMLQ, n=n, rows=tuple(new_rows)), c
 
 
 def _column_empty(q: BosonicMLQ, i: int) -> bool:
@@ -497,6 +504,7 @@ def ring_forward_bosonic(d: BosonicMLQ, i: int, x: RateParams | None = None) -> 
     queue, the exit site, and the rate (1 on an empty column or without ``x``,
     else 1/x_i).
     """
+    _require_kind(d, "bosonic")
     n = d.n
     if not 1 <= i <= n:
         raise IndexError(f"site {i} outside 1..{n}")
@@ -509,7 +517,7 @@ def ring_forward_bosonic(d: BosonicMLQ, i: int, x: RateParams | None = None) -> 
             a = _wrap(a + 1, n)
         new_rows.append(row)
     rate = _ONE if x is None or _column_empty(d, i) else _ONE / x[i]
-    return _derived(BosonicMLQ, n, tuple(new_rows)), _wrap(a - 1, n), rate
+    return _built(BosonicMLQ, n=n, rows=tuple(new_rows)), _wrap(a - 1, n), rate
 
 
 def ring_reverse_bosonic(d: BosonicMLQ, i: int, x: RateParams | None = None) -> tuple[BosonicMLQ, int, Fraction]:
@@ -518,6 +526,7 @@ def ring_reverse_bosonic(d: BosonicMLQ, i: int, x: RateParams | None = None) -> 
     The rate mirrors the forward rule through the time reversal: 1 when
     column i+1 is empty or ``x`` is None, else 1/x_{i+1}.
     """
+    _require_kind(d, "bosonic")
     n = d.n
     if not 1 <= i <= n:
         raise IndexError(f"site {i} outside 1..{n}")
@@ -534,7 +543,7 @@ def ring_reverse_bosonic(d: BosonicMLQ, i: int, x: RateParams | None = None) -> 
         new_rows.append(_hop(row, src, dst, n) if src in row else row)
     nxt = _wrap(i + 1, n)
     rate = _ONE if x is None or _column_empty(d, nxt) else _ONE / x[nxt]
-    return _derived(BosonicMLQ, n, tuple(new_rows)), _wrap(b[0] + 1, n), rate
+    return _built(BosonicMLQ, n=n, rows=tuple(new_rows)), _wrap(b[0] + 1, n), rate
 
 
 def ringing_states(kind: str, alpha: Sequence[int], n: int) -> list:

@@ -1,7 +1,10 @@
 """Multiline queues, their weights, the row-twist involution, and enumeration.
 
 A multiline queue is a tuple of particle rows on the ring; ``rows[0]`` is the
-bottom row.  Fermionic rows are subsets of {1..n}, bosonic rows multisets.
+bottom row.  One type, :class:`MLQ`, serves both kinds: its ``kind`` says
+whether the rows are subsets of {1..n} (fermionic) or multisets (bosonic).
+Queues the package derives from validated ones (twists, ringing moves,
+enumeration) skip re-validation.
 The twist ``twist(q, i)`` swaps the cylindrically unpaired particles between
 rows i and i+1; it realizes the combinatorial R matrix on adjacent tensor
 factors, so the braid and commutation relations hold for it (they are checked
@@ -15,10 +18,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import ClassVar, Iterator, Sequence
 
 from .pairing import _match
-from .words import indicator_multiset, multiset_indicator
+from .words import _built, indicator_multiset, multiset_indicator
 
 
 @dataclass(frozen=True)
@@ -40,107 +43,62 @@ class Monomial:
             out *= Fraction(xi) ** e
         return out
 
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if len(other.exponents) != len(self.exponents):
-            raise ValueError("monomial length mismatch")
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
     def __str__(self) -> str:
         parts = [f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}" for i, e in enumerate(self.exponents) if e]
         return "*".join(parts) if parts else "1"
 
 
-def _norm_fermionic_row(row: Iterable[int], n: int) -> tuple[int, ...]:
-    r = tuple(sorted(int(j) for j in row))
-    if any(not 1 <= j <= n for j in r):
-        raise ValueError(f"row site outside 1..{n}")
-    if len(set(r)) != len(r):
-        raise ValueError("fermionic row contains a duplicate site")
-    return r
-
-
-def _norm_bosonic_row(row: Iterable[int], n: int) -> tuple[int, ...]:
-    r = tuple(sorted(int(j) for j in row))
-    if any(not 1 <= j <= n for j in r):
-        raise ValueError(f"row site outside 1..{n}")
-    return r
-
-
 @dataclass(frozen=True)
-class FermionicMLQ:
-    n: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("ring size must be positive")
-        rows = tuple(_norm_fermionic_row(r, self.n) for r in self.rows)
-        if not rows:
-            raise ValueError("a queue needs at least one row")
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def k(self) -> int:
-        return len(self.rows)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(r) for r in self.rows)
-
-    @property
-    def is_straight(self) -> bool:
-        s = self.shape
-        return all(a >= b for a, b in zip(s, s[1:]))
-
-    def weight(self) -> Monomial:
-        counts = Counter(j for r in self.rows for j in r)
-        return Monomial(tuple(counts.get(j, 0) for j in range(1, self.n + 1)))
-
-
-@dataclass(frozen=True)
-class BosonicMLQ:
-    n: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("ring size must be positive")
-        rows = tuple(_norm_bosonic_row(r, self.n) for r in self.rows)
-        if not rows:
-            raise ValueError("a queue needs at least one row")
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def k(self) -> int:
-        return len(self.rows)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(r) for r in self.rows)
-
-    @property
-    def is_straight(self) -> bool:
-        s = self.shape
-        return all(a >= b for a, b in zip(s, s[1:]))
-
-    def weight(self) -> Monomial:
-        counts = Counter(j for r in self.rows for j in r)
-        return Monomial(tuple(counts.get(j, 0) for j in range(1, self.n + 1)))
-
-
-MLQ = FermionicMLQ | BosonicMLQ
-
-
-def _derived(cls: type, n: int, rows: tuple[tuple[int, ...], ...]) -> MLQ:
-    """A ``cls`` queue built without ``__post_init__``.
-
-    Only for rows the package derived from a validated queue: a nonempty tuple
-    of ascending int tuples of sites in 1..n, fermionic rows without repeats.
+class MLQ:
+    """A multiline queue; rows are ascending tuples of sites in 1..n.  Build
+    one through :class:`FermionicMLQ` (rows are subsets) or :class:`BosonicMLQ`
+    (multisets), which only set ``kind``; different kinds never compare equal.
     """
-    q = object.__new__(cls)
-    object.__setattr__(q, "n", n)
-    object.__setattr__(q, "rows", rows)
-    return q
+
+    kind: ClassVar[str]
+    n: int
+    rows: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("ring size must be positive")
+        rows = tuple(tuple(sorted(int(j) for j in r)) for r in self.rows)
+        for r in rows:
+            if any(not 1 <= j <= self.n for j in r):
+                raise ValueError(f"row site outside 1..{self.n}")
+            if self.kind == "fermionic" and len(set(r)) != len(r):
+                raise ValueError("fermionic row contains a duplicate site")
+        if not rows:
+            raise ValueError("a queue needs at least one row")
+        object.__setattr__(self, "rows", rows)
+
+    @property
+    def k(self) -> int:
+        return len(self.rows)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(len(r) for r in self.rows)
+
+    @property
+    def is_straight(self) -> bool:
+        s = self.shape
+        return all(a >= b for a, b in zip(s, s[1:]))
+
+    def weight(self) -> Monomial:
+        counts = Counter(j for r in self.rows for j in r)
+        return Monomial(tuple(counts.get(j, 0) for j in range(1, self.n + 1)))
+
+
+class FermionicMLQ(MLQ):
+    kind = "fermionic"
+
+
+class BosonicMLQ(MLQ):
+    kind = "bosonic"
+
+
+QUEUE_CLASSES: dict[str, type[MLQ]] = {"fermionic": FermionicMLQ, "bosonic": BosonicMLQ}
 
 
 def _exchange(lower: Sequence[int], upper: Sequence[int], fermionic: bool) -> tuple[list[int], list[int]]:
@@ -167,8 +125,8 @@ def twist(q: MLQ, i: int) -> MLQ:
     if not 1 <= i < q.k:
         raise IndexError(f"twist index {i} outside 1..{q.k - 1}")
     lower, upper = (multiset_indicator(row, q.n) for row in q.rows[i - 1 : i + 1])
-    lo, up = _exchange(lower, upper, isinstance(q, FermionicMLQ))
-    return _derived(type(q), q.n, q.rows[: i - 1] + (indicator_multiset(lo), indicator_multiset(up)) + q.rows[i + 1 :])
+    lo, up = _exchange(lower, upper, q.kind == "fermionic")
+    return _built(type(q), n=q.n, rows=q.rows[: i - 1] + (indicator_multiset(lo), indicator_multiset(up)) + q.rows[i + 1 :])
 
 
 def apply_twists(q: MLQ, word: Sequence[int]) -> MLQ:
@@ -240,11 +198,10 @@ def enumerate_queues(alpha: Sequence[int], n: int, kind: str) -> Iterator[MLQ]:
     """All queues of shape alpha on n sites, top row varying fastest.
 
     Rows run through colex order; the stream is deterministic so seeded
-    samplers can index into it reproducibly.
+    samplers can index into it reproducibly.  A bad shape raises on the call.
     """
-    count_queues(alpha, n, kind)  # validate shape up front
+    count_queues(alpha, n, kind)
     if not alpha:
         raise ValueError("a queue needs at least one row")
-    rows, cls = (subsets_colex, FermionicMLQ) if kind == "fermionic" else (multisets_colex, BosonicMLQ)
-    for q_rows in itertools.product(*[list(rows(n, a)) for a in alpha]):
-        yield _derived(cls, n, q_rows)
+    rows, cls = (subsets_colex if kind == "fermionic" else multisets_colex), QUEUE_CLASSES[kind]
+    return (_built(cls, n=n, rows=q_rows) for q_rows in itertools.product(*[list(rows(n, a)) for a in alpha]))

@@ -27,6 +27,7 @@ from .errors import ShapeError
 from .mlq import MLQ, BosonicMLQ, FermionicMLQ, _exchange, enumerate_queues
 from .pairing import _match, pair_strictly_left, pair_weakly_right
 from .words import (
+    _built,
     _wrap,
     BosonicWord,
     FermionicWord,
@@ -91,13 +92,13 @@ def apply_row_fermionic(row: Iterable[int], fresh_label: int, word: FermionicWor
         raise ValueError("fresh label must be positive")
     present = [r for r in word.letters if r]
     if not present:
-        return FermionicWord(tuple(fresh_label if c else 0 for c in q))
+        return _built(FermionicWord, letters=tuple(fresh_label if c else 0 for c in q))
     a, k = min(present), max(present)
     if fresh_label > a:
         raise ValueError(f"fresh label {fresh_label} exceeds smallest word label {a}")
     labels = _pass_down(q, fresh_label, word, a, k, True)
     # a site never gets two labels: a word particle over a row particle pairs straight down
-    return FermionicWord(tuple(ls[0] if ls else 0 for ls in labels))
+    return _built(FermionicWord, letters=tuple(ls[0] if ls else 0 for ls in labels))
 
 
 def apply_row_bosonic(row: Iterable[int], fresh_label: int, word: BosonicWord) -> BosonicWord:
@@ -112,11 +113,16 @@ def apply_row_bosonic(row: Iterable[int], fresh_label: int, word: BosonicWord) -
     if fresh_label < 1:
         raise ValueError("fresh label must be positive")
     if word.is_empty:
-        return BosonicWord(tuple((fresh_label,) * c for c in d))
+        return _built(BosonicWord, sites=tuple((fresh_label,) * c for c in d))
     a, k = word.min_label(), word.max_label
     if fresh_label > a:
         raise ValueError(f"fresh label {fresh_label} exceeds smallest word label {a}")
-    return BosonicWord(tuple(map(tuple, _pass_down(d, fresh_label, word, a, k, False))))
+    # per-site labels come out weakly decreasing (paired ones first, then fresh or
+    # collapsed ones): a site never holds both leftover row and leftover word particles
+    labels = _pass_down(d, fresh_label, word, a, k, False)
+    if a == 1 and any(0 in ls for ls in labels):
+        raise ValueError("a collapsing label-1 particle would get label 0")
+    return _built(BosonicWord, sites=tuple(tuple(reversed(ls)) for ls in labels))
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +142,13 @@ def label_trace(q: MLQ) -> list[Word]:
     is the projection itself.  Entry j-1 also equals the projection of the
     subqueue rows j..k with every label raised by j-1.
     """
-    fermionic = isinstance(q, FermionicMLQ)
-    word: Word = FermionicWord((0,) * q.n) if fermionic else BosonicWord(((),) * q.n)
+    if q.kind == "fermionic":
+        word, apply_row = FermionicWord((0,) * q.n), apply_row_fermionic
+    else:
+        word, apply_row = BosonicWord(((),) * q.n), apply_row_bosonic
     out: list[Word] = []
     for j in range(q.k, 0, -1):
-        if fermionic:
-            word = apply_row_fermionic(q.rows[j - 1], j, word)
-        else:
-            word = apply_row_bosonic(q.rows[j - 1], j, word)
+        word = apply_row(q.rows[j - 1], j, word)
         out.append(word)
     out.reverse()
     return out
@@ -170,7 +175,7 @@ def ferrari_martin(q: MLQ) -> Word:
     """
     if not q.is_straight:
         raise ShapeError(f"label passing needs weakly decreasing row sizes, got {q.shape}")
-    if isinstance(q, FermionicMLQ):
+    if q.kind == "fermionic":
         return _fm_fermionic(q)
     return _fm_bosonic(q)
 
@@ -359,7 +364,7 @@ def ctm_components(q: MLQ, j: int = 1) -> list[Indicator]:
     """
     if not 1 <= j <= q.k:
         raise IndexError(f"component base {j} outside 1..{q.k}")
-    fermionic = isinstance(q, FermionicMLQ)
+    fermionic = q.kind == "fermionic"
     counts = [multiset_indicator(row, q.n) for row in q.rows]
     comps: list[Indicator] = []
     for i in range(j, q.k + 1):
@@ -377,7 +382,7 @@ def ctm_components(q: MLQ, j: int = 1) -> list[Indicator]:
 def ctm_project(q: MLQ, j: int = 1) -> Word:
     """Assemble the corner-transfer readings into a word (layers stacked bottom-up)."""
     layers = sorted(ctm_components(q, j), key=sum, reverse=True)
-    if isinstance(q, FermionicMLQ):
+    if q.kind == "fermionic":
         return FermionicWord.from_layers(layers, q.n)
     return BosonicWord.from_layers(layers, q.n)
 

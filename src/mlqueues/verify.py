@@ -37,7 +37,7 @@ from .markov import (
     tazrp_chain,
     tazrp_transitions,
 )
-from .mlq import BosonicMLQ, FermionicMLQ, MLQ, count_queues, enumerate_queues, twist
+from .mlq import MLQ, QUEUE_CLASSES, count_queues, enumerate_queues, twist
 from .projection import (
     apply_row_particlewise,
     canonical_order_bosonic,
@@ -151,7 +151,7 @@ _RATES_OR_NONE = _field(lambda v: v is None or isinstance(v, list), "a list of r
 
 def _json(value):
     """A case value as witness JSON."""
-    if isinstance(value, (FermionicMLQ, BosonicMLQ)):
+    if isinstance(value, MLQ):
         return documents.emit_queue(value)
     if isinstance(value, RateParams):
         return [documents.format_fraction(v) for v in value.x]
@@ -239,8 +239,7 @@ def _random_queue(rng: random.Random, kind: str, max_n: int, max_k: int, max_par
             rows.append(tuple(sorted(rng.sample(range(1, n + 1), a))))
         else:
             rows.append(tuple(sorted(rng.choices(range(1, n + 1), k=a))))
-    cls = FermionicMLQ if kind == "fermionic" else BosonicMLQ
-    return cls(n, tuple(rows))
+    return QUEUE_CLASSES[kind](n, tuple(rows))
 
 
 def _sweep_queues(bounds: dict, seed: int) -> list[MLQ]:
@@ -324,8 +323,7 @@ def _priority_orders(word):
 
 def _particlewise_mismatch(q: MLQ, all_orders: bool, rng: random.Random) -> bool:
     """Replay the projection fold with the queueing formulation of the row op."""
-    fermionic = isinstance(q, FermionicMLQ)
-    word = FermionicWord((0,) * q.n) if fermionic else BosonicWord(((),) * q.n)
+    word = FermionicWord((0,) * q.n) if q.kind == "fermionic" else BosonicWord(((),) * q.n)
     trace = label_trace(q)
     for j in range(q.k, 0, -1):
         expected = trace[j - 1]

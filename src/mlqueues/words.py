@@ -21,6 +21,15 @@ def _wrap(site: int, n: int) -> int:
     return (site - 1) % n + 1
 
 
+def _built(cls: type, **fields):
+    """A ``cls`` with ``fields`` set, built without ``__post_init__``: only for
+    values derived from validated ones, already in the form it would give them."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def subset_indicator(sites: Iterable[int], n: int) -> Indicator:
     """0/1 vector of a subset of {1..n}; inverse of :func:`indicator_subset`."""
     bits = [0] * n

@@ -293,6 +293,14 @@ class TestFermionicRinging:
         with pytest.raises(IndexError):
             ring_forward(fq(3, (1,)), 4)
 
+    def test_queue_of_the_other_kind_rejected(self):
+        for fn in (ring_forward, ring_reverse):
+            with pytest.raises(ValueError, match="expected a fermionic queue"):
+                fn(bq(3, (1, 1), (2, 2)), 1)
+        for fn in (ring_forward_bosonic, ring_reverse_bosonic):
+            with pytest.raises(ValueError, match="expected a bosonic queue"):
+                fn(fq(3, (1,), (2,)), 1)
+
 
 SIX_X = RateParams((Fraction(1), Fraction(2), Fraction(3), Fraction(5)))
 SIX_D = bq(4, (1, 1, 2, 4, 4), (1, 2, 2, 2), (1, 1, 1), (2, 3))

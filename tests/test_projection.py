@@ -93,6 +93,11 @@ class TestApplyRowBosonic:
         with pytest.raises(ValueError):
             apply_row_bosonic([1], 3, bw("2,-"))
 
+    def test_label_one_collapses_only_with_an_error(self):
+        assert apply_row_bosonic([2], 1, bw("1,-")) == bw("-,1")
+        with pytest.raises(ValueError, match="label 0"):
+            apply_row_bosonic([], 1, bw("1,-"))
+
 
 class TestProject:
     def test_fermionic_example_and_twist_invariance(self):
