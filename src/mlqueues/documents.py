@@ -42,11 +42,11 @@ def parse_queue(doc: dict) -> MLQ:
     kind = doc.get("kind")
     _require(kind in ("fermionic", "bosonic"), f"bad queue kind {kind!r}")
     n = doc.get("n")
-    _require(isinstance(n, int) and n >= 1, "n must be a positive integer")
+    _require(type(n) is int and n >= 1, "n must be a positive integer")
     rows = doc.get("rows")
     _require(isinstance(rows, list) and rows and all(isinstance(r, list) for r in rows), "rows must be a nonempty list of lists")
     for r in rows:
-        _require(all(isinstance(j, int) and 1 <= j <= n for j in r), "row entries must be sites in 1..n")
+        _require(all(type(j) is int and 1 <= j <= n for j in r), "row entries must be sites in 1..n")
     try:
         return QUEUE_CLASSES[kind](n, tuple(tuple(r) for r in rows))
     except ValueError as exc:
@@ -63,17 +63,17 @@ def parse_word(doc: dict) -> Word:
     _require(isinstance(doc, dict), "word document must be an object")
     kind = doc.get("kind")
     n = doc.get("n")
-    _require(isinstance(n, int) and n >= 1, "n must be a positive integer")
+    _require(type(n) is int and n >= 1, "n must be a positive integer")
     if kind == "fermionic_word":
         letters = doc.get("letters")
         _require(isinstance(letters, list) and len(letters) == n, "letters must be a list of length n")
-        _require(all(isinstance(a, int) and a >= 0 for a in letters), "letters must be nonnegative integers")
+        _require(all(type(a) is int and a >= 0 for a in letters), "letters must be nonnegative integers")
         return FermionicWord(tuple(letters))
     if kind == "bosonic_word":
         sites = doc.get("sites")
         _require(isinstance(sites, list) and len(sites) == n, "sites must be a list of length n")
         _require(
-            all(isinstance(s, list) and all(isinstance(a, int) and a >= 1 for a in s) for s in sites),
+            all(isinstance(s, list) and all(type(a) is int and a >= 1 for a in s) for s in sites),
             "site multisets must hold positive integers",
         )
         return BosonicWord(tuple(tuple(s) for s in sites))

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import ClassVar, Iterator, Sequence
 
 from .pairing import _match
-from .words import _built, indicator_multiset, multiset_indicator
+from .words import _built, _ints, indicator_multiset, multiset_indicator
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class Monomial:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(int(e) for e in self.exponents))
+        object.__setattr__(self, "exponents", _ints(self.exponents, "exponents"))
         if any(e < 0 for e in self.exponents):
             raise ValueError("exponents must be nonnegative")
 
@@ -60,9 +60,9 @@ class MLQ:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("ring size must be positive")
-        rows = tuple(tuple(sorted(int(j) for j in r)) for r in self.rows)
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError("ring size must be a positive integer")
+        rows = tuple(tuple(sorted(_ints(r, "row sites"))) for r in self.rows)
         for r in rows:
             if any(not 1 <= j <= self.n for j in r):
                 raise ValueError(f"row site outside 1..{self.n}")

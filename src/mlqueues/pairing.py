@@ -107,8 +107,8 @@ def _match(lower: Sequence[int], upper: Sequence[int], weakly_right: bool) -> tu
 def _row_counts(row: Iterable[int], n: int, fermionic: bool) -> list[int]:
     counts = [0] * n
     for j in row:
-        if not 1 <= j <= n:
-            raise ValueError(f"site {j} outside 1..{n}")
+        if type(j) is not int or not 1 <= j <= n:
+            raise ValueError(f"site {j!r} outside 1..{n}")
         if fermionic and counts[j - 1]:
             raise ValueError("fermionic row contains a duplicate site")
         counts[j - 1] += 1

@@ -24,9 +24,10 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ShapeError
-from .mlq import MLQ, BosonicMLQ, FermionicMLQ, _exchange, enumerate_queues
-from .pairing import _match, pair_strictly_left, pair_weakly_right
+from .mlq import MLQ, _exchange, enumerate_queues
+from .pairing import _match, _row_counts, pair_strictly_left, pair_weakly_right
 from .words import (
+    WORD_CLASSES,
     _built,
     _wrap,
     BosonicWord,
@@ -72,57 +73,47 @@ def _pass_down(row: list[int], fresh_label: int, word: Word, a: int, k: int, wea
     return labels
 
 
+def _apply_row(row: Iterable[int], fresh_label: int, word: Word, kind: str) -> Word:
+    """The row operator on a ``kind`` word; see :func:`apply_row_fermionic`."""
+    if word.kind != kind:
+        raise ValueError(f"a {kind} row operator got a {word.kind} word")
+    fermionic = kind == "fermionic"
+    counts = _row_counts(row, word.n, fermionic)
+    if fresh_label < 1:
+        raise ValueError("fresh label must be positive")
+    content = word.content()
+    if not content:
+        labels = [[fresh_label] * c for c in counts]
+    else:
+        a, k = content[0], content[-1]
+        if fresh_label > a:
+            raise ValueError(f"fresh label {fresh_label} exceeds smallest word label {a}")
+        # per-site labels come out weakly decreasing (paired ones first, then fresh or
+        # collapsed ones): a site never holds both leftover row and leftover word particles
+        labels = _pass_down(counts, fresh_label, word, a, k, fermionic)
+        if a == 1 and any(0 in ls for ls in labels):
+            raise ValueError("a collapsing label-1 particle would get label 0")
+    if fermionic:
+        # a site never gets two labels: a word particle over a row particle pairs straight down
+        return _built(FermionicWord, letters=tuple([ls[0] if ls else 0 for ls in labels]))
+    return _built(BosonicWord, sites=tuple([tuple(reversed(ls)) for ls in labels]))
+
+
 def apply_row_fermionic(row: Iterable[int], fresh_label: int, word: FermionicWord) -> FermionicWord:
     """Pass the labels of ``word`` down through one fermionic row.
 
     ``fresh_label`` labels the row particles that no word particle reaches;
     it must not exceed the smallest label present in the word.  An all-zero
     word labels every row particle with ``fresh_label``; an empty row lets
-    every word particle collapse (all labels drop by one).
+    every word particle collapse (all labels drop by one), which a label-1
+    particle cannot do: that raises ``ValueError``.
     """
-    n = word.n
-    q = [0] * n
-    for j in row:
-        if not 1 <= j <= n:
-            raise ValueError("row site outside the ring")
-        if q[j - 1]:
-            raise ValueError("fermionic row contains a duplicate site")
-        q[j - 1] = 1
-    if fresh_label < 1:
-        raise ValueError("fresh label must be positive")
-    present = [r for r in word.letters if r]
-    if not present:
-        return _built(FermionicWord, letters=tuple(fresh_label if c else 0 for c in q))
-    a, k = min(present), max(present)
-    if fresh_label > a:
-        raise ValueError(f"fresh label {fresh_label} exceeds smallest word label {a}")
-    labels = _pass_down(q, fresh_label, word, a, k, True)
-    # a site never gets two labels: a word particle over a row particle pairs straight down
-    return _built(FermionicWord, letters=tuple(ls[0] if ls else 0 for ls in labels))
+    return _apply_row(row, fresh_label, word, "fermionic")
 
 
 def apply_row_bosonic(row: Iterable[int], fresh_label: int, word: BosonicWord) -> BosonicWord:
     """Bosonic analogue of :func:`apply_row_fermionic` (strictly-left pairing)."""
-    n = word.n
-    d = [0] * n
-    for j in row:
-        j = int(j)
-        if not 1 <= j <= n:
-            raise ValueError("row site outside the ring")
-        d[j - 1] += 1
-    if fresh_label < 1:
-        raise ValueError("fresh label must be positive")
-    if word.is_empty:
-        return _built(BosonicWord, sites=tuple((fresh_label,) * c for c in d))
-    a, k = word.min_label(), word.max_label
-    if fresh_label > a:
-        raise ValueError(f"fresh label {fresh_label} exceeds smallest word label {a}")
-    # per-site labels come out weakly decreasing (paired ones first, then fresh or
-    # collapsed ones): a site never holds both leftover row and leftover word particles
-    labels = _pass_down(d, fresh_label, word, a, k, False)
-    if a == 1 and any(0 in ls for ls in labels):
-        raise ValueError("a collapsing label-1 particle would get label 0")
-    return _built(BosonicWord, sites=tuple(tuple(reversed(ls)) for ls in labels))
+    return _apply_row(row, fresh_label, word, "bosonic")
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +133,8 @@ def label_trace(q: MLQ) -> list[Word]:
     is the projection itself.  Entry j-1 also equals the projection of the
     subqueue rows j..k with every label raised by j-1.
     """
-    if q.kind == "fermionic":
-        word, apply_row = FermionicWord((0,) * q.n), apply_row_fermionic
-    else:
-        word, apply_row = BosonicWord(((),) * q.n), apply_row_bosonic
+    word = WORD_CLASSES[q.kind].from_particles(q.n, ())
+    apply_row = apply_row_fermionic if q.kind == "fermionic" else apply_row_bosonic
     out: list[Word] = []
     for j in range(q.k, 0, -1):
         word = apply_row(q.rows[j - 1], j, word)
@@ -171,68 +160,34 @@ def ferrari_martin(q: MLQ) -> Word:
     """Classic top-down label passing; defined only on straight queues.
 
     Kept deliberately independent of :func:`apply_row`: labels are handed down
-    one class at a time against a shrinking pool of unclaimed particles.
+    one class at a time against a shrinking pool of unclaimed particles, by
+    the public pairing map of the queue's kind.
     """
     if not q.is_straight:
         raise ShapeError(f"label passing needs weakly decreasing row sizes, got {q.shape}")
-    if q.kind == "fermionic":
-        return _fm_fermionic(q)
-    return _fm_bosonic(q)
-
-
-def _fm_fermionic(q: FermionicMLQ) -> FermionicWord:
-    carry: dict[int, int] = {}
+    pair = pair_weakly_right if q.kind == "fermionic" else pair_strictly_left
+    carry: Counter = Counter()  # (site, label) -> particles of row r holding a label from above
     for r in range(q.k, 0, -1):
-        labels = dict(carry)
-        for site in q.rows[r - 1]:
-            labels.setdefault(site, r)
-        if r == 1:
-            letters = [0] * q.n
-            for site, lab in labels.items():
-                letters[site - 1] = lab
-            return FermionicWord(tuple(letters))
-        pool = set(q.rows[r - 2])
-        carry = {}
-        for lab in range(q.k, r - 1, -1):
-            srcs = [site for site, l in labels.items() if l == lab]
-            if not srcs:
-                continue
-            res = pair_weakly_right(pool, srcs, q.n)
-            if res.unpaired_upper:
-                raise AssertionError("straight queue left a label stranded")
-            for site in res.paired_lower:
-                carry[site] = lab
-            pool -= set(res.paired_lower)
-    raise AssertionError("unreachable")
-
-
-def _fm_bosonic(q: BosonicMLQ) -> BosonicWord:
-    carry: Counter = Counter()  # keys (site, label)
-    for r in range(q.k, 0, -1):
-        labels = Counter(carry)
-        row_count = Counter(q.rows[r - 1])
-        for site in row_count:
-            carried = sum(c for (s, _), c in labels.items() if s == site)
-            if carried > row_count[site]:
+        labels, unclaimed = Counter(carry), Counter(q.rows[r - 1])
+        for (site, _), c in carry.items():
+            unclaimed[site] -= c
+        for site, c in unclaimed.items():
+            if c < 0:
                 raise AssertionError("more labels than particles at a site")
-            labels[(site, r)] += row_count[site] - carried
+            if c:
+                labels[site, r] = c
         if r == 1:
-            sites: list[list[int]] = [[] for _ in range(q.n)]
-            for (site, lab), c in labels.items():
-                sites[site - 1].extend([lab] * c)
-            return BosonicWord(tuple(tuple(sorted(s)) for s in sites))
-        pool = Counter(q.rows[r - 2])
-        carry = Counter()
-        for lab in range(q.k, r - 1, -1):
-            srcs = Counter({site: c for (site, l), c in labels.items() if l == lab and c})
-            if not srcs:
-                continue
-            res = pair_strictly_left(pool.elements(), srcs.elements(), q.n)
+            return WORD_CLASSES[q.kind].from_particles(q.n, labels.elements())
+        by_label: dict[int, list[int]] = {}
+        for (site, lab), c in sorted(labels.items(), key=lambda p: -p[0][1]):
+            by_label.setdefault(lab, []).extend([site] * c)
+        pool, carry = q.rows[r - 2], Counter()
+        for lab, srcs in by_label.items():
+            res = pair(pool, srcs, q.n)
             if res.unpaired_upper:
                 raise AssertionError("straight queue left a label stranded")
-            for site, c in Counter(res.paired_lower).items():
-                carry[(site, lab)] += c
-            pool -= Counter(res.paired_lower)
+            carry.update((site, lab) for site in res.paired_lower)
+            pool = res.unpaired_lower  # the particles no higher class has claimed
     raise AssertionError("unreachable")
 
 
@@ -241,79 +196,29 @@ def _fm_bosonic(q: BosonicMLQ) -> BosonicWord:
 # ---------------------------------------------------------------------------
 
 
-def canonical_order_fermionic(word: FermionicWord) -> tuple[int, ...]:
-    """Priority order on the occupied sites: labels descending, sites ascending."""
-    return tuple(sorted(word.support(), key=lambda j: (-word.letters[j - 1], j)))
-
-
-def canonical_order_bosonic(word: BosonicWord) -> tuple[tuple[int, int], ...]:
-    """Priority order on (site, label) particles: labels descending, sites ascending."""
-    parts = [(j, a) for j in range(1, word.n + 1) for a in word.sites[j - 1]]
-    return tuple(sorted(parts, key=lambda p: (-p[1], p[0])))
+def canonical_order(word: Word) -> tuple[tuple[int, int], ...]:
+    """Priority order on the (site, label) particles: labels descending, sites ascending."""
+    return tuple(sorted(word.particles(), key=lambda p: (-p[1], p[0])))
 
 
 def apply_row_particlewise(row: Iterable[int], fresh_label: int, word: Word, order=None) -> Word:
     """Queueing formulation of the row operator: one particle pairs at a time.
 
-    ``order`` lists the word particles in a priority-respecting order (labels
-    weakly decreasing): sites for a fermionic word, (site, label) pairs for a
-    bosonic one.  The output does not depend on the order chosen.
+    ``order`` lists the word's (site, label) particles in a priority-respecting
+    order (labels weakly decreasing), :func:`canonical_order` by default.  The
+    output does not depend on the order chosen.  While free row particles
+    remain, each word particle takes the nearest one: weakly right of its
+    site (own site first) on a fermionic row, strictly left (own site last)
+    on a bosonic one.  Each later particle collapses: the one word particle
+    the kind's pairing map leaves stranded drops through with its label less
+    one, which a label-1 particle cannot do (``ValueError``).
     """
-    if isinstance(word, FermionicWord):
-        return _particlewise_fermionic(row, fresh_label, word, order)
-    return _particlewise_bosonic(row, fresh_label, word, order)
-
-
-def _particlewise_fermionic(row, fresh_label, word, order):
     n = word.n
-    q = frozenset(row)
-    if order is None:
-        order = canonical_order_fermionic(word)
-    order = tuple(order)
-    if tuple(sorted(order)) != word.support():
-        raise ValueError("order must list exactly the occupied sites")
-    labs = [word.letters[j - 1] for j in order]
-    if any(a < b for a, b in zip(labs, labs[1:])):
-        raise ValueError("order must have weakly decreasing labels")
-    if fresh_label < 1 or (labs and fresh_label > labs[-1]):
-        raise ValueError("fresh label exceeds smallest word label")
-
-    y = [0] * n
-    free = set(q)
-    cap = min(len(q), len(order))
-    for s in order[:cap]:
-        # nearest free row particle weakly right of s, scanning the full circle
-        for step in range(n):
-            t = _wrap(s + step, n)
-            if t in free:
-                free.remove(t)
-                y[t - 1] = word.letters[s - 1]
-                break
-        else:
-            raise AssertionError("pairing phase ran out of row particles")
-    for t in free:
-        y[t - 1] = fresh_label
-    pending = set(order[:cap])
-    for s in order[cap:]:
-        pending.add(s)
-        res = pair_weakly_right(q, pending, n)
-        if len(res.unpaired_upper) != 1:
-            raise AssertionError("collapse step must strand exactly one particle")
-        m = res.unpaired_upper[0]
-        y[m - 1] = word.letters[s - 1] - 1
-        pending.remove(m)
-    return FermionicWord(tuple(y))
-
-
-def _particlewise_bosonic(row, fresh_label, word, order):
-    n = word.n
-    d = Counter(int(j) for j in row)
-    if order is None:
-        order = canonical_order_bosonic(word)
-    order = tuple((int(j), int(a)) for j, a in order)
-    particles = Counter(order)
-    actual = Counter((j, a) for j in range(1, n + 1) for a in word.sites[j - 1])
-    if particles != actual:
+    fermionic = word.kind == "fermionic"
+    row = list(row)
+    free = _row_counts(row, n, fermionic)  # row particles no word particle has taken yet
+    order = canonical_order(word) if order is None else tuple(order)
+    if tuple(sorted(order)) != word.particles():
         raise ValueError("order must list exactly the word's particles")
     labs = [a for _, a in order]
     if any(a < b for a, b in zip(labs, labs[1:])):
@@ -321,31 +226,32 @@ def _particlewise_bosonic(row, fresh_label, word, order):
     if fresh_label < 1 or (labs and fresh_label > labs[-1]):
         raise ValueError("fresh label exceeds smallest word label")
 
-    out: list[list[int]] = [[] for _ in range(n)]
-    free = Counter(d)
-    cap = min(sum(d.values()), len(order))
+    out: list[tuple[int, int]] = []
+    cap = min(sum(free), len(order))
+    steps = range(n) if fermionic else range(-1, -n - 1, -1)
     for site, lab in order[:cap]:
-        # nearest free row particle strictly left of the site, own site last
-        for step in range(1, n + 1):
-            t = _wrap(site - step, n)
-            if free[t]:
-                free[t] -= 1
-                out[t - 1].append(lab)
+        for step in steps:
+            t = _wrap(site + step, n)
+            if free[t - 1]:
+                free[t - 1] -= 1
+                out.append((t, lab))
                 break
         else:
             raise AssertionError("pairing phase ran out of row particles")
-    for t, c in free.items():
-        out[t - 1].extend([fresh_label] * c)
-    pending = Counter(site for site, _ in order[:cap])
+    out += [(t + 1, fresh_label) for t, c in enumerate(free) for _ in range(c)]
+    pair = pair_weakly_right if fermionic else pair_strictly_left
+    pending = [site for site, _ in order[:cap]]
     for site, lab in order[cap:]:
-        pending[site] += 1
-        res = pair_strictly_left(d.elements(), pending.elements(), n)
+        if lab == 1:
+            raise ValueError("a collapsing label-1 particle would get label 0")
+        pending.append(site)
+        res = pair(row, pending, n)
         if len(res.unpaired_upper) != 1:
             raise AssertionError("collapse step must strand exactly one particle")
         m = res.unpaired_upper[0]
-        out[m - 1].append(lab - 1)
-        pending[m] -= 1
-    return BosonicWord(tuple(tuple(sorted(s)) for s in out))
+        out.append((m, lab - 1))
+        pending.remove(m)
+    return WORD_CLASSES[word.kind].from_particles(n, out)
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +288,7 @@ def ctm_components(q: MLQ, j: int = 1) -> list[Indicator]:
 def ctm_project(q: MLQ, j: int = 1) -> Word:
     """Assemble the corner-transfer readings into a word (layers stacked bottom-up)."""
     layers = sorted(ctm_components(q, j), key=sum, reverse=True)
-    if q.kind == "fermionic":
-        return FermionicWord.from_layers(layers, q.n)
-    return BosonicWord.from_layers(layers, q.n)
+    return WORD_CLASSES[q.kind].from_layers(layers, q.n)
 
 
 def check_r_expansion(row: Sequence[int], word: Word) -> bool:
@@ -398,7 +302,7 @@ def check_r_expansion(row: Sequence[int], word: Word) -> bool:
     """
     if word.content() and word.content()[0] < 2:
         raise ValueError("smallest word label must be at least 2")
-    fermionic = isinstance(word, FermionicWord)
+    fermionic = word.kind == "fermionic"
     counts = multiset_indicator(row, word.n)
     stack = [counts] + [tuple(_exchange(counts, u, fermionic)[0]) for u in word.layers()[1:]]
     if fermionic:

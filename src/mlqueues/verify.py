@@ -40,8 +40,7 @@ from .markov import (
 from .mlq import MLQ, QUEUE_CLASSES, count_queues, enumerate_queues, twist
 from .projection import (
     apply_row_particlewise,
-    canonical_order_bosonic,
-    canonical_order_fermionic,
+    canonical_order,
     ctm_components,
     ctm_project,
     ferrari_martin,
@@ -49,7 +48,7 @@ from .projection import (
     label_trace,
     project,
 )
-from .words import BosonicWord, FermionicWord, _wrap
+from .words import WORD_CLASSES, _wrap
 
 
 def worker_count() -> int:
@@ -309,13 +308,9 @@ def check_projection_routes(case: dict) -> list:
 
 def _priority_orders(word):
     """Every order of the word's particles that takes larger labels first."""
-    if isinstance(word, FermionicWord):
-        particles = [(word.letters[j - 1], j) for j in word.support()]
-    else:
-        particles = [(a, (j, a)) for j in range(1, word.n + 1) for a in word.sites[j - 1]]
     by_label: dict = {}
-    for a, p in particles:
-        by_label.setdefault(a, []).append(p)
+    for p in word.particles():
+        by_label.setdefault(p[1], []).append(p)
     classes = [by_label[a] for a in sorted(by_label, reverse=True)]
     for perms in itertools.product(*[itertools.permutations(c) for c in classes]):
         yield tuple(p for block in perms for p in block)
@@ -323,7 +318,7 @@ def _priority_orders(word):
 
 def _particlewise_mismatch(q: MLQ, all_orders: bool, rng: random.Random) -> bool:
     """Replay the projection fold with the queueing formulation of the row op."""
-    word = FermionicWord((0,) * q.n) if q.kind == "fermionic" else BosonicWord(((),) * q.n)
+    word = WORD_CLASSES[q.kind].from_particles(q.n, ())
     trace = label_trace(q)
     for j in range(q.k, 0, -1):
         expected = trace[j - 1]
@@ -331,7 +326,7 @@ def _particlewise_mismatch(q: MLQ, all_orders: bool, rng: random.Random) -> bool
         if got != expected:
             return True
         if all_orders:
-            n_particles = len(word.content())
+            n_particles = len(word.particles())
             if n_particles <= 6:
                 orders = _priority_orders(word)
             else:
@@ -344,14 +339,13 @@ def _particlewise_mismatch(q: MLQ, all_orders: bool, rng: random.Random) -> bool
 
 
 def _random_orders(word, rng: random.Random, count: int):
-    base = canonical_order_fermionic(word) if isinstance(word, FermionicWord) else canonical_order_bosonic(word)
-    label_of = (lambda s: word.letters[s - 1]) if isinstance(word, FermionicWord) else (lambda p: p[1])
+    base = canonical_order(word)
     for _ in range(count):
         order = list(base)
         # shuffle within equal-label runs
         start = 0
         for end in range(1, len(order) + 1):
-            if end == len(order) or label_of(order[end]) != label_of(order[start]):
+            if end == len(order) or order[end][1] != order[start][1]:
                 chunk = order[start:end]
                 rng.shuffle(chunk)
                 order[start:end] = chunk

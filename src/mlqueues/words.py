@@ -4,14 +4,15 @@ A fermionic word assigns a nonnegative integer label to each of the n ring
 sites (0 marks an empty site).  A bosonic word assigns a multiset of positive
 labels to each site.  Both decompose uniquely into a weakly decreasing stack
 of indicator vectors (the "layers"): layer m marks, per site, how many
-particles of label >= m sit there.  Sites are 1-indexed everywhere in the
-public interface; tuples are 0-indexed internally.
+particles of label >= m sit there.  Both also read as their ``(site, label)``
+particles.  Sites are 1-indexed everywhere in the public interface; tuples
+are 0-indexed internally.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 Indicator = tuple[int, ...]
 
@@ -28,6 +29,30 @@ def _built(cls: type, **fields):
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
     return obj
+
+
+def _ints(values: Iterable, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple, once each is a plain ``int`` (no ``bool``, no ``float``)."""
+    out = tuple(values)
+    if not {int}.issuperset(map(type, out)):
+        raise ValueError(f"{what} must be integers")
+    return out
+
+
+def _site_labels(n: int, particles: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Per-site label lists of ``(site, label)`` particles on n sites, validated."""
+    if type(n) is not int or n < 1:
+        raise ValueError("ring size must be a positive integer")
+    sites: list[list[int]] = [[] for _ in range(n)]
+    for site, label in particles:
+        if type(site) is not int or type(label) is not int:
+            raise ValueError("particle sites and labels must be integers")
+        if not 1 <= site <= n:
+            raise ValueError(f"site {site} outside 1..{n}")
+        if label < 1:
+            raise ValueError("labels must be positive")
+        sites[site - 1].append(label)
+    return sites
 
 
 def subset_indicator(sites: Iterable[int], n: int) -> Indicator:
@@ -75,10 +100,11 @@ def _check_nested(layers: Sequence[Indicator]) -> None:
 class FermionicWord:
     """Per-site labels; 0 means empty.  Immutable and hashable."""
 
+    kind: ClassVar[str] = "fermionic"
     letters: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(int(a) for a in self.letters))
+        object.__setattr__(self, "letters", _ints(self.letters, "letters"))
         if not self.letters:
             raise ValueError("word must have at least one site")
         if any(a < 0 for a in self.letters):
@@ -96,9 +122,21 @@ class FermionicWord:
         """Sites carrying a particle, ascending."""
         return tuple(j + 1 for j, a in enumerate(self.letters) if a)
 
+    def particles(self) -> tuple[tuple[int, int], ...]:
+        """The (site, label) particles, sites ascending."""
+        return tuple((j + 1, a) for j, a in enumerate(self.letters) if a)
+
+    @classmethod
+    def from_particles(cls, n: int, particles: Iterable[tuple[int, int]]) -> "FermionicWord":
+        """The word on n sites holding ``particles``; inverse of :meth:`particles`."""
+        sites = _site_labels(n, particles)
+        if max(map(len, sites)) > 1:
+            raise ValueError("a fermionic site holds at most one particle")
+        return _built(cls, letters=tuple([s[0] if s else 0 for s in sites]))
+
     def content(self) -> tuple[int, ...]:
         """Multiset of nonzero labels, sorted ascending."""
-        return tuple(sorted(a for a in self.letters if a))
+        return tuple(sorted([a for a in self.letters if a]))
 
     def layer(self, m: int) -> Indicator:
         """Indicator of sites with label >= m."""
@@ -134,10 +172,11 @@ class FermionicWord:
 class BosonicWord:
     """Per-site multisets of positive labels, each stored sorted ascending."""
 
+    kind: ClassVar[str] = "bosonic"
     sites: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        norm = tuple(tuple(sorted(int(a) for a in s)) for s in self.sites)
+        norm = tuple(tuple(sorted(_ints(s, "labels"))) for s in self.sites)
         object.__setattr__(self, "sites", norm)
         if not norm:
             raise ValueError("word must have at least one site")
@@ -152,16 +191,18 @@ class BosonicWord:
     def max_label(self) -> int:
         return max((a for s in self.sites for a in s), default=0)
 
-    @property
-    def is_empty(self) -> bool:
-        return all(not s for s in self.sites)
-
     def content(self) -> tuple[int, ...]:
         """Multiset union of all site labels, sorted ascending."""
-        return tuple(sorted(a for s in self.sites for a in s))
+        return tuple(sorted([a for s in self.sites for a in s]))
 
-    def min_label(self) -> int:
-        return min((a for s in self.sites for a in s), default=0)
+    def particles(self) -> tuple[tuple[int, int], ...]:
+        """The (site, label) particles, sites ascending, labels ascending at a site."""
+        return tuple((j + 1, a) for j, s in enumerate(self.sites) for a in s)
+
+    @classmethod
+    def from_particles(cls, n: int, particles: Iterable[tuple[int, int]]) -> "BosonicWord":
+        """The word on n sites holding ``particles``; inverse of :meth:`particles`."""
+        return _built(cls, sites=tuple(tuple(sorted(s)) for s in _site_labels(n, particles)))
 
     def layer(self, m: int) -> Indicator:
         """Per-site count of labels >= m."""
@@ -212,3 +253,4 @@ def add_layer(word: BosonicWord, counts: Sequence[int]) -> BosonicWord:
 
 
 Word = FermionicWord | BosonicWord
+WORD_CLASSES: dict[str, type[Word]] = {"fermionic": FermionicWord, "bosonic": BosonicWord}

@@ -118,7 +118,8 @@ class TestCriterion1:
         assert twist(d, 2).rows == ((1, 2, 2, 4, 5), (1, 2, 2, 2), (4, 6))
 
     def test_criterion_1_queueing_example_fermionic(self):
-        out = apply_row_particlewise({1, 3, 5, 6}, 2, fw("243433"), order=(2, 4, 3, 5, 6, 1))
+        order = ((2, 4), (4, 4), (3, 3), (5, 3), (6, 3), (1, 2))
+        out = apply_row_particlewise({1, 3, 5, 6}, 2, fw("243433"), order=order)
         assert out == fw("324143")
 
     @pytest.mark.xfail(

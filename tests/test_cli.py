@@ -335,6 +335,23 @@ class TestExitCodesAndSchema:
         code, _, _ = run(capsys, "project", "--in", write_doc(tmp_path, doc))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("project", {"kind": "fermionic", "n": True, "rows": [[1]]}),
+            ("project", {"kind": "fermionic", "n": 2, "rows": [[True]]}),
+            ("project", {"kind": "bosonic", "n": 2, "rows": [[1, True]]}),
+            ("render", {"kind": "fermionic_word", "n": True, "letters": [1]}),
+            ("render", {"kind": "fermionic_word", "n": 2, "letters": [True, 0]}),
+            ("render", {"kind": "bosonic_word", "n": 2, "sites": [[True], []]}),
+        ],
+        ids=["n", "fermionic-site", "bosonic-site", "word-n", "letter", "label"],
+    )
+    def test_json_booleans_are_not_integers(self, tmp_path, capsys, command, doc):
+        code, out, err = run(capsys, command, "--in", write_doc(tmp_path, doc))
+        assert (code, out) == (2, "")
+        assert "input error" in err
+
 
 class TestDocuments:
     def test_queue_round_trip(self):

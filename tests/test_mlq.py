@@ -198,6 +198,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             FermionicMLQ(3, ((4,),))
 
+    def test_non_integer_exponents_rejected(self):
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            Monomial((1.5, 2))
+
+    def test_non_integer_sites_rejected(self):
+        with pytest.raises(ValueError, match="row sites must be integers"):
+            FermionicMLQ(3, ((1.7,),))
+        with pytest.raises(ValueError, match="row sites must be integers"):
+            BosonicMLQ(3, ((True,),))
+        with pytest.raises(ValueError, match="ring size must be a positive integer"):
+            BosonicMLQ(3.0, ((1,),))
+
     def test_kinds_never_compare_equal(self):
         f, b = FermionicMLQ(3, ((1, 2), (3,))), BosonicMLQ(3, ((1, 2), (3,)))
         assert f != b and f.rows == b.rows

@@ -3,6 +3,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mlqueues import (
     BosonicMLQ,
@@ -27,7 +29,7 @@ from mlqueues import (
 )
 from mlqueues import verify
 from mlqueues.documents import parse_queue
-from mlqueues.projection import canonical_order_fermionic
+from mlqueues.projection import canonical_order
 
 from conftest import bq, bw, fq, fw
 
@@ -47,6 +49,35 @@ def random_queue(rng, kind, max_n=6, max_k=4, max_part=4):
             rows.append(tuple(sorted(rng.choices(range(1, n + 1), k=a))))
     cls = FermionicMLQ if kind == "fermionic" else BosonicMLQ
     return cls(n, tuple(rows))
+
+
+LABEL_ONE = {
+    "fermionic": (apply_row_fermionic, fw("10"), fw("01")),
+    "bosonic": (apply_row_bosonic, bw("1,-"), bw("-,1")),
+}
+
+
+class TestApplyRow:
+    @pytest.mark.parametrize("kind", sorted(LABEL_ONE))
+    def test_label_one_collapses_only_with_an_error(self, kind):
+        apply_row, word, image = LABEL_ONE[kind]
+        assert apply_row([2], 1, word) == image == apply_row_particlewise([2], 1, word)
+        with pytest.raises(ValueError, match="label-1 particle would get label 0"):
+            apply_row([], 1, word)
+        with pytest.raises(ValueError, match="label-1 particle would get label 0"):
+            apply_row_particlewise([], 1, word)
+
+    def test_word_of_the_other_kind_rejected(self):
+        with pytest.raises(ValueError, match="fermionic row operator got a bosonic word"):
+            apply_row_fermionic([1], 1, bw("2,-"))
+        with pytest.raises(ValueError, match="bosonic row operator got a fermionic word"):
+            apply_row_bosonic([1], 1, fw("20"))
+
+    def test_non_integer_row_site_rejected(self):
+        with pytest.raises(ValueError, match="site 1.5"):
+            apply_row_bosonic([1.5], 1, bw("-,-"))
+        with pytest.raises(ValueError, match="site True"):
+            apply_row_fermionic([True], 1, fw("00"))
 
 
 class TestApplyRowFermionic:
@@ -92,11 +123,6 @@ class TestApplyRowBosonic:
     def test_fresh_label_bound(self):
         with pytest.raises(ValueError):
             apply_row_bosonic([1], 3, bw("2,-"))
-
-    def test_label_one_collapses_only_with_an_error(self):
-        assert apply_row_bosonic([2], 1, bw("1,-")) == bw("-,1")
-        with pytest.raises(ValueError, match="label 0"):
-            apply_row_bosonic([], 1, bw("1,-"))
 
 
 class TestProject:
@@ -168,7 +194,8 @@ class TestFerrariMartin:
 
 class TestParticlewise:
     def test_fermionic_appendix_example(self):
-        out = apply_row_particlewise({1, 3, 5, 6}, 2, fw("243433"), order=(2, 4, 3, 5, 6, 1))
+        order = ((2, 4), (4, 4), (3, 3), (5, 3), (6, 3), (1, 2))
+        out = apply_row_particlewise({1, 3, 5, 6}, 2, fw("243433"), order=order)
         assert out == fw("324143")
 
     def test_bosonic_appendix_example_consistent_value(self):
@@ -184,9 +211,9 @@ class TestParticlewise:
 
     def test_distinct_labels_have_unique_order(self):
         word = fw("3010200")
-        orders = [canonical_order_fermionic(word)]
-        assert orders == [(1, 5, 3)]
-        assert apply_row_particlewise({2, 6}, 1, word) == apply_row_fermionic({2, 6}, 1, word)
+        orders = [canonical_order(word)]
+        assert orders == [((1, 3), (5, 2), (3, 1))]
+        assert apply_row_particlewise({2, 4, 6}, 1, word) == apply_row_fermionic({2, 4, 6}, 1, word)
 
     def test_all_orders_agree_small(self):
         rng = random.Random(23)
@@ -195,11 +222,11 @@ class TestParticlewise:
             word = label_trace(q)[-1] if q.k > 1 else FermionicWord((0,) * q.n)
             expected = apply_row_fermionic(q.rows[0], 1, word)
             by_label = {}
-            for j in word.support():
-                by_label.setdefault(word.letters[j - 1], []).append(j)
+            for p in word.particles():
+                by_label.setdefault(p[1], []).append(p)
             classes = [by_label[a] for a in sorted(by_label, reverse=True)]
             for perm in itertools.product(*[itertools.permutations(c) for c in classes]):
-                order = tuple(j for block in perm for j in block)
+                order = tuple(p for block in perm for p in block)
                 assert apply_row_particlewise(q.rows[0], 1, word, order) == expected
 
     def test_all_orders_agree_small_bosonic(self):
@@ -219,11 +246,56 @@ class TestParticlewise:
                 order = tuple(p for block in perm for p in block)
                 assert apply_row_particlewise(d.rows[0], 1, word, order) == expected
 
+    @pytest.mark.parametrize("row", [[2, 2], [0], [4]], ids=["duplicate", "site-0", "site-n+1"])
+    def test_rows_validated_like_the_operator(self, row):
+        with pytest.raises(ValueError):
+            apply_row_particlewise(row, 1, fw("000"))
+        if row != [2, 2]:
+            with pytest.raises(ValueError):
+                apply_row_particlewise(row, 1, bw("-,-,-"))
+
     def test_invalid_order_rejected(self):
         with pytest.raises(ValueError):
-            apply_row_particlewise({1}, 1, fw("210"), order=(2, 1))  # labels increase
+            apply_row_particlewise({1}, 1, fw("210"), order=((2, 1), (1, 2)))  # labels increase
         with pytest.raises(ValueError):
-            apply_row_particlewise({1}, 1, fw("210"), order=(1,))  # misses a particle
+            apply_row_particlewise({1}, 1, fw("210"), order=((1, 2),))  # misses a particle
+
+
+@st.composite
+def rows_and_words(draw):
+    """A row, a fresh label and a word whose labels are at least that label,
+    with no label-1 particle left to collapse."""
+    kind = draw(st.sampled_from(("fermionic", "bosonic")))
+    n = draw(st.integers(1, 6))
+    fresh = draw(st.integers(1, 3))
+    label = st.integers(fresh, fresh + 3)
+    if kind == "fermionic":
+        row = draw(st.lists(st.integers(1, n), max_size=n, unique=True))
+        word = FermionicWord(tuple(draw(st.lists(st.just(0) | label, min_size=n, max_size=n))))
+    else:
+        row = draw(st.lists(st.integers(1, n), max_size=5))
+        word = BosonicWord(tuple(map(tuple, draw(st.lists(st.lists(label, max_size=3), min_size=n, max_size=n)))))
+    parts = word.particles()
+    # the particles beyond the row's capacity collapse, and they hold the smallest labels
+    assume(not (len(parts) > len(row) and min(a for _, a in parts) == 1))
+    return row, fresh, word
+
+
+class TestParticlewiseProperties:
+    """The queueing replay equals the row operator on arbitrary words, not only on fold outputs."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rows_and_words(), st.data())
+    def test_equals_row_operator_under_any_priority_order(self, case, data):
+        row, fresh, word = case
+        apply_row = apply_row_fermionic if word.kind == "fermionic" else apply_row_bosonic
+        expected = apply_row(row, fresh, word)
+        assert apply_row_particlewise(row, fresh, word, canonical_order(word)) == expected
+        by_label = {}
+        for p in word.particles():
+            by_label.setdefault(p[1], []).append(p)
+        order = tuple(p for a in sorted(by_label, reverse=True) for p in data.draw(st.permutations(by_label[a])))
+        assert apply_row_particlewise(row, fresh, word, order) == expected
 
 
 def r_matrix(bottom, top, n, kind):

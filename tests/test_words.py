@@ -15,6 +15,8 @@ from mlqueues import (
     subset_indicator,
 )
 
+from mlqueues.words import WORD_CLASSES
+
 from conftest import bw, fw
 
 
@@ -151,6 +153,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             BosonicWord(((0,),))
 
+    def test_non_integer_labels_rejected(self):
+        with pytest.raises(ValueError, match="letters must be integers"):
+            FermionicWord((1.5, 0))
+        with pytest.raises(ValueError, match="labels must be integers"):
+            BosonicWord(((2.9,),))
+        with pytest.raises(ValueError, match="letters must be integers"):
+            FermionicWord((True, 0))
+
     def test_bosonic_sites_canonically_sorted(self):
         assert BosonicWord(((3, 1, 2),)).sites == ((1, 2, 3),)
 
@@ -159,3 +169,42 @@ class TestValidation:
         assert w.support() == (1, 3, 4)
         assert w.content() == (2, 3, 5)
         assert bw("13,2,-").content() == (1, 2, 3)
+
+
+@st.composite
+def words(draw):
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        return FermionicWord(tuple(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))))
+    sites = draw(st.lists(st.lists(st.integers(1, 5), max_size=3), min_size=n, max_size=n))
+    return BosonicWord(tuple(map(tuple, sites)))
+
+
+class TestParticles:
+    def test_examples(self):
+        assert fw("3052").particles() == ((1, 3), (3, 5), (4, 2))
+        assert bw("31,-,2").particles() == ((1, 1), (1, 3), (3, 2))
+        assert FermionicWord.from_particles(3, ()) == fw("000")
+        assert BosonicWord.from_particles(2, [(2, 4), (1, 2), (2, 1)]) == bw("2,14")
+        assert WORD_CLASSES == {"fermionic": FermionicWord, "bosonic": BosonicWord}
+        assert (fw("1").kind, bw("1").kind) == ("fermionic", "bosonic")
+
+    @pytest.mark.parametrize("cls", [FermionicWord, BosonicWord])
+    @pytest.mark.parametrize(
+        "n, particles",
+        [(0, ()), (True, ()), (2, [(3, 1)]), (2, [(0, 1)]), (2, [(1, 0)]), (2, [(1, 1.0)]), (2, [(1.0, 1)])],
+    )
+    def test_from_particles_validates(self, cls, n, particles):
+        with pytest.raises(ValueError):
+            cls.from_particles(n, particles)
+
+    def test_fermionic_site_holds_one_particle(self):
+        with pytest.raises(ValueError, match="at most one particle"):
+            FermionicWord.from_particles(2, [(1, 2), (1, 3)])
+
+    @settings(max_examples=200, derandomize=True)
+    @given(words())
+    def test_round_trip(self, w):
+        assert type(w).from_particles(w.n, w.particles()) == w
+        assert [s for s, _ in w.particles()] == sorted(s for s, _ in w.particles())
+        assert sorted(a for _, a in w.particles()) == list(w.content())
