@@ -121,21 +121,22 @@ def cmd_stationary(args) -> int:
             {"state": documents.emit_queue(s), "prob": documents.format_fraction(p), "weight": list(s.weight().exponents)}
             for s, p in probs.items()
         ]
-        _emit(
-            {
-                "model": model,
-                "lambda": list(lam),
-                "n": n,
-                "x": None if show_x is None else [documents.format_fraction(v) for v in show_x],
-                "entries": entries,
-            }
-        )
+        doc = {
+            "model": model,
+            "lambda": list(lam),
+            "n": n,
+            "x": None if show_x is None else [documents.format_fraction(v) for v in show_x],
+            "entries": entries,
+        }
     else:
-        _emit(
-            documents.emit_distribution(
-                model, lam, n, show_x, [(s, p, None) for s, p in sorted(probs.items(), key=lambda kv: str(kv[0]))]
-            )
+        doc = documents.emit_distribution(
+            model, lam, n, show_x, [(s, p, None) for s, p in sorted(probs.items(), key=lambda kv: str(kv[0]))]
         )
+    if args.method == "mc":  # sampled frequencies are estimates, not exact rationals
+        doc["estimate"] = True
+        for e in doc["entries"]:
+            e["prob"] = float(Fraction(e["prob"]))
+    _emit(doc)
     return 0
 
 

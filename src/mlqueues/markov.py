@@ -24,7 +24,7 @@ from typing import Hashable, Sequence
 
 from .errors import ChainError, ShapeError
 from .mlq import MLQ, BosonicMLQ, FermionicMLQ, enumerate_queues
-from .words import BosonicWord, FermionicWord, Word, _built, _wrap, indicator_multiset, multiset_indicator
+from .words import BosonicWord, FermionicWord, Word, _built, _ints, _wrap, indicator_multiset, multiset_indicator
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ def conjugate(lam: Sequence[int]) -> tuple[int, ...]:
 
 def _content(lam: Sequence[int], n: int, kind: str) -> tuple[int, ...]:
     """``lam`` sorted descending, once it is a valid content for ``kind`` on ``n`` sites."""
-    lam = tuple(sorted((int(p) for p in lam), reverse=True))
+    lam = tuple(sorted(_ints(lam, "content parts"), reverse=True))
     if not lam or lam[-1] < 1:
         raise ValueError("content partition must have positive parts")
     if n < 1:

@@ -48,11 +48,12 @@ class Monomial:
         return "*".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MLQ:
     """A multiline queue; rows are ascending tuples of sites in 1..n.  Build
     one through :class:`FermionicMLQ` (rows are subsets) or :class:`BosonicMLQ`
     (multisets), which only set ``kind``; different kinds never compare equal.
+    Queues keep no ``__dict__`` (slots), so large enumerated families stay small.
     """
 
     kind: ClassVar[str]
@@ -91,10 +92,12 @@ class MLQ:
 
 
 class FermionicMLQ(MLQ):
+    __slots__ = ()
     kind = "fermionic"
 
 
 class BosonicMLQ(MLQ):
+    __slots__ = ()
     kind = "bosonic"
 
 

@@ -1,20 +1,28 @@
 """Projection maps from multiline queues to ring words.
 
-The single-row operator ``apply_row`` passes labels from a word "above" down
-through one queue row: labels are handed out class by class, from the largest
-down, by cylindrical pairing.  While the row still has unpaired particles the
-step is a pairing step (the paired row particles inherit the class label, and
-on the boundary the leftovers take the fresh label); once the row is
-saturated every further class collapses, i.e. the newly unpaired word
-particles drop through with their label reduced by one.
+The row operator works on a word's nested layers L_1 >= L_2 >= ... (L_m
+counts, per site, the labels >= m).  It hands the label classes r = k, ...,
+a (largest label k, smallest a) down through one queue row by cylindrical
+pairing of the row against L_r, which leaves ur_r row and uw_r word
+particles unpaired.  Paired row particles take label r; the row saturates
+at the largest class s with ur_s = 0 (s = a if none), after which each word
+particle newly left unpaired collapses with its label less one, and row
+particles no class reaches take the fresh label f.  With p = row - ur_s the
+new layers are
 
-Folding ``apply_row`` over the rows from the top down, starting from the
-empty word, projects the whole queue to a word.  The same word is computed a
-second, independent way by the corner-transfer reading ``ctm_project``: the
-i-th row is bubbled to the bottom with twists and its indicator is read off;
-the readings stack into nested layers.  Agreement of all routes (and the
-classic top-down label-passing algorithm on straight queues) is a test
-obligation, not an assumption.
+    L'_m = p (m <= s) or row - ur_m (s < m <= k)
+           + (row - p if m <= f) + (uw_max(m+1, a) if m + 1 <= s).
+
+A label-1 particle cannot collapse: the row operators check that the new
+word holds max(|row|, |word|) particles, and raise if one was lost.
+
+Folding the update over the rows from the top down, starting from no layers,
+projects the whole queue to a word.  The same word is computed a second,
+independent way by the corner-transfer reading ``ctm_project``: the i-th row
+is bubbled to the bottom with twists and its indicator is read off; the
+readings stack into nested layers.  Agreement of all routes (and the classic
+top-down label-passing algorithm on straight queues) is a test obligation,
+not an assumption.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from .mlq import MLQ, _exchange, enumerate_queues
 from .pairing import _match, _row_counts, pair_strictly_left, pair_weakly_right
 from .words import (
     WORD_CLASSES,
-    _built,
+    _stacked,
     _wrap,
     BosonicWord,
     FermionicWord,
@@ -43,34 +51,26 @@ from .words import (
 # ---------------------------------------------------------------------------
 
 
-def _pass_down(row: list[int], fresh_label: int, word: Word, a: int, k: int, weakly_right: bool) -> list[list[int]]:
-    """Per-site labels of the row particles (given as per-site counts) after
-    the label classes a..k of ``word`` pass down by cylindrical pairing."""
-    n = len(row)
-    # unpaired (row, word) counts against each class r and above
-    unpaired = {r: _match(row, word.layer(r), weakly_right)[1:] for r in range(a, k + 1)}
-    s = max((r for r in range(a, k + 1) if not any(unpaired[r][0])), default=a)
-
-    labels: list[list[int]] = [[] for _ in range(n)]
-    prev = [0] * n
-    for r in range(k, s - 1, -1):
-        unpaired_row = unpaired[r][0]
-        for j in range(n):
-            paired = row[j] - unpaired_row[j]
-            if paired > prev[j]:
-                labels[j] += [r] * (paired - prev[j])
-            prev[j] = paired
-    for j in range(n):
-        if row[j] > prev[j]:
-            labels[j] += [fresh_label] * (row[j] - prev[j])
-    prev = [0] * n
-    for r in range(s, a - 1, -1):
-        unpaired_word = unpaired[r][1]
-        for j in range(n):
-            if unpaired_word[j] > prev[j]:
-                labels[j] += [r - 1] * (unpaired_word[j] - prev[j])
-            prev[j] = unpaired_word[j]
-    return labels
+def _row_layers(row: list[int], fresh: int, layers: list, weakly_right: bool) -> list[list[int]]:
+    """The layers L'_1, L'_2, ... of the word that ``row`` (per-site counts)
+    holds once the word with layers ``layers`` has passed its labels down and
+    the unreached row particles have taken ``fresh``; see the module notes."""
+    if not layers:
+        return [row] * fresh if any(row) else []
+    # a: the smallest label, below which every layer is L_1 (the stack's layers
+    # share one sequence type, as a list never equals a tuple)
+    k, a = len(layers), 1
+    while a < k and layers[a] == layers[0]:
+        a += 1
+    # unpaired (row, word) counts against each class a..k
+    unpaired = [_match(row, layer, weakly_right)[1:] for layer in layers[a - 1 :]]
+    s = next((r for r in range(k, a - 1, -1) if not any(unpaired[r - a][0])), None)
+    if s is None:  # every word particle pairs; the row's leftovers take the fresh label
+        s, below = a, [row] * fresh + [[x - u for x, u in zip(row, unpaired[0][0])]] * (a - fresh)
+    else:  # the row saturates at class s; the word particles unpaired below it collapse
+        below = [[x + u for x, u in zip(row, unpaired[max(m + 1 - a, 0)][1])] for m in range(1, s)]
+        below += [row] if any(row) else []
+    return below + [[x - u for x, u in zip(row, ur)] for ur, _ in unpaired[s + 1 - a :]]
 
 
 def _apply_row(row: Iterable[int], fresh_label: int, word: Word, kind: str) -> Word:
@@ -82,21 +82,13 @@ def _apply_row(row: Iterable[int], fresh_label: int, word: Word, kind: str) -> W
     if fresh_label < 1:
         raise ValueError("fresh label must be positive")
     content = word.content()
-    if not content:
-        labels = [[fresh_label] * c for c in counts]
-    else:
-        a, k = content[0], content[-1]
-        if fresh_label > a:
-            raise ValueError(f"fresh label {fresh_label} exceeds smallest word label {a}")
-        # per-site labels come out weakly decreasing (paired ones first, then fresh or
-        # collapsed ones): a site never holds both leftover row and leftover word particles
-        labels = _pass_down(counts, fresh_label, word, a, k, fermionic)
-        if a == 1 and any(0 in ls for ls in labels):
-            raise ValueError("a collapsing label-1 particle would get label 0")
-    if fermionic:
-        # a site never gets two labels: a word particle over a row particle pairs straight down
-        return _built(FermionicWord, letters=tuple([ls[0] if ls else 0 for ls in labels]))
-    return _built(BosonicWord, sites=tuple([tuple(reversed(ls)) for ls in labels]))
+    if content and fresh_label > content[0]:
+        raise ValueError(f"fresh label {fresh_label} exceeds smallest word label {content[0]}")
+    layers = _row_layers(counts, fresh_label, word.layers(), fermionic)
+    # every row particle stays and every word particle pairs or collapses
+    if (sum(layers[0]) if layers else 0) != max(sum(counts), len(content)):
+        raise ValueError("a collapsing label-1 particle would get label 0")
+    return _stacked(type(word), layers, word.n)
 
 
 def apply_row_fermionic(row: Iterable[int], fresh_label: int, word: FermionicWord) -> FermionicWord:
@@ -121,9 +113,18 @@ def apply_row_bosonic(row: Iterable[int], fresh_label: int, word: BosonicWord) -
 # ---------------------------------------------------------------------------
 
 
+def _fold(q: MLQ):
+    """The layer stacks after rows k, k-1, ..., 1 have passed their labels down."""
+    fermionic, layers = q.kind == "fermionic", []
+    for j in range(q.k, 0, -1):
+        layers = _row_layers(_row_counts(q.rows[j - 1], q.n, fermionic), j, layers, fermionic)
+        yield layers
+
+
 def project(q: MLQ) -> Word:
     """Project a queue to a word by folding the row operator top row first."""
-    return label_trace(q)[0]
+    *_, layers = _fold(q)
+    return _stacked(WORD_CLASSES[q.kind], layers, q.n)
 
 
 def label_trace(q: MLQ) -> list[Word]:
@@ -133,14 +134,7 @@ def label_trace(q: MLQ) -> list[Word]:
     is the projection itself.  Entry j-1 also equals the projection of the
     subqueue rows j..k with every label raised by j-1.
     """
-    word = WORD_CLASSES[q.kind].from_particles(q.n, ())
-    apply_row = apply_row_fermionic if q.kind == "fermionic" else apply_row_bosonic
-    out: list[Word] = []
-    for j in range(q.k, 0, -1):
-        word = apply_row(q.rows[j - 1], j, word)
-        out.append(word)
-    out.reverse()
-    return out
+    return [_stacked(WORD_CLASSES[q.kind], layers, q.n) for layers in _fold(q)][::-1]
 
 
 def fiber_law(shape: Sequence[int], n: int, kind: str, x: Sequence[Fraction] | None = None) -> dict:
@@ -218,6 +212,8 @@ def apply_row_particlewise(row: Iterable[int], fresh_label: int, word: Word, ord
     row = list(row)
     free = _row_counts(row, n, fermionic)  # row particles no word particle has taken yet
     order = canonical_order(word) if order is None else tuple(order)
+    if not all(type(p) is tuple and len(p) == 2 and {int}.issuperset(map(type, p)) for p in order):
+        raise ValueError("order must list (site, label) pairs of integers")
     if tuple(sorted(order)) != word.particles():
         raise ValueError("order must list exactly the word's particles")
     labs = [a for _, a in order]

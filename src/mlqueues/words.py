@@ -12,6 +12,7 @@ are 0-indexed internally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import ClassVar, Iterable, Sequence
 
 Indicator = tuple[int, ...]
@@ -94,6 +95,28 @@ def _check_nested(layers: Sequence[Indicator]) -> None:
             raise ValueError("layers of unequal length")
         if any(h > l for l, h in zip(low, high)):
             raise ValueError("layers are not nested")
+    if not layers[0] or min(_ints(chain(*layers), "layer counts")) < 0:
+        raise ValueError("layers must be nonempty nonnegative counts")
+
+
+def _stacked(cls: type, layers: Sequence[Sequence[int]], n: int):
+    """The ``cls`` word on n sites with the nested layer stack ``layers``, built
+    unchecked: site j holds L_m[j] - L_{m+1}[j] particles of label m."""
+    cols = zip(*layers) if layers else [(0,)] * n  # per site j: L_1[j] >= L_2[j] >= ...
+    if cls.kind == "fermionic":
+        return _built(cls, letters=tuple(map(sum, cols)))
+    # ascending, the labels at site j count the layers with L_m[j] >= t, for t = L_1[j], ..., 1
+    return _built(cls, sites=tuple([tuple([sum([c >= t for c in col]) for t in range(col[0], 0, -1)]) for col in cols]))
+
+
+def _from_layers(cls: type, layers: Sequence[Indicator], n: int | None = None):
+    """Rebuild a word from nested layers; inverse of :meth:`layers`."""
+    if not layers:
+        if n is None:
+            raise ValueError("ring size required for an empty layer stack")
+        return cls.from_particles(n, ())
+    _check_nested(layers)
+    return _stacked(cls, layers, len(layers[0]))
 
 
 @dataclass(frozen=True)
@@ -148,15 +171,7 @@ class FermionicWord:
         """Nested decomposition [layer(1), ..., layer(max_label)]."""
         return [self.layer(m) for m in range(1, self.max_label + 1)]
 
-    @classmethod
-    def from_layers(cls, layers: Sequence[Indicator], n: int | None = None) -> "FermionicWord":
-        """Rebuild a word from nested layers; inverse of :meth:`layers`."""
-        if not layers:
-            if n is None:
-                raise ValueError("ring size required for an empty layer stack")
-            return cls((0,) * n)
-        _check_nested(layers)
-        return cls(tuple(sum(col) for col in zip(*layers)))
+    from_layers = classmethod(_from_layers)
 
     def increment(self, j: int) -> "FermionicWord":
         """Raise every nonzero label by j; empty sites stay empty."""
@@ -213,18 +228,7 @@ class BosonicWord:
     def layers(self) -> list[Indicator]:
         return [self.layer(m) for m in range(1, self.max_label + 1)]
 
-    @classmethod
-    def from_layers(cls, layers: Sequence[Indicator], n: int | None = None) -> "BosonicWord":
-        """Rebuild a word by stacking layers bottom-up; inverse of :meth:`layers`."""
-        if not layers:
-            if n is None:
-                raise ValueError("ring size required for an empty layer stack")
-            return cls(((),) * n)
-        _check_nested(layers)
-        word = cls(tuple((1,) * c for c in layers[0]))
-        for counts in layers[1:]:
-            word = add_layer(word, counts)
-        return word
+    from_layers = classmethod(_from_layers)
 
     def increment(self, j: int) -> "BosonicWord":
         if j < 0:

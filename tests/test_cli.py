@@ -114,7 +114,11 @@ class TestStationaryCommand:
         )
         assert code == 0
         doc = json.loads(out)
-        assert sum(Fraction(e["prob"]) for e in doc["entries"]) == 1
+        assert doc["estimate"] is True
+        assert all(type(e["prob"]) is float for e in doc["entries"])
+        assert sum(e["prob"] for e in doc["entries"]) == pytest.approx(1)
+        code, out, _ = run(capsys, "stationary", "--model", "tasep", "--lambda", "2,1", "--n", "3")
+        assert "estimate" not in json.loads(out)
 
     def test_mc_zero_jumps_is_input_error(self, capsys):
         code, out, err = run(

@@ -80,6 +80,14 @@ class TestStateSpaces:
         with pytest.raises(ValueError):
             enumerate_states((), 3, "tazrp")
 
+    @pytest.mark.parametrize("lam", [(2.9,), (1.5,), (2, 1.0), (True,)], ids=["2.9", "1.5", "float-part", "bool"])
+    def test_non_integer_content_parts_rejected(self, lam):
+        # int() used to truncate them: count_states((2.9,), 3, "tasep") was 3
+        with pytest.raises(ValueError, match="content parts must be integers"):
+            count_states(lam, 3, "tasep")
+        with pytest.raises(ValueError, match="content parts must be integers"):
+            enumerate_states(lam, 3, "tazrp")
+
     def test_conjugate(self):
         assert conjugate((2, 1)) == (2, 1)
         assert conjugate((3, 1)) == (2, 1, 1)

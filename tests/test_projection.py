@@ -29,7 +29,7 @@ from mlqueues import (
 )
 from mlqueues import verify
 from mlqueues.documents import parse_queue
-from mlqueues.projection import canonical_order
+from mlqueues.projection import _fold, canonical_order
 
 from conftest import bq, bw, fq, fw
 
@@ -260,14 +260,22 @@ class TestParticlewise:
         with pytest.raises(ValueError):
             apply_row_particlewise({1}, 1, fw("210"), order=((1, 2),))  # misses a particle
 
+    @pytest.mark.parametrize(
+        "order", [(1, (1, 2)), ((1, 2), 2), ((1, 2), (2, True)), ((1, 2), (2, 1.0)), ((1, 2), (2, 1, 0))]
+    )
+    def test_malformed_order_entries_rejected(self, order):
+        # a bare site among (site, label) pairs used to fail the sort with TypeError
+        with pytest.raises(ValueError, match=r"\(site, label\) pairs of integers"):
+            apply_row_particlewise({1}, 1, fw("210"), order=order)
+
 
 @st.composite
-def rows_and_words(draw):
-    """A row, a fresh label and a word whose labels are at least that label,
-    with no label-1 particle left to collapse."""
+def rows_and_words(draw, collapse=False):
+    """A row, a fresh label and a word whose labels are at least that label;
+    a label-1 particle is left to collapse exactly when ``collapse`` is set."""
     kind = draw(st.sampled_from(("fermionic", "bosonic")))
     n = draw(st.integers(1, 6))
-    fresh = draw(st.integers(1, 3))
+    fresh = 1 if collapse else draw(st.integers(1, 3))
     label = st.integers(fresh, fresh + 3)
     if kind == "fermionic":
         row = draw(st.lists(st.integers(1, n), max_size=n, unique=True))
@@ -277,8 +285,12 @@ def rows_and_words(draw):
         word = BosonicWord(tuple(map(tuple, draw(st.lists(st.lists(label, max_size=3), min_size=n, max_size=n)))))
     parts = word.particles()
     # the particles beyond the row's capacity collapse, and they hold the smallest labels
-    assume(not (len(parts) > len(row) and min(a for _, a in parts) == 1))
+    assume(collapse == (len(parts) > len(row) and min(a for _, a in parts) == 1))
     return row, fresh, word
+
+
+def row_operator(word):
+    return apply_row_fermionic if word.kind == "fermionic" else apply_row_bosonic
 
 
 class TestParticlewiseProperties:
@@ -288,14 +300,49 @@ class TestParticlewiseProperties:
     @given(rows_and_words(), st.data())
     def test_equals_row_operator_under_any_priority_order(self, case, data):
         row, fresh, word = case
-        apply_row = apply_row_fermionic if word.kind == "fermionic" else apply_row_bosonic
-        expected = apply_row(row, fresh, word)
+        expected = row_operator(word)(row, fresh, word)
         assert apply_row_particlewise(row, fresh, word, canonical_order(word)) == expected
         by_label = {}
         for p in word.particles():
             by_label.setdefault(p[1], []).append(p)
         order = tuple(p for a in sorted(by_label, reverse=True) for p in data.draw(st.permutations(by_label[a])))
         assert apply_row_particlewise(row, fresh, word, order) == expected
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rows_and_words(collapse=True))
+    def test_label_one_collapse_raises_in_both_routes(self, case):
+        row, fresh, word = case
+        for apply_row in (row_operator(word), apply_row_particlewise):
+            with pytest.raises(ValueError, match="label-1 particle would get label 0"):
+                apply_row(row, fresh, word)
+
+
+@st.composite
+def queues(draw):
+    """A queue of either kind beyond the sweep bounds: up to 8 sites and 5 rows."""
+    kind = draw(st.sampled_from(("fermionic", "bosonic")))
+    n, k = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    site = st.integers(1, n)
+    row = st.lists(site, max_size=n, unique=True) if kind == "fermionic" else st.lists(site, max_size=6)
+    return (FermionicMLQ if kind == "fermionic" else BosonicMLQ)(n, tuple(draw(st.lists(row, min_size=k, max_size=k))))
+
+
+class TestFoldProperties:
+    """The layer fold against the independent routes on queues the sweeps do not reach."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(queues())
+    def test_fold_equals_corner_transfer_label_passing_and_subqueues(self, q):
+        w = project(q)
+        assert w == ctm_project(q)
+        straight = type(q)(q.n, tuple(sorted(q.rows, key=len, reverse=True)))
+        assert project(straight) == ferrari_martin(straight)
+        trace = label_trace(q)
+        assert trace[0] == w
+        # the fold carries exactly each word's layers, with no empty layer on top
+        assert [list(map(tuple, layers)) for layers in _fold(q)] == [t.layers() for t in reversed(trace)]
+        for j in range(1, q.k + 1):
+            assert trace[j - 1] == project(type(q)(q.n, q.rows[j - 1 :])).increment(j - 1)
 
 
 def r_matrix(bottom, top, n, kind):

@@ -104,6 +104,15 @@ class TestLayers:
         with pytest.raises(ValueError):
             BosonicWord.from_layers([(1, 0), (0, 1)])
 
+    @pytest.mark.parametrize(
+        "layers", [[(1, -1)], [(True, 0)], [(1.0, 0)], [()]], ids=["negative", "bool", "float", "no-sites"]
+    )
+    def test_malformed_layer_counts_rejected(self, layers):
+        # a bosonic stack with a negative or bool count used to give a word
+        for cls in (FermionicWord, BosonicWord):
+            with pytest.raises(ValueError, match="layer"):
+                cls.from_layers(layers)
+
 
 class TestAddLayer:
     def test_example(self):
