@@ -47,7 +47,6 @@ from .projection import (
 from .words import (
     BosonicWord,
     FermionicWord,
-    add_layer,
     indicator_multiset,
     indicator_subset,
     multiset_indicator,

@@ -116,22 +116,11 @@ def cmd_stationary(args) -> int:
             total = sum((Fraction(v) for v in freqs.values()), Fraction(0))
             probs = {s: Fraction(v) / total for s, v in freqs.items()}
 
-    if model.startswith("mlq-"):
-        entries = [
-            {"state": documents.emit_queue(s), "prob": documents.format_fraction(p), "weight": list(s.weight().exponents)}
-            for s, p in probs.items()
-        ]
-        doc = {
-            "model": model,
-            "lambda": list(lam),
-            "n": n,
-            "x": None if show_x is None else [documents.format_fraction(v) for v in show_x],
-            "entries": entries,
-        }
+    if model.startswith("mlq-"):  # queue states in state order, with their weights
+        entries = [(s, p, s.weight().exponents) for s, p in probs.items()]
     else:
-        doc = documents.emit_distribution(
-            model, lam, n, show_x, [(s, p, None) for s, p in sorted(probs.items(), key=lambda kv: str(kv[0]))]
-        )
+        entries = [(s, p, None) for s, p in sorted(probs.items(), key=lambda kv: str(kv[0]))]
+    doc = documents.emit_distribution(model, lam, n, show_x, entries)
     if args.method == "mc":  # sampled frequencies are estimates, not exact rationals
         doc["estimate"] = True
         for e in doc["entries"]:

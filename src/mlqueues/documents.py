@@ -54,7 +54,7 @@ def parse_queue(doc: dict) -> MLQ:
 
 
 def emit_word(w: Word) -> dict:
-    if isinstance(w, FermionicWord):
+    if w.kind == "fermionic":
         return {"kind": "fermionic_word", "n": w.n, "letters": list(w.letters)}
     return {"kind": "bosonic_word", "n": w.n, "sites": [list(s) for s in w.sites]}
 
@@ -81,10 +81,10 @@ def parse_word(doc: dict) -> Word:
 
 
 def emit_distribution(model: str, lam, n: int, x, entries) -> dict:
-    """entries: iterable of (state word, probability Fraction, weight exponents or None)."""
+    """entries: iterable of (state word or queue, probability Fraction, weight exponents or None)."""
     out_entries = []
     for state, prob, weight in entries:
-        e = {"state": emit_word(state), "prob": format_fraction(prob)}
+        e = {"state": emit_queue(state) if isinstance(state, MLQ) else emit_word(state), "prob": format_fraction(prob)}
         if weight is not None:
             e["weight"] = list(weight)
         out_entries.append(e)
@@ -143,7 +143,7 @@ def render_queue(q: MLQ) -> str:
 
 def render_word(w: Word) -> str:
     """Column diagram of a word: one line per label level, top level first."""
-    digits = isinstance(w, BosonicWord)
+    digits = w.kind == "bosonic"
     k = w.max_label
     if k == 0:
         return " ".join(["."] * w.n)

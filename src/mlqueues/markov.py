@@ -24,7 +24,7 @@ from typing import Hashable, Sequence
 
 from .errors import ChainError, ShapeError
 from .mlq import MLQ, BosonicMLQ, FermionicMLQ, enumerate_queues
-from .words import BosonicWord, FermionicWord, Word, _built, _ints, _wrap, indicator_multiset, multiset_indicator
+from .words import BosonicWord, FermionicWord, Word, _built, _ints, _site_counts, _wrap, indicator_multiset
 
 
 @dataclass(frozen=True)
@@ -490,7 +490,7 @@ def _column_empty(q: BosonicMLQ, i: int) -> bool:
 
 def _hop(row: tuple[int, ...], src: int, dst: int, n: int) -> tuple[int, ...]:
     """``row`` with one particle moved from site ``src`` to site ``dst``."""
-    counts = list(multiset_indicator(row, n))
+    counts = _site_counts(row, n, False)
     counts[src - 1] -= 1
     counts[dst - 1] += 1
     return indicator_multiset(counts)

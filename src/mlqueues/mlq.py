@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import ClassVar, Iterator, Sequence
 
 from .pairing import _match
-from .words import _built, _ints, indicator_multiset, multiset_indicator
+from .words import _built, _ints, _site_counts, indicator_multiset
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ def twist(q: MLQ, i: int) -> MLQ:
     """
     if not 1 <= i < q.k:
         raise IndexError(f"twist index {i} outside 1..{q.k - 1}")
-    lower, upper = (multiset_indicator(row, q.n) for row in q.rows[i - 1 : i + 1])
+    lower, upper = (_site_counts(row, q.n, False) for row in q.rows[i - 1 : i + 1])
     lo, up = _exchange(lower, upper, q.kind == "fermionic")
     return _built(type(q), n=q.n, rows=q.rows[: i - 1] + (indicator_multiset(lo), indicator_multiset(up)) + q.rows[i + 1 :])
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .words import indicator_multiset
+from .words import _site_counts, indicator_multiset
 
 
 @dataclass(frozen=True)
@@ -104,17 +104,6 @@ def _match(lower: Sequence[int], upper: Sequence[int], weakly_right: bool) -> tu
     return [(c, o, m) for o, c, m in runs], unmatched_opens, unmatched_closes
 
 
-def _row_counts(row: Iterable[int], n: int, fermionic: bool) -> list[int]:
-    counts = [0] * n
-    for j in row:
-        if type(j) is not int or not 1 <= j <= n:
-            raise ValueError(f"site {j!r} outside 1..{n}")
-        if fermionic and counts[j - 1]:
-            raise ValueError("fermionic row contains a duplicate site")
-        counts[j - 1] += 1
-    return counts
-
-
 def _result(lower: list[int], upper: list[int], weakly_right: bool) -> PairingResult:
     runs, unpaired_lower, unpaired_upper = _match(lower, upper, weakly_right)
     couples = [(u + 1, l + 1) for u, l, m in runs for _ in range(m)]
@@ -127,7 +116,7 @@ def pair_weakly_right(lower: Iterable[int], upper: Iterable[int], n: int) -> Pai
     Both rows are subsets of {1..n}; a particle may pair straight down to its
     own site.
     """
-    return _result(_row_counts(lower, n, fermionic=True), _row_counts(upper, n, fermionic=True), True)
+    return _result(_site_counts(lower, n, fermionic=True), _site_counts(upper, n, fermionic=True), True)
 
 
 def pair_strictly_left(lower: Iterable[int], upper: Iterable[int], n: int) -> PairingResult:
@@ -136,4 +125,4 @@ def pair_strictly_left(lower: Iterable[int], upper: Iterable[int], n: int) -> Pa
     Rows are multisets over {1..n}; same-site pairs cannot form, so a pairing
     line may wrap the full circle back to its own site.
     """
-    return _result(_row_counts(lower, n, fermionic=False), _row_counts(upper, n, fermionic=False), False)
+    return _result(_site_counts(lower, n, fermionic=False), _site_counts(upper, n, fermionic=False), False)

@@ -33,9 +33,10 @@ from typing import Iterable, Sequence
 
 from .errors import ShapeError
 from .mlq import MLQ, _exchange, enumerate_queues
-from .pairing import _match, _row_counts, pair_strictly_left, pair_weakly_right
+from .pairing import _match, pair_strictly_left, pair_weakly_right
 from .words import (
     WORD_CLASSES,
+    _site_counts,
     _stacked,
     _wrap,
     BosonicWord,
@@ -78,7 +79,7 @@ def _apply_row(row: Iterable[int], fresh_label: int, word: Word, kind: str) -> W
     if word.kind != kind:
         raise ValueError(f"a {kind} row operator got a {word.kind} word")
     fermionic = kind == "fermionic"
-    counts = _row_counts(row, word.n, fermionic)
+    counts = _site_counts(row, word.n, fermionic)
     if fresh_label < 1:
         raise ValueError("fresh label must be positive")
     content = word.content()
@@ -117,7 +118,7 @@ def _fold(q: MLQ):
     """The layer stacks after rows k, k-1, ..., 1 have passed their labels down."""
     fermionic, layers = q.kind == "fermionic", []
     for j in range(q.k, 0, -1):
-        layers = _row_layers(_row_counts(q.rows[j - 1], q.n, fermionic), j, layers, fermionic)
+        layers = _row_layers(_site_counts(q.rows[j - 1], q.n, fermionic), j, layers, fermionic)
         yield layers
 
 
@@ -210,7 +211,7 @@ def apply_row_particlewise(row: Iterable[int], fresh_label: int, word: Word, ord
     n = word.n
     fermionic = word.kind == "fermionic"
     row = list(row)
-    free = _row_counts(row, n, fermionic)  # row particles no word particle has taken yet
+    free = _site_counts(row, n, fermionic)  # row particles no word particle has taken yet
     order = canonical_order(word) if order is None else tuple(order)
     if not all(type(p) is tuple and len(p) == 2 and {int}.issuperset(map(type, p)) for p in order):
         raise ValueError("order must list (site, label) pairs of integers")
@@ -267,7 +268,7 @@ def ctm_components(q: MLQ, j: int = 1) -> list[Indicator]:
     if not 1 <= j <= q.k:
         raise IndexError(f"component base {j} outside 1..{q.k}")
     fermionic = q.kind == "fermionic"
-    counts = [multiset_indicator(row, q.n) for row in q.rows]
+    counts = [_site_counts(row, q.n, False) for row in q.rows]
     comps: list[Indicator] = []
     for i in range(j, q.k + 1):
         carry = counts[i - 1]

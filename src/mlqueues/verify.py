@@ -208,6 +208,9 @@ DEFAULT_BOUNDS = {
     "random_max_part": 4,
 }
 
+# a random queue has at least 2 sites and 1 row; every other bound may be 0
+_BOUND_MINIMA = {"random_max_n": 2, "random_max_k": 1}
+
 
 def _bounds(overrides: dict | None) -> dict:
     b = dict(DEFAULT_BOUNDS)
@@ -216,6 +219,10 @@ def _bounds(overrides: dict | None) -> dict:
         if unknown:
             raise ValueError(f"unknown bound keys: {sorted(unknown)}")
         b.update(overrides)
+    for key, value in b.items():
+        low = _BOUND_MINIMA.get(key, 0)
+        if type(value) is not int or value < low:
+            raise ValueError(f"bound {key} must be an integer >= {low}, got {value!r}")
     return b
 
 

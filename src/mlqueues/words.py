@@ -5,8 +5,10 @@ sites (0 marks an empty site).  A bosonic word assigns a multiset of positive
 labels to each site.  Both decompose uniquely into a weakly decreasing stack
 of indicator vectors (the "layers"): layer m marks, per site, how many
 particles of label >= m sit there.  Both also read as their ``(site, label)``
-particles.  Sites are 1-indexed everywhere in the public interface; tuples
-are 0-indexed internally.
+particles; the base class :class:`Word` computes everything else from them.
+A row of sites becomes per-site counts through one validated builder,
+``_site_counts``.  Sites are 1-indexed everywhere in the public interface;
+tuples are 0-indexed internally.
 """
 
 from __future__ import annotations
@@ -56,16 +58,22 @@ def _site_labels(n: int, particles: Iterable[tuple[int, int]]) -> list[list[int]
     return sites
 
 
+def _site_counts(sites: Iterable[int], n: int, fermionic: bool) -> list[int]:
+    """Per-site particle counts of a row of sites in {1..n}, validated; a
+    fermionic row holds each site at most once."""
+    counts = [0] * n
+    for j in sites:
+        if type(j) is not int or not 1 <= j <= n:
+            raise ValueError(f"site {j!r} outside 1..{n}")
+        if fermionic and counts[j - 1]:
+            raise ValueError("fermionic row contains a duplicate site")
+        counts[j - 1] += 1
+    return counts
+
+
 def subset_indicator(sites: Iterable[int], n: int) -> Indicator:
     """0/1 vector of a subset of {1..n}; inverse of :func:`indicator_subset`."""
-    bits = [0] * n
-    for j in sites:
-        if not 1 <= j <= n:
-            raise ValueError(f"site {j} outside 1..{n}")
-        if bits[j - 1]:
-            raise ValueError(f"duplicate site {j} in fermionic subset")
-        bits[j - 1] = 1
-    return tuple(bits)
+    return tuple(_site_counts(sites, n, True))
 
 
 def indicator_subset(bits: Sequence[int]) -> tuple[int, ...]:
@@ -74,12 +82,7 @@ def indicator_subset(bits: Sequence[int]) -> tuple[int, ...]:
 
 def multiset_indicator(elements: Iterable[int], n: int) -> Indicator:
     """Per-site multiplicity vector of a multiset over {1..n}."""
-    counts = [0] * n
-    for j in elements:
-        if not 1 <= j <= n:
-            raise ValueError(f"site {j} outside 1..{n}")
-        counts[j - 1] += 1
-    return tuple(counts)
+    return tuple(_site_counts(elements, n, False))
 
 
 def indicator_multiset(counts: Sequence[int]) -> tuple[int, ...]:
@@ -87,16 +90,6 @@ def indicator_multiset(counts: Sequence[int]) -> tuple[int, ...]:
     for j, c in enumerate(counts):
         out.extend([j + 1] * c)
     return tuple(out)
-
-
-def _check_nested(layers: Sequence[Indicator]) -> None:
-    for low, high in zip(layers, layers[1:]):
-        if len(low) != len(high):
-            raise ValueError("layers of unequal length")
-        if any(h > l for l, h in zip(low, high)):
-            raise ValueError("layers are not nested")
-    if not layers[0] or min(_ints(chain(*layers), "layer counts")) < 0:
-        raise ValueError("layers must be nonempty nonnegative counts")
 
 
 def _stacked(cls: type, layers: Sequence[Sequence[int]], n: int):
@@ -109,18 +102,64 @@ def _stacked(cls: type, layers: Sequence[Sequence[int]], n: int):
     return _built(cls, sites=tuple([tuple([sum([c >= t for c in col]) for t in range(col[0], 0, -1)]) for col in cols]))
 
 
-def _from_layers(cls: type, layers: Sequence[Indicator], n: int | None = None):
-    """Rebuild a word from nested layers; inverse of :meth:`layers`."""
-    if not layers:
-        if n is None:
-            raise ValueError("ring size required for an empty layer stack")
-        return cls.from_particles(n, ())
-    _check_nested(layers)
-    return _stacked(cls, layers, len(layers[0]))
+@dataclass(frozen=True)
+class Word:
+    """A word on the ring, read through its ``(site, label)`` particles.  Build
+    one through :class:`FermionicWord` (per-site labels) or :class:`BosonicWord`
+    (per-site multisets), which store it and provide ``n``, ``particles`` and
+    ``from_particles``; different kinds never compare equal.
+    """
+
+    kind: ClassVar[str]
+
+    @property
+    def max_label(self) -> int:
+        return max([a for _, a in self.particles()], default=0)
+
+    def content(self) -> tuple[int, ...]:
+        """Multiset of the particle labels, sorted ascending."""
+        return tuple(sorted([a for _, a in self.particles()]))
+
+    def layer(self, m: int) -> Indicator:
+        """Per-site count of labels >= m (an indicator on a fermionic word)."""
+        if m < 1:
+            raise ValueError("layer index must be >= 1")
+        return tuple(_site_counts([j for j, a in self.particles() if a >= m], self.n, False))
+
+    def layers(self) -> list[Indicator]:
+        """Nested decomposition [layer(1), ..., layer(max_label)]."""
+        return [self.layer(m) for m in range(1, self.max_label + 1)]
+
+    @classmethod
+    def from_layers(cls, layers: Sequence[Indicator], n: int | None = None) -> Word:
+        """Rebuild a word from nested layers; inverse of :meth:`layers`.  An
+        empty stack needs the ring size ``n``; a given ``n`` must match the layers."""
+        if not layers:
+            if n is None:
+                raise ValueError("ring size required for an empty layer stack")
+            return cls.from_particles(n, ())
+        for low, high in zip(layers, layers[1:]):
+            if len(low) != len(high):
+                raise ValueError("layers of unequal length")
+            if any(h > l for l, h in zip(low, high)):
+                raise ValueError("layers are not nested")
+        if not layers[0] or min(_ints(chain(*layers), "layer counts")) < 0:
+            raise ValueError("layers must be nonempty nonnegative counts")
+        if n is not None and n != len(layers[0]):
+            raise ValueError(f"layers of length {len(layers[0])} on a ring of size {n}")
+        if cls.kind == "fermionic" and max(layers[0]) > 1:
+            raise ValueError("fermionic layer counts must be 0 or 1")
+        return _stacked(cls, layers, len(layers[0]))
+
+    def increment(self, j: int) -> Word:
+        """Raise every label by j; empty sites stay empty."""
+        if j < 0:
+            raise ValueError("shift must be nonnegative")
+        return self.from_particles(self.n, [(site, a + j) for site, a in self.particles()])
 
 
 @dataclass(frozen=True)
-class FermionicWord:
+class FermionicWord(Word):
     """Per-site labels; 0 means empty.  Immutable and hashable."""
 
     kind: ClassVar[str] = "fermionic"
@@ -136,10 +175,6 @@ class FermionicWord:
     @property
     def n(self) -> int:
         return len(self.letters)
-
-    @property
-    def max_label(self) -> int:
-        return max(self.letters)
 
     def support(self) -> tuple[int, ...]:
         """Sites carrying a particle, ascending."""
@@ -157,34 +192,12 @@ class FermionicWord:
             raise ValueError("a fermionic site holds at most one particle")
         return _built(cls, letters=tuple([s[0] if s else 0 for s in sites]))
 
-    def content(self) -> tuple[int, ...]:
-        """Multiset of nonzero labels, sorted ascending."""
-        return tuple(sorted([a for a in self.letters if a]))
-
-    def layer(self, m: int) -> Indicator:
-        """Indicator of sites with label >= m."""
-        if m < 1:
-            raise ValueError("layer index must be >= 1")
-        return tuple(1 if a >= m else 0 for a in self.letters)
-
-    def layers(self) -> list[Indicator]:
-        """Nested decomposition [layer(1), ..., layer(max_label)]."""
-        return [self.layer(m) for m in range(1, self.max_label + 1)]
-
-    from_layers = classmethod(_from_layers)
-
-    def increment(self, j: int) -> "FermionicWord":
-        """Raise every nonzero label by j; empty sites stay empty."""
-        if j < 0:
-            raise ValueError("shift must be nonnegative")
-        return FermionicWord(tuple(a + j if a else 0 for a in self.letters))
-
     def __str__(self) -> str:
         return " ".join(str(a) for a in self.letters)
 
 
 @dataclass(frozen=True)
-class BosonicWord:
+class BosonicWord(Word):
     """Per-site multisets of positive labels, each stored sorted ascending."""
 
     kind: ClassVar[str] = "bosonic"
@@ -202,14 +215,6 @@ class BosonicWord:
     def n(self) -> int:
         return len(self.sites)
 
-    @property
-    def max_label(self) -> int:
-        return max((a for s in self.sites for a in s), default=0)
-
-    def content(self) -> tuple[int, ...]:
-        """Multiset union of all site labels, sorted ascending."""
-        return tuple(sorted([a for s in self.sites for a in s]))
-
     def particles(self) -> tuple[tuple[int, int], ...]:
         """The (site, label) particles, sites ascending, labels ascending at a site."""
         return tuple((j + 1, a) for j, s in enumerate(self.sites) for a in s)
@@ -219,42 +224,8 @@ class BosonicWord:
         """The word on n sites holding ``particles``; inverse of :meth:`particles`."""
         return _built(cls, sites=tuple(tuple(sorted(s)) for s in _site_labels(n, particles)))
 
-    def layer(self, m: int) -> Indicator:
-        """Per-site count of labels >= m."""
-        if m < 1:
-            raise ValueError("layer index must be >= 1")
-        return tuple(sum(1 for a in s if a >= m) for s in self.sites)
-
-    def layers(self) -> list[Indicator]:
-        return [self.layer(m) for m in range(1, self.max_label + 1)]
-
-    from_layers = classmethod(_from_layers)
-
-    def increment(self, j: int) -> "BosonicWord":
-        if j < 0:
-            raise ValueError("shift must be nonnegative")
-        return BosonicWord(tuple(tuple(a + j for a in s) for s in self.sites))
-
     def __str__(self) -> str:
         return "(" + ",".join("".join(map(str, s)) if s else "-" for s in self.sites) + ")"
 
 
-def add_layer(word: BosonicWord, counts: Sequence[int]) -> BosonicWord:
-    """Raise, at each site, the largest counts[j] labels of the word by 1.
-
-    Requires counts[j] <= number of labels already at site j; this is what
-    makes stacking layers bottom-up the inverse of peeling them off.
-    """
-    if len(counts) != word.n:
-        raise ValueError("layer length does not match ring size")
-    new_sites = []
-    for s, c in zip(word.sites, counts):
-        if c < 0 or c > len(s):
-            raise ValueError("layer exceeds available particles at a site")
-        keep = len(s) - c
-        new_sites.append(s[:keep] + tuple(a + 1 for a in s[keep:]))
-    return BosonicWord(tuple(new_sites))
-
-
-Word = FermionicWord | BosonicWord
 WORD_CLASSES: dict[str, type[Word]] = {"fermionic": FermionicWord, "bosonic": BosonicWord}

@@ -5,6 +5,8 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 
+from hypothesis import strategies as st
+
 from mlqueues import BosonicMLQ, BosonicWord, FermionicMLQ, FermionicWord
 
 
@@ -28,6 +30,16 @@ def fq(n: int, *rows) -> FermionicMLQ:
 
 def bq(n: int, *rows) -> BosonicMLQ:
     return BosonicMLQ(n, tuple(tuple(r) for r in rows))
+
+
+@st.composite
+def queues(draw):
+    """A queue of either kind beyond the sweep bounds: up to 8 sites and 5 rows."""
+    kind = draw(st.sampled_from(("fermionic", "bosonic")))
+    n, k = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    site = st.integers(1, n)
+    row = st.lists(site, max_size=n, unique=True) if kind == "fermionic" else st.lists(site, max_size=6)
+    return (FermionicMLQ if kind == "fermionic" else BosonicMLQ)(n, tuple(draw(st.lists(row, min_size=k, max_size=k))))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -253,6 +253,13 @@ class TestVerifyCommand:
         assert out == ""
         assert "max_turbo" in err
 
+    def test_negative_bounds_are_input_error(self, capsys):
+        bounds = "random_cases=-5,fermionic_max_k=-1,bosonic_max_k=-1"
+        code, out, err = run(capsys, "verify", "--suite", "r-invariance", "--bounds", bounds)
+        assert code == 2
+        assert out == ""
+        assert "fermionic_max_k" in err
+
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "bogus")
         assert code == 2

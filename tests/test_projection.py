@@ -31,7 +31,7 @@ from mlqueues import verify
 from mlqueues.documents import parse_queue
 from mlqueues.projection import _fold, canonical_order
 
-from conftest import bq, bw, fq, fw
+from conftest import bq, bw, fq, fw, queues
 
 EX_QUEUE = fq(6, (1, 2, 4), (1, 3, 5, 6), (2,), (1, 2, 3, 5))
 EX_BQUEUE = bq(6, (1, 2, 2, 4, 5), (2, 2), (1, 2, 4, 6))
@@ -315,16 +315,6 @@ class TestParticlewiseProperties:
         for apply_row in (row_operator(word), apply_row_particlewise):
             with pytest.raises(ValueError, match="label-1 particle would get label 0"):
                 apply_row(row, fresh, word)
-
-
-@st.composite
-def queues(draw):
-    """A queue of either kind beyond the sweep bounds: up to 8 sites and 5 rows."""
-    kind = draw(st.sampled_from(("fermionic", "bosonic")))
-    n, k = draw(st.integers(1, 8)), draw(st.integers(1, 5))
-    site = st.integers(1, n)
-    row = st.lists(site, max_size=n, unique=True) if kind == "fermionic" else st.lists(site, max_size=6)
-    return (FermionicMLQ if kind == "fermionic" else BosonicMLQ)(n, tuple(draw(st.lists(row, min_size=k, max_size=k))))
 
 
 class TestFoldProperties:

@@ -98,6 +98,14 @@ class TestSuites:
         with pytest.raises(ValueError):
             suite_r_invariance({"max_turbo": 3})
 
+    @pytest.mark.parametrize(
+        "key, value", [("random_cases", -5), ("fermionic_max_k", -1), ("random_max_n", 1), ("random_max_k", 0), ("bosonic_max_n", 1.5)]
+    )
+    def test_malformed_bound_value_rejected(self, key, value):
+        # negative bounds used to pass vacuously; random_max_n < 2 died in randint
+        with pytest.raises(ValueError, match=f"bound {key} must be an integer"):
+            suite_r_invariance({key: value})
+
     def test_empty_bounds_vacuous_pass(self):
         bounds = dict(SMALL, random_cases=0, fermionic_max_k=1, bosonic_max_k=1)
         assert suite_r_invariance(bounds, seed=0).passed

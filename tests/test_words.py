@@ -8,16 +8,16 @@ from hypothesis import strategies as st
 from mlqueues import (
     BosonicWord,
     FermionicWord,
-    add_layer,
     indicator_multiset,
     indicator_subset,
     multiset_indicator,
     subset_indicator,
 )
 
+from mlqueues.documents import emit_queue, emit_word, parse_queue, parse_word
 from mlqueues.words import WORD_CLASSES
 
-from conftest import bw, fw
+from conftest import bw, fw, queues
 
 
 class TestIndicators:
@@ -42,6 +42,13 @@ class TestIndicators:
     def test_duplicate_site_rejected_in_subset(self):
         with pytest.raises(ValueError):
             subset_indicator([2, 2], 4)
+
+    @pytest.mark.parametrize("site", [True, 1.0, 2.5], ids=["bool", "integral-float", "float"])
+    @pytest.mark.parametrize("indicator", [subset_indicator, multiset_indicator])
+    def test_non_integer_site_rejected(self, indicator, site):
+        # a bool site used to count as site 1, a float one raised TypeError
+        with pytest.raises(ValueError, match="outside 1..3"):
+            indicator([site], 3)
 
     def test_inverses(self):
         for sites in itertools.chain.from_iterable(itertools.combinations(range(1, 6), r) for r in range(6)):
@@ -114,22 +121,33 @@ class TestLayers:
                 cls.from_layers(layers)
 
 
-class TestAddLayer:
-    def test_example(self):
-        base = BosonicWord(tuple((1,) * c for c in multiset_indicator([1, 1, 3, 4, 4, 4], 6)))
-        out = add_layer(base, multiset_indicator([1, 4, 4], 6))
-        assert out == bw("12,-,1,122,-,-")
+    def test_stacked_layer_example(self):
+        layers = [multiset_indicator([1, 1, 3, 4, 4, 4], 6), multiset_indicator([1, 4, 4], 6)]
+        assert BosonicWord.from_layers(layers) == bw("12,-,1,122,-,-")
 
-    def test_zero_layer_is_identity(self):
+    def test_zero_layer_on_top_is_identity(self):
         w = bw("12,-,334")
-        assert add_layer(w, (0, 0, 0)) == w
+        assert BosonicWord.from_layers(w.layers() + [(0, 0, 0)]) == w
 
-    def test_hand_derived(self):
-        assert add_layer(bw("11,-"), (1, 0)) == bw("12,-")
+    def test_stacked_layer_hand_derived(self):
+        assert BosonicWord.from_layers([(2, 0), (1, 0)]) == bw("12,-")
 
-    def test_oversized_layer_rejected(self):
-        with pytest.raises(ValueError):
-            add_layer(bw("1,-"), (2, 0))
+    def test_oversized_layer_is_not_nested(self):
+        with pytest.raises(ValueError, match="not nested"):
+            BosonicWord.from_layers([(1, 0), (2, 0)])
+
+    @pytest.mark.parametrize("cls", [FermionicWord, BosonicWord])
+    def test_ring_size_must_match_layers(self, cls):
+        # a given n used to be ignored: [(1, 1), (1, 0), (0, 0)] on n = 5 gave a 2-site word
+        with pytest.raises(ValueError, match="ring of size 5"):
+            cls.from_layers([(1, 1), (1, 0), (0, 0)], 5)
+        assert cls.from_layers([(1, 1), (1, 0)], 2) == cls.from_layers([(1, 1), (1, 0)])
+
+    def test_fermionic_site_counts_at_most_one(self):
+        # [(2, 0)] used to give the word 2 0, whose layers are [(1, 0), (1, 0)]
+        with pytest.raises(ValueError, match="0 or 1"):
+            FermionicWord.from_layers([(2, 0)])
+        assert BosonicWord.from_layers([(2, 0)]) == bw("11,-")
 
 
 class TestIncrement:
@@ -217,3 +235,31 @@ class TestParticles:
         assert type(w).from_particles(w.n, w.particles()) == w
         assert [s for s, _ in w.particles()] == sorted(s for s, _ in w.particles())
         assert sorted(a for _, a in w.particles()) == list(w.content())
+
+
+class TestRoundTrips:
+    """Documents, layers and particles invert each other on words and queues of both kinds."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(words(), st.integers(0, 3))
+    def test_word_round_trips_and_readings(self, w, j):
+        assert parse_word(emit_word(w)) == w
+        assert type(w).from_layers(w.layers(), w.n) == w
+        assert type(w).from_particles(w.n, w.particles()) == w
+        # the shared readings against a direct reading of each kind's storage
+        if w.kind == "fermionic":
+            labels = [a for a in w.letters if a]
+            layer = lambda m: tuple(int(a >= m) for a in w.letters)
+            shifted = FermionicWord(tuple(a + j if a else 0 for a in w.letters))
+        else:
+            labels = [a for s in w.sites for a in s]
+            layer = lambda m: tuple(sum(a >= m for a in s) for s in w.sites)
+            shifted = BosonicWord(tuple(tuple(a + j for a in s) for s in w.sites))
+        assert list(w.content()) == sorted(labels) and w.max_label == max(labels, default=0)
+        assert all(w.layer(m) == layer(m) for m in range(1, w.max_label + 2))
+        assert w.increment(j) == shifted
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(queues())
+    def test_queue_document_round_trip(self, q):
+        assert parse_queue(emit_queue(q)) == q
