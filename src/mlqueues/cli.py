@@ -7,6 +7,7 @@ absorbing state, bad shape), 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -97,12 +98,18 @@ def cmd_sigma(args) -> int:
     return 0
 
 
+# the models whose rates are all 1, so that a given --x would be ignored
+_UNIT_RATE_MODELS = ("tasep", "mlq-fermionic", "ktazrp")
+
+
 def cmd_stationary(args) -> int:
+    model = args.model
+    if args.x is not None and model in _UNIT_RATE_MODELS:
+        raise SchemaError(f"--x does not apply to {model}, whose rates are all 1")
     lam = _parse_int_list(args.lam)
     n = args.n
     x = _parse_x(args.x, n)
-    model = args.model
-    show_x = None if model in ("tasep", "mlq-fermionic", "ktazrp") else x.x
+    show_x = None if model in _UNIT_RATE_MODELS else x.x
 
     if args.method == "mlq":
         probs = _fiber_probs(model, lam, n, x)
@@ -234,7 +241,9 @@ def cmd_render(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``mlq`` parser, built once per process and shared by every call."""
     parser = argparse.ArgumentParser(prog="mlq", description="Multiline queues, projections, and ring processes.")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -2,17 +2,24 @@
 
 Everything here is exact: rates are rationals, and the stationary
 distribution is the one-dimensional null space of the transposed generator.
-That generator is kept sparse, one ``{column: Fraction}`` dict per state, and
-solved by sparse rational elimination with Markowitz pivots: the shortest
-active row pivots next, on its column shared by the fewest active rows (ties
-by index), which keeps fill-in low on ring chains.  The result is re-verified
-state by state against the balance equation, from one O(T) tally of flux out
-of and into every state over the T transitions.  Floating point appears only
-in the Monte-Carlo sampler.
+That generator is kept sparse, one ``{column: rate}`` dict per state, and
+solved modulo a prime p on plain ints, by sparse elimination with Markowitz
+pivots: the shortest active row pivots next, on its column shared by the
+fewest active rows (ties by index), which keeps fill-in low on ring chains.
+Each entry of the null vector is lifted to a fraction by rational
+reconstruction and the vector is checked exactly against every row; when p
+divides a rate denominator, an entry does not lift or the check fails, the
+solve runs again from scratch at the next prime of a fixed Mersenne ladder,
+and raises past the last one.  The law is then certified by guards that need
+no elimination: the chain is irreducible (so its stationary law is unique),
+the vector is strictly positive, sums to exactly 1, and balances state by
+state, from one O(T) tally of flux out of and into every state over the T
+transitions.  Floating point appears only in the Monte-Carlo sampler.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
@@ -329,16 +336,21 @@ def _strongly_connected(n_states: int, transitions) -> bool:
     return len(reach(fwd)) == n_states and len(reach(bwd)) == n_states
 
 
+# The moduli of the null-space solve, in the order tried: Mersenne primes 2^e - 1.
+_MODULI = tuple(2**e - 1 for e in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423))
+
+
 def nullspace(rows, ncols: int | None = None) -> list[list[Fraction]]:
-    """Basis of the right null space of a rational matrix, by sparse elimination.
+    """Basis of the right null space of a rational matrix, certified exactly.
 
     Each row is a dense list or a ``{column: value}`` dict.  ``ncols`` defaults
     to the widest row: the longest dense row, or one past the largest dict
-    column.  Pivots follow the Markowitz rule: the shortest active row is
-    eliminated next, on its column shared by the fewest active rows, ties
-    broken by the lower index.  Pivot columns are then back-substituted, so
-    the basis has one vector per non-pivot column, in increasing column order,
-    with 1 at that column and 0 at the other non-pivot columns.
+    column.  The basis has one vector per non-pivot column, in increasing
+    column order, with 1 at that column and 0 at the other non-pivot columns.
+    It is computed modulo each prime of ``_MODULI`` in turn (see
+    :func:`_nullspace_mod`) until one gives a basis whose every vector is a
+    null vector over the rationals; each prime is tried on its own.  Raises
+    ``ArithmeticError`` when no prime does.
     """
     sparse = []
     width = 0
@@ -353,60 +365,121 @@ def nullspace(rows, ncols: int | None = None) -> list[list[Fraction]]:
         ncols = width
     elif width > ncols:
         raise ValueError(f"row entries beyond column {ncols - 1}")
+    for p in _MODULI:
+        basis = _nullspace_mod(sparse, ncols, p)
+        if basis is not None:
+            return basis
+    raise ArithmeticError("no modulus certified the null space")
+
+
+def _nullspace_mod(sparse: list[dict], ncols: int, p: int) -> list[list[Fraction]] | None:
+    """The null-space basis of :func:`nullspace`, computed over GF(p) and lifted.
+
+    Pivots follow the Markowitz rule: the shortest active row is eliminated
+    next, on its column shared by the fewest active rows, ties broken by the
+    lower index.  Back-substitution gives the basis mod p; each entry is lifted
+    to the unique fraction r/s with |r|, s <= sqrt(p/2) (Wang's rational
+    reconstruction), and each lifted vector is checked exactly against the
+    rows.  Returns None when p divides a denominator, an entry does not lift,
+    or a vector fails the check.  A basis that passes is the rational one: its
+    vectors are independent null vectors, as many as the nullity mod p, which
+    is at least the rational nullity.
+    """
+    residues: dict[Fraction, int] = {}
+    reduced = []
+    for row in sparse:
+        out = {}
+        for c, v in row.items():
+            r = residues.get(v)
+            if r is None:
+                if v.denominator % p == 0:
+                    return None
+                r = residues[v] = v.numerator * pow(v.denominator, -1, p) % p
+            if r:
+                out[c] = r
+        reduced.append(out)
 
     col_rows = defaultdict(set)  # column -> active rows with a nonzero entry there
-    for i, row in enumerate(sparse):
+    for i, row in enumerate(reduced):
         for c in row:
             col_rows[c].add(i)
-    active = set(range(len(sparse)))
+    active = set(range(len(reduced)))
+    queue = [(len(row), i) for i, row in enumerate(reduced)]  # lazy: stale keys are skipped
+    heapq.heapify(queue)
     pivots = []  # (column, rest of its row scaled so the pivot entry is 1)
-    while active:
-        i = min(active, key=lambda k: (len(sparse[k]), k))
+    while queue:
+        length, i = heapq.heappop(queue)
+        row = reduced[i]
+        if i not in active or length != len(row):
+            continue
         active.discard(i)
-        row = sparse[i]
         if not row:
             continue
         for c in row:
             col_rows[c].discard(i)
         c = min(row, key=lambda j: (len(col_rows[j]), j))
-        inv = 1 / row[c]
-        rest = {j: v * inv for j, v in row.items() if j != c}
+        inv = pow(row[c], -1, p)
+        rest = {j: v * inv % p for j, v in row.items() if j != c}
         for k in col_rows.pop(c):
-            other = sparse[k]
+            other = reduced[k]
             f = other.pop(c)
             for j, v in rest.items():
-                if j in other:
-                    nv = other[j] - f * v
-                    if nv:
-                        other[j] = nv
-                    else:
-                        del other[j]
-                        col_rows[j].discard(k)
-                else:
-                    other[j] = -f * v
+                o = other.get(j)
+                if o is None:
+                    other[j] = -f * v % p
                     col_rows[j].add(k)
+                elif o := (o - f * v) % p:
+                    other[j] = o
+                else:
+                    del other[j]
+                    col_rows[j].discard(k)
+            heapq.heappush(queue, (len(other), k))
         pivots.append((c, rest))
 
+    bound = math.isqrt(p // 2)
     pivot_cols = {c for c, _ in pivots}
     basis = []
     for free in range(ncols):
         if free in pivot_cols:
             continue
-        v = {free: Fraction(1)}
+        v = {free: 1}
         for c, rest in reversed(pivots):
-            s = sum(val * v[j] for j, val in rest.items() if j in v)
+            s = sum(val * v[j] for j, val in rest.items() if j in v) % p
             if s:
-                v[c] = -s
-        basis.append([v.get(j, Fraction(0)) for j in range(ncols)])
+                v[c] = p - s
+        lifted = {}
+        for j, a in v.items():
+            q = _rational(a, p, bound)
+            if q is None:
+                return None
+            lifted[j] = q
+        if any(sum(val * lifted[j] for j, val in row.items() if j in lifted) for row in sparse):
+            return None
+        basis.append([lifted.get(j, Fraction(0)) for j in range(ncols)])
     return basis
+
+
+def _rational(a: int, p: int, bound: int) -> Fraction | None:
+    """The fraction r/s = ``a`` mod p with |r| <= ``bound`` and 0 < s <= ``bound``,
+    or None; unique when 2 * bound**2 < p.  Wang's half extended Euclid."""
+    r0, r1, s0, s1 = p, a, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > bound or math.gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
 
 
 def stationary_exact(chain: ChainSpec) -> RationalDistribution:
     """Exact stationary law: null space of the transposed generator, verified.
 
     Raises :class:`ChainError` when the chain is empty, not strongly
-    connected, or the null space is not one-dimensional, and when the solution
-    is not strictly positive or fails the balance re-check.
+    connected, or the null space is not one-dimensional or cannot be
+    certified, and when the solution is not strictly positive or fails the
+    balance re-check.  An irreducible chain has exactly one stationary law, so
+    a vector that passes these guards and sums to exactly 1 is that law.
     """
     ns = len(chain.states)
     if ns == 0:
@@ -418,7 +491,10 @@ def stationary_exact(chain: ChainSpec) -> RationalDistribution:
     for src, dst, rate in chain.transitions:
         qt[dst][src] = qt[dst].get(src, 0) + rate
         qt[src][src] = qt[src].get(src, 0) - rate
-    basis = nullspace(qt, ns)
+    try:
+        basis = nullspace(qt, ns)
+    except ArithmeticError as exc:
+        raise ChainError(str(exc)) from exc
     if len(basis) != 1:
         raise ChainError(f"null space has dimension {len(basis)}, expected 1")
     v = basis[0]

@@ -27,12 +27,13 @@ not an assumption.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ShapeError
-from .mlq import MLQ, _exchange, enumerate_queues
+from .mlq import MLQ, _exchange, count_queues, multisets_colex, subsets_colex
 from .pairing import _match, pair_strictly_left, pair_weakly_right
 from .words import (
     WORD_CLASSES,
@@ -140,15 +141,36 @@ def label_trace(q: MLQ) -> list[Word]:
 
 def fiber_law(shape: Sequence[int], n: int, kind: str, x: Sequence[Fraction] | None = None) -> dict:
     """Law of ``project(q)`` over the queues of ``shape`` on ``n`` sites, each
-    weighing 1, or its weight monomial at the site values ``x`` if given."""
+    weighing 1, or its weight monomial at the site values ``x`` if given.
+
+    The queues are not enumerated.  Entry j-1 of :func:`label_trace` depends
+    only on rows j..k, so a law on layer stacks is pushed down through the
+    rows from the top: mu_j(L') = sum over L of mu_{j+1}(L) times the total
+    weight of the rows r of size ``shape[j-1]`` whose row operator takes L to
+    L'.  One word is built per stack left after row 1.
+    """
     if x is not None and len(x) != n:
         raise ValueError(f"expected {n} site values, got {len(x)}")
-    mass: dict = {}
-    for q in enumerate_queues(shape, n, kind):
-        w = project(q)
-        mass[w] = mass.get(w, 0) + (1 if x is None else q.weight().evaluate(x))
-    total = sum(mass.values())
-    return {w: Fraction(m) / total for w, m in mass.items()}
+    count_queues(shape, n, kind)
+    if not shape:
+        raise ValueError("a queue needs at least one row")
+    fermionic = kind == "fermionic"
+    xs = None if x is None else [Fraction(v) for v in x]
+    law: dict = {(): 1}  # layer stack -> mass of the queues' upper rows that fold to it
+    for j in range(len(shape), 0, -1):
+        rows = []  # (per-site counts, weight) of each row of size shape[j-1]
+        for r in (subsets_colex if fermionic else multisets_colex)(n, shape[j - 1]):
+            weight = 1 if xs is None else math.prod([xs[s - 1] for s in r], start=Fraction(1))
+            rows.append((tuple(_site_counts(r, n, fermionic)), weight))
+        pushed: dict = {}
+        for stack, mass in law.items():
+            for row, weight in rows:
+                key = tuple(map(tuple, _row_layers(row, j, stack, fermionic)))
+                pushed[key] = pushed.get(key, 0) + mass * weight
+        law = pushed
+    total = sum(law.values())
+    cls = WORD_CLASSES[kind]
+    return {_stacked(cls, stack, n): Fraction(mass) / total for stack, mass in law.items()}
 
 
 def ferrari_martin(q: MLQ) -> Word:

@@ -42,7 +42,6 @@ from .projection import (
     apply_row_particlewise,
     canonical_order,
     ctm_components,
-    ctm_project,
     ferrari_martin,
     fiber_law,
     label_trace,
@@ -291,8 +290,10 @@ def check_projection_routes(case: dict) -> list:
     when too many) agree, with the content law and the component swap under
     twists.  Reports the first disagreement."""
     q = case["queue"]
-    w = project(q)
-    ctm = ctm_project(q)
+    trace = label_trace(q)
+    w = trace[0]
+    before = ctm_components(q)
+    ctm = WORD_CLASSES[q.kind].from_layers(sorted(before, key=sum, reverse=True), q.n)
     if ctm != w:
         return [_witness("fold-vs-ctm", case, fold=documents.emit_word(w), ctm=documents.emit_word(ctm))]
     lam = tuple(sorted(q.shape, reverse=True))
@@ -301,14 +302,13 @@ def check_projection_routes(case: dict) -> list:
             return [_witness("content-law", case, layer=j)]
     if q.is_straight and ferrari_martin(q) != w:
         return [_witness("fold-vs-label-passing", case)]
-    before = ctm_components(q)
     for i in range(1, q.k):
         after = ctm_components(twist(q, i))
         perm = list(range(q.k))
         perm[i - 1], perm[i] = perm[i], perm[i - 1]
         if after != [before[p] for p in perm]:
             return [_witness("component-swap", case, i=i)]
-    if _particlewise_mismatch(q, case["all_orders"], random.Random(case["order_seed"])):
+    if _particlewise_mismatch(q, trace, case["all_orders"], random.Random(case["order_seed"])):
         return [_witness("particlewise", case)]
     return []
 
@@ -323,10 +323,10 @@ def _priority_orders(word):
         yield tuple(p for block in perms for p in block)
 
 
-def _particlewise_mismatch(q: MLQ, all_orders: bool, rng: random.Random) -> bool:
-    """Replay the projection fold with the queueing formulation of the row op."""
+def _particlewise_mismatch(q: MLQ, trace: list, all_orders: bool, rng: random.Random) -> bool:
+    """Replay the projection fold, ``trace`` = ``label_trace(q)``, with the
+    queueing formulation of the row op."""
     word = WORD_CLASSES[q.kind].from_particles(q.n, ())
-    trace = label_trace(q)
     for j in range(q.k, 0, -1):
         expected = trace[j - 1]
         got = apply_row_particlewise(q.rows[j - 1], j, word)
@@ -430,9 +430,10 @@ def suite_stationary_tazrp(lam: Sequence[int] = (2, 1), n: int = 3, x: RateParam
 
 
 TASEP_GRID = [((2, 1), 3), ((2, 1), 4), ((2, 1), 5), ((2, 2), 3), ((2, 2), 4), ((2, 2), 5),
-              ((3, 1), 3), ((3, 1), 4), ((3, 1), 5), ((2, 1, 1), 3), ((2, 1, 1), 4), ((2, 1, 1), 5)]
-TAZRP_GRID = [((2, 1), 2), ((2, 1), 3), ((2, 2), 2), ((2, 2), 3)]
-TAZRP_X = [(1, 1, 1), (1, 2, 3), (2, 3, 5)]
+              ((3, 1), 3), ((3, 1), 4), ((3, 1), 5), ((2, 1, 1), 3), ((2, 1, 1), 4), ((2, 1, 1), 5),
+              ((3, 2, 1), 8)]
+TAZRP_GRID = [((2, 1), 2), ((2, 1), 3), ((2, 2), 2), ((2, 2), 3), ((2, 1), 5)]
+TAZRP_X = [(1, 1, 1, 1, 1), (1, 2, 3, 5, 7), (2, 3, 5, 7, 11)]
 
 
 def _suite_tasep_grid(bounds: dict | None, seed: int) -> SuiteReport:

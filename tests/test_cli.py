@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from mlqueues import cli, documents
+from mlqueues import ChainSpec, cli, documents, markov
 from mlqueues.cli import main
 
 from conftest import bq, bw, fq, fw
@@ -142,8 +146,73 @@ class TestStationaryCommand:
         assert code == 3
         assert "model error" in err
 
+    @pytest.mark.parametrize("method", ("exact", "mlq", "mc"))
+    @pytest.mark.parametrize("model", ("tasep", "mlq-fermionic", "ktazrp"))
+    def test_x_for_a_unit_rate_model_is_input_error(self, capsys, model, method):
+        code, out, err = run(
+            capsys, "stationary", "--model", model, "--lambda", "2,1", "--n", "3", "--method", method, "--x", "1,2,3"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--x" in err
+
+    def test_reducible_chain_is_model_error(self, capsys, monkeypatch):
+        reducible = ChainSpec(("a", "b", "c"), ((0, 1, Fraction(1)), (1, 0, Fraction(1))))
+        monkeypatch.setattr(cli, "tasep_chain", lambda lam, n: reducible)
+        code, out, err = run(capsys, "stationary", "--model", "tasep", "--lambda", "2,1", "--n", "3")
+        assert code == 3
+        assert out == ""
+        assert "not irreducible" in err
+
+    def test_uncertified_solve_is_model_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(markov, "_MODULI", (7,))  # 7 divides the rate 1/x_3
+        code, out, err = run(capsys, "stationary", "--model", "tazrp", "--lambda", "2,1", "--n", "3", "--x", "1,2,7")
+        assert code == 3
+        assert out == ""
+        assert "model error" in err
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
 
 MODELS = ("tasep", "tazrp", "ktazrp", "mlq-fermionic", "mlq-bosonic")
+
+
+@st.composite
+def stationary_argv(draw):
+    """``mlq stationary`` argv over every model and method: n <= 5, small
+    parts, rates and jump counts, each malformed now and then.  Values go in
+    ``--opt=value`` form so that a leading minus sign reaches the command."""
+    def rarely() -> bool:
+        return draw(st.integers(0, 5)) == 5
+
+    model, method = draw(st.sampled_from(MODELS)), draw(st.sampled_from(("exact", "mlq", "mc")))
+    n = draw(st.integers(-1, 0) if rarely() else st.integers(1, 5))
+    parts = draw(st.lists(st.integers(-1, 0) if rarely() else st.integers(1, 3), min_size=1, max_size=4))
+    assume(sum(map(abs, parts)) <= 4)  # keeps each chain to at most a few hundred states
+    lam = draw(st.sampled_from(("", "a", "1,,2", "1.5", "2;1"))) if rarely() else ",".join(map(str, parts))
+    argv = ["stationary", f"--model={model}", f"--lambda={lam}", f"--n={n}", f"--method={method}"]
+    with_x = rarely() if model in ("tasep", "ktazrp", "mlq-fermionic") else not draw(st.booleans())
+    if with_x:
+        size = draw(st.integers(0, 6)) if rarely() else max(n, 0)
+        rate = st.sampled_from(("0", "-1", "1/0", "x", "", "2.5") if rarely() else ("1", "2", "3", "1/2", "5/3"))
+        argv.append("--x=" + ",".join(draw(st.lists(rate, min_size=size, max_size=size))))
+    if method == "mc":
+        argv += [f"--seed={draw(st.integers(0, 3))}", f"--jumps={draw(st.integers(-1, 0) if rarely() else st.integers(1, 30))}"]
+    return argv
+
+
+class TestStationaryFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(stationary_argv())
+    def test_every_argv_ends_in_a_documented_exit_code(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3, 4), argv
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert sum(Fraction(str(e["prob"])) for e in json.loads(out.getvalue())["entries"]) == pytest.approx(1)
 
 
 class TestStationaryInputs:

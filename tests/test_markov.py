@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -32,7 +33,9 @@ from mlqueues import (
     tazrp_chain,
     tazrp_transitions,
 )
+from mlqueues import markov
 from mlqueues.markov import nullspace
+from mlqueues.projection import fiber_law
 
 from conftest import bq, bw, fq, fw
 
@@ -211,6 +214,59 @@ class TestStationaryExact:
         out, into = chain.flux([Fraction(1), Fraction(2), Fraction(5)])
         assert out == [3, 2, 15]
         assert into == [15, 2, 3]
+
+
+def _recorded_attempts(monkeypatch) -> list:
+    """Record (modulus, certified?) for each prime the null-space solve tries."""
+    attempts = []
+    real = markov._nullspace_mod
+
+    def attempt(sparse, ncols, p):
+        basis = real(sparse, ncols, p)
+        attempts.append((p, basis is not None))
+        return basis
+
+    monkeypatch.setattr(markov, "_nullspace_mod", attempt)
+    return attempts
+
+
+class TestModularSolve:
+    def test_prime_too_small_to_reconstruct_is_retried(self, monkeypatch):
+        chain = tasep_chain((3, 2, 1), 6)
+        law = stationary_exact(chain)
+        monkeypatch.setattr(markov, "_MODULI", (101, 2**61 - 1))
+        attempts = _recorded_attempts(monkeypatch)
+        assert stationary_exact(chain) == law
+        assert attempts == [(101, False), (2**61 - 1, True)]
+
+    def test_prime_dividing_a_rate_denominator_is_retried(self, monkeypatch):
+        chain = tazrp_chain((2, 1), 3, RateParams((Fraction(1), Fraction(2), Fraction(7))))
+        law = stationary_exact(chain)
+        monkeypatch.setattr(markov, "_MODULI", (7, 2**61 - 1))
+        attempts = _recorded_attempts(monkeypatch)
+        assert stationary_exact(chain) == law
+        assert attempts == [(7, False), (2**61 - 1, True)]
+
+    def test_exhausted_ladder_raises(self, monkeypatch):
+        chain = tazrp_chain((2, 1), 3, RateParams((Fraction(1), Fraction(2), Fraction(7))))
+        monkeypatch.setattr(markov, "_MODULI", (7, 101))
+        with pytest.raises(ChainError):
+            stationary_exact(chain)
+        with pytest.raises(ArithmeticError):
+            nullspace([{0: Fraction(1, 7), 1: -3}])  # the null vector (21, 1) does not lift mod 101
+
+    def test_rational_reconstruction(self):
+        p = 2**61 - 1
+        bound = math.isqrt(p // 2)
+        for q in (Fraction(0), Fraction(1), Fraction(-3, 7), Fraction(bound, bound - 1), Fraction(-bound, 1)):
+            assert markov._rational(q.numerator * pow(q.denominator, -1, p) % p, p, bound) == q
+        assert markov._rational(bound + 1, p, bound) is None
+
+    def test_n8_tasep_law_equals_fiber_law(self):
+        # 1680 states; the fiber side pushes 878 080 queues' law through 4 rows
+        dist = stationary_exact(tasep_chain((4, 3, 2, 1), 8))
+        assert len(dist.probs) == 1680
+        assert fiber_law((4, 3, 2, 1), 8, "fermionic") == dist.probs
 
 
 def _rank(rows) -> int:

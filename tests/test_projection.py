@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -29,7 +30,7 @@ from mlqueues import (
 )
 from mlqueues import verify
 from mlqueues.documents import parse_queue
-from mlqueues.projection import _fold, canonical_order
+from mlqueues.projection import _fold, canonical_order, fiber_law
 
 from conftest import bq, bw, fq, fw, queues
 
@@ -514,3 +515,41 @@ class TestRExpansion:
     def test_small_label_rejected(self):
         with pytest.raises(ValueError):
             check_r_expansion((1,), fw("12"))
+
+
+def _enumerated_fiber_law(shape, n, kind, x=None):
+    """The fiber law by brute force: project every queue of the family."""
+    mass = {}
+    for q in enumerate_queues(shape, n, kind):
+        w = project(q)
+        mass[w] = mass.get(w, 0) + (1 if x is None else q.weight().evaluate(x))
+    total = sum(mass.values())
+    return {w: Fraction(m) / total for w, m in mass.items()}
+
+
+_FIBER_SHAPES = [(lam, n, "fermionic", None) for lam, n in verify.TASEP_GRID] + [
+    (lam, n, "bosonic", tuple(Fraction(v) for v in xs[:n])) for lam, n in verify.TAZRP_GRID for xs in verify.TAZRP_X
+]
+
+
+class TestFiberLaw:
+    @pytest.mark.parametrize("shape, n, kind, x", _FIBER_SHAPES)
+    def test_push_forward_equals_enumeration(self, shape, n, kind, x):
+        assert fiber_law(shape, n, kind, x) == _enumerated_fiber_law(shape, n, kind, x)
+
+    @pytest.mark.parametrize(
+        "shape, n, kind, x",
+        [((1, 2), 4, "fermionic", None), ((2, 0, 1), 4, "fermionic", None), ((0,), 3, "fermionic", None),
+         ((1, 3, 2), 3, "bosonic", (Fraction(1, 2), 2, 3)), ((0, 2), 3, "bosonic", (1, 2, 3))],
+    )
+    def test_twisted_and_empty_rows(self, shape, n, kind, x):
+        assert fiber_law(shape, n, kind, x) == _enumerated_fiber_law(shape, n, kind, x)
+
+    @pytest.mark.parametrize(
+        "shape, n, kind, x",
+        [((2, 1), 3, "fermionic", (1, 2)), ((4,), 3, "fermionic", None), ((), 3, "fermionic", None),
+         ((2, -1), 3, "bosonic", None), ((2, 1), 0, "bosonic", None), ((2, 1), 3, "other", None)],
+    )
+    def test_bad_family_rejected(self, shape, n, kind, x):
+        with pytest.raises(ValueError):
+            fiber_law(shape, n, kind, x)

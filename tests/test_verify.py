@@ -64,7 +64,7 @@ class TestSuites:
 
         monkeypatch.setattr(markov, "enumerate_states", counted)
         monkeypatch.setattr(verify, "enumerate_states", counted, raising=False)
-        for suite, cases, chains in (("stationary-tasep", 140, 12), ("stationary-tazrp", 66, 12)):
+        for suite, cases, chains in (("stationary-tasep", 476, 13), ("stationary-tazrp", 141, 15)):
             calls.clear()
             report = verify.SUITES[suite](None, 0)
             assert (report.passed, report.cases, len(calls)) == (True, cases, chains)
@@ -166,6 +166,14 @@ def _empty_word(q, *_):
     return FermionicWord((0,) * q.n) if isinstance(q, FermionicMLQ) else BosonicWord(((),) * q.n)
 
 
+def _empty_trace(q):
+    return [_empty_word(q)] * q.k
+
+
+def _zero_components(q, j=1):
+    return [(0,) * q.n] * (q.k - j + 1)
+
+
 def _plain_swap(q, i):
     rows = q.rows
     return type(q)(q.n, rows[: i - 1] + (rows[i], rows[i - 1]) + rows[i + 1 :])
@@ -228,10 +236,10 @@ TAZRP = lambda: verify.suite_stationary_tazrp((2, 1), 2, RateParams((Fraction(1)
 # witness kind -> (report whose failures hold the witness, {verify attribute: fault built from the real one})
 FAULTS = {
     "twist-invariance": (lambda: verify.suite_r_invariance(SMALL, seed=1), {"twist": lambda real: _plain_swap}),
-    "fold-vs-ctm": (SWEEP, {"ctm_project": lambda real: _empty_word}),
-    "content-law": (SWEEP, {"project": lambda real: _empty_word, "ctm_project": lambda real: _empty_word}),
+    "fold-vs-ctm": (SWEEP, {"ctm_components": lambda real: _zero_components}),
+    "content-law": (SWEEP, {"label_trace": lambda real: _empty_trace, "ctm_components": lambda real: _zero_components}),
     "fold-vs-label-passing": (SWEEP, {"ferrari_martin": lambda real: _empty_word}),
-    "component-swap": (SWEEP, {"ctm_components": lambda real: lambda q, j=1: [tuple(r) for r in q.rows]}),
+    "component-swap": (SWEEP, {"ctm_components": lambda real: lambda q, j=1: sorted(real(q, j), key=sum, reverse=True)}),
     "particlewise": (SWEEP, {"apply_row_particlewise": lambda real: lambda row, label, word, order=None: word}),
     "fiber-count": (TASEP, {"fiber_law": _uniform_fibers}),
     "fiber-weight": (TAZRP, {"fiber_law": _uniform_fibers}),
