@@ -15,22 +15,19 @@ from fractions import Fraction
 from . import documents, verify
 from .errors import ChainError, SchemaError, ShapeError
 from .markov import (
+    MODELS,
     RateParams,
-    conjugate,
-    ktazrp_chain,
-    mlq_chain,
+    model_chain,
+    queue_law,
     ring_forward,
     ring_forward_bosonic,
     ring_reverse,
     ring_reverse_bosonic,
-    ringing_states,
     simulate_ctmc,
     stationary_exact,
-    tasep_chain,
-    tazrp_chain,
 )
 from .mlq import count_queues, enumerate_queues, twist
-from .projection import ctm_project, fiber_law, label_trace, project
+from .projection import ctm_project, label_trace, project
 
 
 def _load_json(path: str):
@@ -98,23 +95,18 @@ def cmd_sigma(args) -> int:
     return 0
 
 
-# the models whose rates are all 1, so that a given --x would be ignored
-_UNIT_RATE_MODELS = ("tasep", "mlq-fermionic", "ktazrp")
-
-
 def cmd_stationary(args) -> int:
-    model = args.model
-    if args.x is not None and model in _UNIT_RATE_MODELS:
-        raise SchemaError(f"--x does not apply to {model}, whose rates are all 1")
+    model = MODELS[args.model]
+    if args.x is not None and not model.rates:
+        raise SchemaError(f"--x does not apply to {args.model}, whose rates are all 1")
     lam = _parse_int_list(args.lam)
     n = args.n
-    x = _parse_x(args.x, n)
-    show_x = None if model in _UNIT_RATE_MODELS else x.x
+    x = _parse_x(args.x, n) if model.rates else None
 
     if args.method == "mlq":
-        probs = _fiber_probs(model, lam, n, x)
+        probs = queue_law(args.model, lam, n, x)
     else:
-        chain = _chain(model, lam, n, x)
+        chain = model_chain(args.model, lam, n, x)
         if args.method == "exact":
             dist = stationary_exact(chain)
             probs = {s: dist[s] for s in chain.states}
@@ -123,40 +115,17 @@ def cmd_stationary(args) -> int:
             total = sum((Fraction(v) for v in freqs.values()), Fraction(0))
             probs = {s: Fraction(v) / total for s, v in freqs.items()}
 
-    if model.startswith("mlq-"):  # queue states in state order, with their weights
+    if model.ringing:  # queue states in state order, with their weights
         entries = [(s, p, s.weight().exponents) for s, p in probs.items()]
     else:
         entries = [(s, p, None) for s, p in sorted(probs.items(), key=lambda kv: str(kv[0]))]
-    doc = documents.emit_distribution(model, lam, n, show_x, entries)
+    doc = documents.emit_distribution(args.model, lam, n, None if x is None else x.x, entries)
     if args.method == "mc":  # sampled frequencies are estimates, not exact rationals
         doc["estimate"] = True
         for e in doc["entries"]:
             e["prob"] = float(Fraction(e["prob"]))
     _emit(doc)
     return 0
-
-
-def _chain(model: str, lam, n: int, x: RateParams):
-    if model == "tasep":
-        return tasep_chain(lam, n)
-    if model == "tazrp":
-        return tazrp_chain(lam, n, x)
-    if model == "ktazrp":
-        return ktazrp_chain(lam, n)
-    return mlq_chain(model.removeprefix("mlq-"), lam, n, x)
-
-
-def _fiber_probs(model: str, lam, n: int, x: RateParams) -> dict:
-    """Stationary law without the chain: projection fibers over the
-    conjugate-shape queues for the ring processes, normalized queue weights
-    for the ringing chains."""
-    if model.startswith("mlq-"):
-        states = ringing_states(model.removeprefix("mlq-"), lam, n)
-        weights = [Fraction(1) if model == "mlq-fermionic" else s.weight().evaluate(x.x) for s in states]
-        total = sum(weights)
-        return {s: w / total for s, w in zip(states, weights)}
-    kind = "fermionic" if model == "tasep" else "bosonic"
-    return fiber_law(conjugate(lam), n, kind, x.x if model == "tazrp" else None)
 
 
 def cmd_ring(args) -> int:
@@ -260,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sigma)
 
     p = sub.add_parser("stationary", help="stationary distribution of a ring process")
-    p.add_argument("--model", required=True, choices=("tasep", "tazrp", "ktazrp", "mlq-fermionic", "mlq-bosonic"))
+    p.add_argument("--model", required=True, choices=tuple(MODELS))
     p.add_argument("--lambda", dest="lam", required=True, help="comma-separated content/shape, e.g. 2,1")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--x", default=None, help="comma-separated site rates, default all ones")

@@ -97,27 +97,6 @@ def emit_distribution(model: str, lam, n: int, x, entries) -> dict:
     }
 
 
-def parse_distribution(doc: dict) -> dict:
-    _require(isinstance(doc, dict), "distribution document must be an object")
-    entries = doc.get("entries")
-    _require(isinstance(entries, list), "entries must be a list")
-    total = Fraction(0)
-    parsed = []
-    for e in entries:
-        state = parse_word(e["state"])
-        prob = parse_fraction(e["prob"])
-        total += prob
-        parsed.append((state, prob, e.get("weight")))
-    _require(total == 1, "probabilities must sum to exactly 1")
-    return {
-        "model": doc.get("model"),
-        "lambda": doc.get("lambda"),
-        "n": doc.get("n"),
-        "x": None if doc.get("x") is None else [parse_fraction(v) for v in doc["x"]],
-        "entries": parsed,
-    }
-
-
 # ---------------------------------------------------------------------------
 # dot diagrams
 # ---------------------------------------------------------------------------

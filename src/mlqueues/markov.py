@@ -15,6 +15,8 @@ no elimination: the chain is irreducible (so its stationary law is unique),
 the vector is strictly positive, sums to exactly 1, and balances state by
 state, from one O(T) tally of flux out of and into every state over the T
 transitions.  Floating point appears only in the Monte-Carlo sampler.
+``MODELS`` is the one table of the ``mlq stationary`` models, read by
+:func:`model_chain`, :func:`queue_law` and :func:`model_size`.
 """
 
 from __future__ import annotations
@@ -27,33 +29,12 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Sequence
+from typing import Callable, Hashable, Sequence
 
 from .errors import ChainError, ShapeError
-from .mlq import MLQ, BosonicMLQ, FermionicMLQ, enumerate_queues
+from .mlq import MLQ, BosonicMLQ, FermionicMLQ, RateParams, count_queues, enumerate_queues
+from .projection import fiber_law
 from .words import BosonicWord, FermionicWord, Word, _built, _ints, _site_counts, _wrap, indicator_multiset
-
-
-@dataclass(frozen=True)
-class RateParams:
-    """Positive site-dependent rate parameters x_1..x_n."""
-
-    x: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(Fraction(v) for v in self.x))
-        if any(v <= 0 for v in self.x):
-            raise ValueError("rate parameters must be positive")
-
-    @classmethod
-    def ones(cls, n: int) -> "RateParams":
-        return cls((Fraction(1),) * n)
-
-    def __getitem__(self, site: int) -> Fraction:
-        if not 1 <= site <= len(self.x):
-            raise IndexError(f"rate site {site} outside 1..{len(self.x)}")
-        return self.x[site - 1]
-
 
 _ONE = Fraction(1)
 
@@ -648,6 +629,74 @@ def mlq_chain(kind: str, alpha: Sequence[int], n: int, x: RateParams | None = No
             if img != state:
                 transitions.append((idx, index[img], rate))
     return ChainSpec(tuple(states), tuple(transitions))
+
+
+# ---------------------------------------------------------------------------
+# models: the chain and the queue law of each stationary claim
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Model:
+    """A model of ``mlq stationary``, on lambda as ``--lambda`` gives it.  A
+    ``ringing`` model runs on the queues of shape lambda and ``kind``, with
+    their normalized weights as queue law; any other on the words of content
+    lambda, with the fiber law of the conj(lambda)-shaped queues.  Only a
+    model with ``rates`` takes site rates x; its weights are taken at x too."""
+
+    kind: str
+    ringing: bool
+    rates: bool
+    chain: Callable[[Sequence[int], int, RateParams | None], ChainSpec]
+
+
+# each chain looks its builder up by name when it runs, so a rebound builder runs
+MODELS: dict[str, Model] = {
+    "tasep": Model("fermionic", False, False, lambda lam, n, x: tasep_chain(lam, n)),
+    "tazrp": Model("bosonic", False, True, lambda lam, n, x: tazrp_chain(lam, n, x)),
+    "ktazrp": Model("bosonic", False, False, lambda lam, n, x: ktazrp_chain(lam, n)),
+    "mlq-fermionic": Model("fermionic", True, False, lambda lam, n, x: mlq_chain("fermionic", lam, n)),
+    "mlq-bosonic": Model("bosonic", True, True, lambda lam, n, x: mlq_chain("bosonic", lam, n, x)),
+}
+
+
+def _model(model: str, n: int, x: RateParams | None = None) -> Model:
+    """The entry of ``model``, once ``x`` is None (unit rates) or n rates it takes."""
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}; choose from {list(MODELS)}")
+    if x is not None and not MODELS[model].rates:
+        raise ValueError(f"{model} takes no site rates x: its rates are all 1")
+    _check_rates(x, n)
+    return MODELS[model]
+
+
+def model_chain(model: str, lam: Sequence[int], n: int, x: RateParams | None = None) -> ChainSpec:
+    """The chain of ``model`` on ``n`` sites, at rates ``x`` (unit when None)."""
+    return _model(model, n, x).chain(lam, n, x)
+
+
+def model_size(model: str, lam: Sequence[int], n: int) -> int:
+    """The state count of :func:`model_chain`, without building it."""
+    m = _model(model, n)
+    if m.ringing:
+        return count_queues(lam, n, m.kind)
+    return count_states(lam, n, "tasep" if m.kind == "fermionic" else "tazrp")
+
+
+def queue_law(model: str, lam: Sequence[int], n: int, x: RateParams | None = None) -> dict:
+    """The stationary law the queues give for ``model``, without its chain:
+    state -> probability, with the weights taken at ``x`` (unit when None)."""
+    m = _model(model, n, x)
+    if not m.ringing:
+        return fiber_law(conjugate(lam), n, m.kind, None if x is None else x.x)
+    states = ringing_states(m.kind, lam, n)
+    if x is None:
+        weights = [_ONE] * len(states)
+    else:  # no site holds more than sum(lam) particles of a queue
+        powers = [[xj**e for e in range(sum(lam) + 1)] for xj in x.x]
+        weights = [math.prod([p[e] for p, e in zip(powers, s.weight().exponents)], start=_ONE) for s in states]
+    total = sum(weights)
+    return {s: w / total for s, w in zip(states, weights)}
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,28 @@ class Monomial:
         return "*".join(parts) if parts else "1"
 
 
+@dataclass(frozen=True)
+class RateParams:
+    """Positive site values x_1..x_n: the rates of the site-dependent chains
+    and the variables the queue weights are evaluated at."""
+
+    x: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "x", tuple(Fraction(v) for v in self.x))
+        if any(v <= 0 for v in self.x):
+            raise ValueError("rate parameters must be positive")
+
+    @classmethod
+    def ones(cls, n: int) -> "RateParams":
+        return cls((Fraction(1),) * n)
+
+    def __getitem__(self, site: int) -> Fraction:
+        if not 1 <= site <= len(self.x):
+            raise IndexError(f"rate site {site} outside 1..{len(self.x)}")
+        return self.x[site - 1]
+
+
 @dataclass(frozen=True, slots=True)
 class MLQ:
     """A multiline queue; rows are ascending tuples of sites in 1..n.  Build

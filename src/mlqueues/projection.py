@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ShapeError
-from .mlq import MLQ, _exchange, count_queues, multisets_colex, subsets_colex
+from .mlq import MLQ, RateParams, _exchange, count_queues, multisets_colex, subsets_colex
 from .pairing import _match, pair_strictly_left, pair_weakly_right
 from .words import (
     WORD_CLASSES,
@@ -141,7 +141,8 @@ def label_trace(q: MLQ) -> list[Word]:
 
 def fiber_law(shape: Sequence[int], n: int, kind: str, x: Sequence[Fraction] | None = None) -> dict:
     """Law of ``project(q)`` over the queues of ``shape`` on ``n`` sites, each
-    weighing 1, or its weight monomial at the site values ``x`` if given.
+    weighing 1, or its weight monomial at the site values ``x`` if given (each
+    must be positive).
 
     The queues are not enumerated.  Entry j-1 of :func:`label_trace` depends
     only on rows j..k, so a law on layer stacks is pushed down through the
@@ -149,13 +150,13 @@ def fiber_law(shape: Sequence[int], n: int, kind: str, x: Sequence[Fraction] | N
     weight of the rows r of size ``shape[j-1]`` whose row operator takes L to
     L'.  One word is built per stack left after row 1.
     """
-    if x is not None and len(x) != n:
-        raise ValueError(f"expected {n} site values, got {len(x)}")
+    xs = None if x is None else RateParams(x).x
+    if xs is not None and len(xs) != n:
+        raise ValueError(f"expected {n} site values, got {len(xs)}")
     count_queues(shape, n, kind)
     if not shape:
         raise ValueError("a queue needs at least one row")
     fermionic = kind == "fermionic"
-    xs = None if x is None else [Fraction(v) for v in x]
     law: dict = {(): 1}  # layer stack -> mass of the queues' upper rows that fold to it
     for j in range(len(shape), 0, -1):
         rows = []  # (per-site counts, weight) of each row of size shape[j-1]

@@ -23,18 +23,18 @@ from typing import Callable, Iterable, Sequence
 from . import documents
 from .errors import SchemaError
 from .markov import (
+    MODELS,
     RateParams,
     conjugate,
-    count_states,
-    mlq_chain,
+    model_chain,
+    model_size,
+    queue_law,
     ring_forward,
     ring_forward_bosonic,
     ring_reverse,
     ring_reverse_bosonic,
     stationary_exact,
-    tasep_chain,
     tasep_transitions,
-    tazrp_chain,
     tazrp_transitions,
 )
 from .mlq import MLQ, QUEUE_CLASSES, count_queues, enumerate_queues, twist
@@ -43,11 +43,10 @@ from .projection import (
     canonical_order,
     ctm_components,
     ferrari_martin,
-    fiber_law,
     label_trace,
     project,
 )
-from .words import WORD_CLASSES, _wrap
+from .words import WORD_CLASSES, Word, _wrap
 
 
 def worker_count() -> int:
@@ -141,23 +140,25 @@ def _read_rates(value) -> RateParams | None:
 _ANY_QUEUE, _FERMIONIC, _BOSONIC = _queue_kind("fermionic", "bosonic"), _queue_kind("fermionic"), _queue_kind("bosonic")
 _INT = _field(lambda v: type(v) is int, "an integer")
 _FLAG = _field(lambda v: type(v) is bool, "true or false")
-_MODEL = _field(lambda v: v in ("tasep", "tazrp"), "'tasep' or 'tazrp'")
+_MODEL = _field(lambda v: isinstance(v, str) and v in MODELS, f"one of {', '.join(map(repr, MODELS))}")
 _PARTS = _field(lambda v: isinstance(v, list) and all(type(p) is int for p in v), "a list of integers", tuple)
 _RATES = _field(lambda v: isinstance(v, list), "a list of rationals", _read_rates)
 _RATES_OR_NONE = _field(lambda v: v is None or isinstance(v, list), "a list of rationals or null", _read_rates)
 
 
 def _json(value):
-    """A case value as witness JSON."""
+    """A case or found value as witness JSON."""
     if isinstance(value, MLQ):
         return documents.emit_queue(value)
+    if isinstance(value, Word):
+        return documents.emit_word(value)
     if isinstance(value, RateParams):
         return [documents.format_fraction(v) for v in value.x]
     return list(value) if isinstance(value, tuple) else value
 
 
 def _witness(kind: str, case: dict, **found) -> dict:
-    return {"check": kind, **{name: _json(value) for name, value in case.items()}, **found}
+    return {"check": kind, **{name: _json(value) for name, value in {**case, **found}.items()}}
 
 
 def replay_witness(witness) -> bool:
@@ -275,8 +276,7 @@ def check_twist_invariance(case: dict) -> list:
     for i in range(1, q.k):
         other = project(twist(q, i))
         if other != base:
-            got = documents.emit_word(other)
-            return [_witness("twist-invariance", case, i=i, expected=documents.emit_word(base), got=got)]
+            return [_witness("twist-invariance", case, i=i, expected=base, got=other)]
     return []
 
 
@@ -295,7 +295,7 @@ def check_projection_routes(case: dict) -> list:
     before = ctm_components(q)
     ctm = WORD_CLASSES[q.kind].from_layers(sorted(before, key=sum, reverse=True), q.n)
     if ctm != w:
-        return [_witness("fold-vs-ctm", case, fold=documents.emit_word(w), ctm=documents.emit_word(ctm))]
+        return [_witness("fold-vs-ctm", case, fold=w, ctm=ctm)]
     lam = tuple(sorted(q.shape, reverse=True))
     for j in range(1, q.k + 1):
         if sum(w.layer(j)) != lam[j - 1]:
@@ -381,34 +381,31 @@ def suite_phi_equals_ctm(bounds: dict | None = None, seed: int = 0) -> SuiteRepo
 
 
 @_check(
-    "fiber-count", "fiber-weight", "fiber-support",
+    "law-mismatch", "law-support",
     fields={"model": _MODEL, "lambda": _PARTS, "n": _INT, "x": _RATES_OR_NONE},
-    units=lambda case: count_states(conjugate(case["lambda"]), case["n"], case["model"]),
+    units=lambda case: model_size(case["model"], case["lambda"], case["n"]),
 )
-def check_stationary_fibers(case: dict) -> list:
-    """The ``tasep`` or ``tazrp`` (rates ``x``) chain on content conj(lambda) has
-    the fiber law of the lambda-shaped queues as its exact stationary law."""
-    lam, n, x = case["lambda"], case["n"], case["x"]
-    if case["model"] == "tasep":
-        chain, kind, mismatch = tasep_chain(conjugate(lam), n), "fermionic", "fiber-count"
-    else:
-        chain, kind, mismatch = tazrp_chain(conjugate(lam), n, x), "bosonic", "fiber-weight"
-    fibers = fiber_law(lam, n, kind, None if x is None else x.x)
-    exact = stationary_exact(chain)
+def check_stationary_law(case: dict) -> list:
+    """The exact stationary law of the model's chain is the law its queues
+    give; the case holds the ``mlq stationary`` arguments of the model."""
+    model, lam, n, x = case["model"], case["lambda"], case["n"], case["x"]
+    law = queue_law(model, lam, n, x)
+    exact = stationary_exact(model_chain(model, lam, n, x))
     found = [
-        _witness(mismatch, case, state=documents.emit_word(s), fiber=str(fibers.get(s, 0)), exact=str(p))
+        _witness("law-mismatch", case, state=s, queue_law=str(law.get(s, 0)), exact=str(p))
         for s, p in exact.items()
-        if fibers.get(s, 0) != p
+        if law.get(s, 0) != p
     ]
-    escaped = [documents.emit_word(w) for w in sorted(set(fibers) - set(exact.probs), key=str)]
+    escaped = [_json(s) for s in sorted(set(law) - set(exact.probs), key=str)]
     if escaped:
-        found.append(_witness("fiber-support", case, detail="projection image escapes the state space", words=escaped))
+        found.append(_witness("law-support", case, detail="the queue law leaves the state space", states=escaped))
     return found
 
 
-def _fiber_suite(model: str, grid, parameters: dict) -> SuiteReport:
-    cases = [{"model": model, "lambda": lam, "n": n, "x": x} for lam, n, x in grid]
-    return _run(f"stationary-{model}", parameters, [(check_stationary_fibers, cases)])
+def _law_suite(model: str, grid, parameters: dict) -> SuiteReport:
+    """``model`` on each (queue shape, n, x) of ``grid``, on content conj(shape)."""
+    cases = [{"model": model, "lambda": conjugate(shape), "n": n, "x": x} for shape, n, x in grid]
+    return _run(f"stationary-{model}", parameters, [(check_stationary_law, cases)])
 
 
 def suite_stationary_tasep(lam: Sequence[int] = (2, 1), n: int = 3) -> SuiteReport:
@@ -419,14 +416,14 @@ def suite_stationary_tasep(lam: Sequence[int] = (2, 1), n: int = 3) -> SuiteRepo
     """
     lam = tuple(sorted(map(int, lam), reverse=True))
     parameters = {"lambda": list(lam), "n": n, "queues": count_queues(lam, n, "fermionic")}
-    return _fiber_suite("tasep", [(lam, n, None)], parameters)
+    return _law_suite("tasep", [(lam, n, None)], parameters)
 
 
 def suite_stationary_tazrp(lam: Sequence[int] = (2, 1), n: int = 3, x: RateParams | None = None) -> SuiteReport:
     """Zero-range stationary law equals the weighted projection fiber sums."""
     lam = tuple(sorted(map(int, lam), reverse=True))
     x = x or RateParams.ones(n)
-    return _fiber_suite("tazrp", [(lam, n, x)], {"lambda": list(lam), "n": n, "x": [str(v) for v in x.x]})
+    return _law_suite("tazrp", [(lam, n, x)], {"lambda": list(lam), "n": n, "x": [str(v) for v in x.x]})
 
 
 TASEP_GRID = [((2, 1), 3), ((2, 1), 4), ((2, 1), 5), ((2, 2), 3), ((2, 2), 4), ((2, 2), 5),
@@ -439,14 +436,14 @@ TAZRP_X = [(1, 1, 1, 1, 1), (1, 2, 3, 5, 7), (2, 3, 5, 7, 11)]
 def _suite_tasep_grid(bounds: dict | None, seed: int) -> SuiteReport:
     _bounds(bounds)  # the grid reads no bound, but unknown keys are still an input error
     grid = [(lam, n, None) for lam, n in TASEP_GRID]
-    return _fiber_suite("tasep", grid, {"grid": [[list(lam), n] for lam, n in TASEP_GRID]})
+    return _law_suite("tasep", grid, {"grid": [[list(lam), n] for lam, n in TASEP_GRID]})
 
 
 def _suite_tazrp_grid(bounds: dict | None, seed: int) -> SuiteReport:
     """``TAZRP_GRID`` with each rate vector of ``TAZRP_X`` cut to n sites."""
     _bounds(bounds)
     grid = [(lam, n, RateParams(tuple(Fraction(v) for v in xs[:n]))) for lam, n in TAZRP_GRID for xs in TAZRP_X]
-    return _fiber_suite("tazrp", grid, {"grid": [[list(lam), n] for lam, n in TAZRP_GRID], "x": TAZRP_X})
+    return _law_suite("tazrp", grid, {"grid": [[list(lam), n] for lam, n in TAZRP_GRID], "x": TAZRP_X})
 
 
 @_check("ring-inverse", fields={"queue": _FERMIONIC, "site": _INT})
@@ -474,29 +471,6 @@ def check_ring_bosonic(case: dict) -> list:
     want[i - 1] -= 1
     if list(img.weight().exponents) != want:
         found.append(_witness("ring-weight", case))
-    return found
-
-
-@_check(
-    "weight-balance", "weight-stationary", fields={"lambda": _PARTS, "n": _INT, "x": _RATES},
-    units=lambda case: count_queues(case["lambda"], case["n"], "bosonic"),
-)
-def check_weight_stationary(case: dict) -> list:
-    """The weight monomials at ``x`` balance the bosonic ringing chain state by
-    state, and normalized they are its exact stationary law."""
-    x = case["x"]
-    chain = mlq_chain("bosonic", case["lambda"], case["n"], x)
-    weights = [s.weight().evaluate(x.x) for s in chain.states]
-    out_flux, in_flux = chain.flux(weights)
-    found = [
-        _witness("weight-balance", case, state=documents.emit_queue(s))
-        for s, out_f, in_f in zip(chain.states, out_flux, in_flux)
-        if out_f != in_f
-    ]
-    total = sum(weights)
-    exact = stationary_exact(chain)
-    if any(exact[s] != w / total for s, w in zip(chain.states, weights)):
-        found.append(_witness("weight-stationary", case, detail="exact law differs from normalized weights"))
     return found
 
 
@@ -549,8 +523,7 @@ def check_ringing_projection(case: dict) -> list:
             continue
         w2 = project(img)
         if w2 != w and w2 not in neighbours:
-            word, image_word = documents.emit_word(w), documents.emit_word(w2)
-            return [_witness("ringing-projection-counterexample", case, site=i, word=word, image_word=image_word)]
+            return [_witness("ringing-projection-counterexample", case, site=i, word=w, image_word=w2)]
     return []
 
 
@@ -595,7 +568,7 @@ def suite_ringing(bounds: dict | None = None, seed: int = 0) -> SuiteReport:
     parts = [
         (check_ring_inverse, ({"queue": q, "site": i} for q, n in fermionic for i in range(1, n + 1))),
         (check_ring_bosonic, ({"queue": d, "site": rng.randint(1, d.n)} for d in bosonic)),
-        (check_weight_stationary, [{"lambda": (2, 1), "n": 3, "x": x}]),
+        (check_stationary_law, [{"model": "mlq-bosonic", "lambda": (2, 1), "n": 3, "x": x}]),
         (check_chain_projection, ({"queue": d, "x": x} for alpha in ((2, 1), (1, 2))
                                   for d in enumerate_queues(alpha, 3, "bosonic"))),
         (check_twist_commute, ({"queue": d, "m": m, "site": i} for d in _exhaustive_queues("bosonic", 3, 3, 2)

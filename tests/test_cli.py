@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -158,7 +159,7 @@ class TestStationaryCommand:
 
     def test_reducible_chain_is_model_error(self, capsys, monkeypatch):
         reducible = ChainSpec(("a", "b", "c"), ((0, 1, Fraction(1)), (1, 0, Fraction(1))))
-        monkeypatch.setattr(cli, "tasep_chain", lambda lam, n: reducible)
+        monkeypatch.setattr(markov, "tasep_chain", lambda lam, n: reducible)
         code, out, err = run(capsys, "stationary", "--model", "tasep", "--lambda", "2,1", "--n", "3")
         assert code == 3
         assert out == ""
@@ -215,6 +216,43 @@ class TestStationaryFuzz:
             assert sum(Fraction(str(e["prob"])) for e in json.loads(out.getvalue())["entries"]) == pytest.approx(1)
 
 
+@st.composite
+def law_witness(draw):
+    """A ``law-mismatch`` / ``law-support`` witness: n <= 4, parts <= 3, with
+    each field malformed now and then, rates bad or of the wrong length, and
+    rates on a model that takes none."""
+    def rarely() -> bool:
+        return draw(st.integers(0, 5)) == 5
+
+    model = draw(st.sampled_from(("asep", 3, None, ["tasep"]) if rarely() else MODELS))
+    n = draw(st.sampled_from((True, "3", None, -1, 0)) if rarely() else st.integers(1, 4))
+    part = st.integers(-1, 0) if rarely() else st.integers(1, 3)
+    parts = draw(st.lists(part, min_size=0 if rarely() else 1, max_size=3))
+    assume(sum(map(abs, parts)) <= 4)  # keeps each chain to a few hundred states
+    lam = draw(st.sampled_from(("2,1", [1.5], [True], None))) if rarely() else parts
+    x = None
+    if (model in ("tazrp", "mlq-bosonic")) != rarely():  # rates where the model takes them, now and then not
+        size = draw(st.integers(0, 5)) if rarely() else (n if type(n) is int and n > 0 else 0)
+        rate = st.sampled_from(("0", "-1", "1/0", "x", 2.5, True) if rarely() else ("1", "2", "1/2", "5/3"))
+        x = draw(st.lists(rate, min_size=size, max_size=size))
+    witness = {"check": draw(st.sampled_from(("law-mismatch", "law-support"))), "model": model, "lambda": lam, "n": n, "x": x}
+    if rarely():
+        del witness[draw(st.sampled_from(sorted(witness)))]
+    return witness
+
+
+class TestWitnessFuzz:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(law_witness())
+    def test_every_law_witness_ends_in_a_documented_exit_code(self, witness):
+        out, err = io.StringIO(), io.StringIO()
+        stdin = io.StringIO(json.dumps(witness))
+        with mock.patch("sys.stdin", stdin), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--witness", "-"])
+        assert code in (0, 2, 3, 4), witness
+        assert "Traceback" not in err.getvalue()
+
+
 class TestStationaryInputs:
     @pytest.mark.parametrize("n", ("0", "-1"))
     @pytest.mark.parametrize("method", ("exact", "mlq"))
@@ -250,7 +288,7 @@ class TestStationaryInputs:
             raise AssertionError("--method mlq built a chain")
 
         for name in ("tasep_chain", "tazrp_chain", "ktazrp_chain", "mlq_chain"):
-            monkeypatch.setattr(cli, name, no_chain)
+            monkeypatch.setattr(markov, name, no_chain)
         code, out, _ = run(capsys, "stationary", "--model", model, "--lambda", "2,1", "--n", "3", "--method", "mlq")
         assert code == 0
         assert sum(Fraction(e["prob"]) for e in json.loads(out)["entries"]) == 1
@@ -355,11 +393,14 @@ class TestVerifyCommand:
             {"check": "ring-inverse", "queue": {"kind": "fermionic", "n": 3, "rows": [[1]]}, "site": "1"},
             {"check": "particlewise", "queue": {"kind": "fermionic", "n": 3, "rows": [[1]]}, "all_orders": 1,
              "order_seed": 0},
-            {"check": "weight-balance", "lambda": [2, 1], "n": 3, "x": ["0", "1", "1"]},
-            {"check": "weight-balance", "lambda": [2, 1], "n": 3, "x": None},
+            {"check": "law-mismatch", "model": "mlq-bosonic", "lambda": [2, 1], "n": 3, "x": ["0", "1", "1"]},
+            {"check": "law-mismatch", "model": "tasep", "lambda": [2, 1], "n": 3, "x": ["1", "1", "1"]},
             {"check": "chain-projection", "queue": {"kind": "fermionic", "n": 3, "rows": [[1]]}, "x": ["1", "1", "1"]},
-            {"check": "fiber-count", "model": "asep", "lambda": [2, 1], "n": 3, "x": None},
-            {"check": "fiber-weight", "model": "tazrp", "lambda": "2,1", "n": 3, "x": None},
+            {"check": "law-mismatch", "model": "asep", "lambda": [2, 1], "n": 3, "x": None},
+            {"check": "law-mismatch", "model": "tazrp", "lambda": "2,1", "n": 3, "x": None},
+            {"check": "law-support", "model": "tazrp", "lambda": [2, 1], "n": 3, "x": ["1", "2"]},
+            {"check": "law-support", "model": ["tazrp"], "lambda": [2, 1], "n": 3, "x": None},
+            {"check": "law-mismatch", "model": "tazrp", "lambda": [2, 1], "n": 3},
         ],
     )
     def test_malformed_witness_is_input_error(self, tmp_path, capsys, witness):
@@ -453,15 +494,3 @@ class TestDocuments:
         assert documents.parse_fraction("2/6") == Fraction(1, 3)
         with pytest.raises(Exception):
             documents.parse_fraction("1/0")
-
-    def test_distribution_round_trip(self):
-        doc = documents.emit_distribution(
-            "tasep", (2, 1), 3, None, [(fw("210"), Fraction(2, 9), None), (fw("012"), Fraction(7, 9), (0, 1))]
-        )
-        parsed = documents.parse_distribution(doc)
-        assert parsed["entries"][0][1] == Fraction(2, 9)
-
-    def test_distribution_must_sum_to_one(self):
-        doc = documents.emit_distribution("tasep", (1,), 2, None, [(fw("10"), Fraction(1, 2), None)])
-        with pytest.raises(Exception):
-            documents.parse_distribution(doc)

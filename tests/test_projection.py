@@ -553,3 +553,9 @@ class TestFiberLaw:
     def test_bad_family_rejected(self, shape, n, kind, x):
         with pytest.raises(ValueError):
             fiber_law(shape, n, kind, x)
+
+    @pytest.mark.parametrize("x", [(1, -2), (1, -1), (0, 1), ("-1/2", 1)])
+    def test_non_positive_site_value_rejected(self, x):
+        # (1, -2) used to give a "law" with a negative mass, (1, -1) to divide by zero
+        with pytest.raises(ValueError, match="positive"):
+            fiber_law((1,), 2, "bosonic", x)

@@ -5,7 +5,7 @@ import pytest
 
 from mlqueues import markov, verify
 from mlqueues.cli import main
-from mlqueues.markov import ChainSpec, RateParams, RationalDistribution
+from mlqueues.markov import MODELS, RateParams, count_states
 from mlqueues.mlq import FermionicMLQ
 from mlqueues.words import BosonicWord, FermionicWord
 from mlqueues.verify import (
@@ -144,6 +144,58 @@ class TestWitnesses:
             replay_witness({"check": "nonsense"})
 
 
+def _rates(*xs):
+    return RateParams(tuple(Fraction(v) for v in xs))
+
+
+class TestStationaryLaw:
+    """One law check, read with ``mlq stationary`` arguments, on every model."""
+
+    CASES = [
+        ("tasep", (2, 1), 4, None),
+        ("tazrp", (2, 1), 3, _rates(1, 2, 3)),
+        ("tazrp", (2, 2, 1), 3, _rates("1/2", 3, 5)),
+        ("mlq-fermionic", (2, 1), 3, None),
+        ("mlq-bosonic", (2, 1), 3, _rates(1, 2, 3)),
+        ("mlq-bosonic", (1, 2), 3, _rates(2, 1, 5)),  # twisted
+        ("ktazrp", (2, 1), 3, None),
+    ]
+
+    def test_cases_cover_every_model(self):
+        assert {model for model, *_ in self.CASES} == set(MODELS)
+
+    @pytest.mark.parametrize("model, lam, n, x", CASES)
+    def test_queue_law_is_the_stationary_law(self, model, lam, n, x):
+        assert verify.check_stationary_law.run({"model": model, "lambda": lam, "n": n, "x": x}) == []
+
+    def test_ktazrp_disagreement_is_reported_and_replays(self, tmp_path, capsys):
+        # the block-hopping chain is not the process the unit-weight bosonic fibers describe
+        case = {"model": "ktazrp", "lambda": (2, 2, 1), "n": 4, "x": None}
+        witnesses = verify.check_stationary_law.run(case)
+        assert verify.check_stationary_law.units(case) == count_states((2, 2, 1), 4, "tazrp") == 40
+        assert [w["check"] for w in witnesses] == ["law-mismatch"] * 32
+        for witness in witnesses:
+            assert _replay_code(tmp_path, capsys, witness) == (0, "witness reproduces\n")
+        # the witness fields are the mlq stationary arguments whose two routes it compares
+        laws = {}
+        for method in ("exact", "mlq"):
+            argv = ["stationary", "--model", "ktazrp", "--lambda", "2,2,1", "--n", "4", "--method", method]
+            assert main(argv) == 0
+            entries = json.loads(capsys.readouterr().out)["entries"]
+            laws[method] = {json.dumps(e["state"]): Fraction(e["prob"]) for e in entries}
+        found = {json.dumps(w["state"]): (Fraction(w["exact"]), Fraction(w["queue_law"])) for w in witnesses}
+        assert found == {s: (p, laws["mlq"][s]) for s, p in laws["exact"].items() if p != laws["mlq"][s]}
+
+    @pytest.mark.parametrize(
+        "model, lam, n, x",
+        [("tasep", (2, 1), 3, _rates(1, 1, 1)), ("mlq-fermionic", (2, 1), 3, _rates(1, 2, 3)),
+         ("tazrp", (2, 1), 3, _rates(1, 2)), ("asep", (2, 1), 3, None)],
+    )
+    def test_rates_must_fit_the_model(self, model, lam, n, x):
+        with pytest.raises(ValueError):
+            verify.check_stationary_law.run({"model": model, "lambda": lam, "n": n, "x": x})
+
+
 def test_suite_all_smoke():
     report = suite_all({"bounds": SMALL, "seed": 0})
     assert report.passed
@@ -179,19 +231,19 @@ def _plain_swap(q, i):
     return type(q)(q.n, rows[: i - 1] + (rows[i], rows[i - 1]) + rows[i + 1 :])
 
 
-def _uniform_fibers(real):
+def _uniform_law(real):
     def law(*args, **kwargs):
-        words = real(*args, **kwargs)
-        return {w: Fraction(1, len(words)) for w in words}
+        states = real(*args, **kwargs)
+        return {s: Fraction(1, len(states)) for s in states}
 
     return law
 
 
-def _escaping_fibers(real):
-    def law(shape, n, kind, x=None):
-        words = dict(real(shape, n, kind, x))
-        words[FermionicWord((0,) * n) if kind == "fermionic" else BosonicWord(((),) * n)] = Fraction(0)
-        return words
+def _escaping_law(real):
+    def law(model, lam, n, x=None):
+        states = dict(real(model, lam, n, x))
+        states[FermionicWord((0,) * n)] = Fraction(0)
+        return states
 
     return law
 
@@ -211,19 +263,6 @@ def _row_dependent_site(real):
     return ring
 
 
-def _first_rate_doubled(real):
-    def chain(*args, **kwargs):
-        c = real(*args, **kwargs)
-        (src, dst, rate), rest = c.transitions[0], c.transitions[1:]
-        return ChainSpec(c.states, ((src, dst, 2 * rate),) + rest)
-
-    return chain
-
-
-def _uniform_law(chain):
-    return RationalDistribution({s: Fraction(1, len(chain.states)) for s in chain.states})
-
-
 def _doubled_rates(real):
     return lambda w, x: [(t, 2 * r) for t, r in real(w, x)]
 
@@ -241,14 +280,11 @@ FAULTS = {
     "fold-vs-label-passing": (SWEEP, {"ferrari_martin": lambda real: _empty_word}),
     "component-swap": (SWEEP, {"ctm_components": lambda real: lambda q, j=1: sorted(real(q, j), key=sum, reverse=True)}),
     "particlewise": (SWEEP, {"apply_row_particlewise": lambda real: lambda row, label, word, order=None: word}),
-    "fiber-count": (TASEP, {"fiber_law": _uniform_fibers}),
-    "fiber-weight": (TAZRP, {"fiber_law": _uniform_fibers}),
-    "fiber-support": (TASEP, {"fiber_law": _escaping_fibers}),
+    "law-mismatch": (TAZRP, {"queue_law": _uniform_law}),
+    "law-support": (TASEP, {"queue_law": _escaping_law}),
     "ring-inverse": (RINGING, {"ring_reverse": lambda real: lambda q, i: (q, i)}),
     "ring-inverse-bosonic": (RINGING, {"ring_reverse_bosonic": lambda real: lambda d, i, x=None: (d, i, Fraction(1))}),
     "ring-weight": (RINGING, {"ring_forward_bosonic": _shifted_exit}),
-    "weight-balance": (RINGING, {"mlq_chain": _first_rate_doubled}),
-    "weight-stationary": (RINGING, {"stationary_exact": lambda real: _uniform_law}),
     "chain-projection": (RINGING, {"tazrp_transitions": _doubled_rates}),
     "twist-forward-commute": (RINGING, {"ring_forward_bosonic": _row_dependent_site}),
     "twist-reverse-commute": (RINGING, {"ring_reverse_bosonic": _row_dependent_site}),
@@ -265,7 +301,7 @@ def _replay_code(tmp_path, capsys, witness):
 
 def test_every_witness_kind_is_registered():
     assert set(verify.CHECKS) == set(FAULTS) | {"ringing-projection-counterexample"}
-    assert len(verify.CHECKS) == 19
+    assert len(verify.CHECKS) == 16
 
 
 @pytest.mark.parametrize("kind", sorted(FAULTS))
