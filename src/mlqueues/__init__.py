@@ -1,10 +1,9 @@
 """Multiline queues on the ring: projections, twists, and exact ring processes."""
 
-from .errors import ChainError, SchemaError, ShapeError, VerificationError
+from .errors import ChainError, SchemaError, ShapeError
 from .mlq import (
     BosonicMLQ,
     FermionicMLQ,
-    Monomial,
     apply_twists,
     count_queues,
     enumerate_queues,

@@ -48,12 +48,11 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _parse_x(text: str | None, n: int) -> RateParams:
+    """The ``--x`` site values, unit on all ``n`` sites when absent; the
+    library function that takes them checks their count against its n."""
     if not text:
         return RateParams.ones(n)
-    vals = [documents.parse_fraction(p) for p in text.split(",")]
-    if len(vals) != n:
-        raise SchemaError(f"x must have {n} entries")
-    return RateParams(tuple(vals))
+    return RateParams(tuple(documents.parse_fraction(p) for p in text.split(",")))
 
 
 def _emit(obj) -> None:
@@ -116,10 +115,10 @@ def cmd_stationary(args) -> int:
             probs = {s: Fraction(v) / total for s, v in freqs.items()}
 
     if model.ringing:  # queue states in state order, with their weights
-        entries = [(s, p, s.weight().exponents) for s, p in probs.items()]
+        entries = [(s, p, s.weight()) for s, p in probs.items()]
     else:
         entries = [(s, p, None) for s, p in sorted(probs.items(), key=lambda kv: str(kv[0]))]
-    doc = documents.emit_distribution(args.model, lam, n, None if x is None else x.x, entries)
+    doc = documents.emit_distribution(args.model, lam, n, x, entries)
     if args.method == "mc":  # sampled frequencies are estimates, not exact rationals
         doc["estimate"] = True
         for e in doc["entries"]:
@@ -131,6 +130,8 @@ def cmd_stationary(args) -> int:
 def cmd_ring(args) -> int:
     q = documents.parse_queue(_load_json(args.infile))
     if q.kind == "fermionic":
+        if args.x is not None:
+            raise SchemaError("--x does not apply to a fermionic queue, whose ringing rates are all 1")
         fn = ring_reverse if args.reverse else ring_forward
         image, exit_site = fn(q, args.site)
         rate = Fraction(1)

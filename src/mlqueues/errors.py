@@ -11,7 +11,3 @@ class ShapeError(ValueError):
 
 class ChainError(RuntimeError):
     """A Markov chain violated a structural requirement (reducible, absorbing, empty)."""
-
-
-class VerificationError(AssertionError):
-    """A verification suite found a counterexample."""

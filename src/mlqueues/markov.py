@@ -32,23 +32,11 @@ from fractions import Fraction
 from typing import Callable, Hashable, Sequence
 
 from .errors import ChainError, ShapeError
-from .mlq import MLQ, BosonicMLQ, FermionicMLQ, RateParams, count_queues, enumerate_queues
+from .mlq import MLQ, BosonicMLQ, FermionicMLQ, RateParams, _site_values, count_queues, enumerate_queues
 from .projection import fiber_law
 from .words import BosonicWord, FermionicWord, Word, _built, _ints, _site_counts, _wrap, indicator_multiset
 
 _ONE = Fraction(1)
-
-
-def _check_rates(x: RateParams | None, n: int) -> None:
-    """Reject rates ``x`` whose length is not ``n``; None (unit rates) passes."""
-    if x is not None and len(x.x) != n:
-        raise ValueError(f"expected {n} rate parameters, got {len(x.x)}")
-
-
-def _site_rates(x: RateParams | None, n: int) -> RateParams:
-    """``x``, or unit rates when absent; a length other than ``n`` is rejected."""
-    _check_rates(x, n)
-    return RateParams.ones(n) if x is None else x
 
 
 @dataclass(frozen=True)
@@ -222,11 +210,12 @@ def tasep_transitions(w: FermionicWord) -> list[tuple[FermionicWord, Fraction]]:
     return out
 
 
-def tazrp_transitions(w: BosonicWord, x: RateParams) -> list[tuple[BosonicWord, Fraction]]:
-    """The top particle of each occupied site hops one site right, rate 1/x_j."""
+def tazrp_transitions(w: BosonicWord, x: RateParams | None) -> list[tuple[BosonicWord, Fraction]]:
+    """The top particle of each occupied site hops one site right, rate 1/x_j
+    (1 when ``x`` is None)."""
     out = []
     n = w.n
-    x = _site_rates(x, n)
+    x = _site_values(x, n)
     for j in range(1, n + 1):
         site = w.sites[j - 1]
         if not site:
@@ -236,7 +225,7 @@ def tazrp_transitions(w: BosonicWord, x: RateParams) -> list[tuple[BosonicWord, 
         sites[j - 1] = site[:-1]
         dst = _wrap(j + 1, n)
         sites[dst - 1] = tuple(sorted(sites[dst - 1] + (y,)))
-        out.append((BosonicWord(tuple(sites)), Fraction(1) / x[j]))
+        out.append((BosonicWord(tuple(sites)), _ONE if x is None else _ONE / x[j]))
     return out
 
 
@@ -244,26 +233,17 @@ def ktazrp_transitions(w: BosonicWord) -> list[tuple[BosonicWord, Fraction]]:
     """Any top block of a site hops right with rate 1.
 
     A block is a nonempty multiset Y from the site with min(Y) at least the
-    largest label left behind, i.e. a prefix of the site sorted descending.
+    largest label left behind: with the site stored ascending, a suffix of it.
     """
     out = []
     n = w.n
     for j in range(1, n + 1):
         site = w.sites[j - 1]
-        if not site:
-            continue
-        desc = tuple(sorted(site, reverse=True))
-        seen = set()
-        for take in range(1, len(desc) + 1):
-            block = desc[:take]
-            if block in seen:
-                continue
-            seen.add(block)
+        for take in range(1, len(site) + 1):
             sites = list(w.sites)
-            rest = Counter(site) - Counter(block)
-            sites[j - 1] = tuple(sorted(rest.elements()))
+            sites[j - 1] = site[:-take]
             dst = _wrap(j + 1, n)
-            sites[dst - 1] = tuple(sorted(sites[dst - 1] + block))
+            sites[dst - 1] = tuple(sorted(sites[dst - 1] + site[-take:]))
             out.append((BosonicWord(tuple(sites)), Fraction(1)))
     return out
 
@@ -273,7 +253,7 @@ def tasep_chain(lam: Sequence[int], n: int) -> ChainSpec:
 
 
 def tazrp_chain(lam: Sequence[int], n: int, x: RateParams | None = None) -> ChainSpec:
-    x = _site_rates(x, n)
+    x = _site_values(x, n)
     return _build_chain(enumerate_states(lam, n, "tazrp"), lambda w: tazrp_transitions(w, x))
 
 
@@ -565,7 +545,7 @@ def ring_forward_bosonic(d: BosonicMLQ, i: int, x: RateParams | None = None) -> 
     n = d.n
     if not 1 <= i <= n:
         raise IndexError(f"site {i} outside 1..{n}")
-    _check_rates(x, n)
+    x = _site_values(x, n)
     a = i
     new_rows = []
     for row in d.rows:
@@ -587,7 +567,7 @@ def ring_reverse_bosonic(d: BosonicMLQ, i: int, x: RateParams | None = None) -> 
     n = d.n
     if not 1 <= i <= n:
         raise IndexError(f"site {i} outside 1..{n}")
-    _check_rates(x, n)
+    x = _site_values(x, n)
     # path values b_L..b_0; b_j depends on row j+1
     b = [0] * (d.k + 1)
     b[d.k] = i
@@ -614,9 +594,12 @@ def ringing_states(kind: str, alpha: Sequence[int], n: int) -> list:
 
 def mlq_chain(kind: str, alpha: Sequence[int], n: int, x: RateParams | None = None) -> ChainSpec:
     """Ringing-path chain on :func:`ringing_states`; self-loop ringings (empty
-    columns) are dropped."""
+    columns) are dropped.  Bosonic ringing at site i has rate 1/x_i (1 when
+    ``x`` is None); fermionic ringing has rate 1 and takes no ``x``."""
     if kind == "bosonic":
-        _check_rates(x, n)
+        x = _site_values(x, n)
+    elif x is not None:
+        raise ValueError("fermionic ringing takes no site rates x: its rates are all 1")
     states = ringing_states(kind, alpha, n)
     index = {s: i for i, s in enumerate(states)}
     transitions = []
@@ -660,24 +643,25 @@ MODELS: dict[str, Model] = {
 }
 
 
-def _model(model: str, n: int, x: RateParams | None = None) -> Model:
-    """The entry of ``model``, once ``x`` is None (unit rates) or n rates it takes."""
+def _model(model: str, n: int, x: RateParams | None = None) -> tuple[Model, RateParams | None]:
+    """The entry of ``model`` and its rates, once ``x`` is None (unit rates)
+    or n rates it takes."""
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; choose from {list(MODELS)}")
     if x is not None and not MODELS[model].rates:
         raise ValueError(f"{model} takes no site rates x: its rates are all 1")
-    _check_rates(x, n)
-    return MODELS[model]
+    return MODELS[model], _site_values(x, n)
 
 
 def model_chain(model: str, lam: Sequence[int], n: int, x: RateParams | None = None) -> ChainSpec:
     """The chain of ``model`` on ``n`` sites, at rates ``x`` (unit when None)."""
-    return _model(model, n, x).chain(lam, n, x)
+    m, x = _model(model, n, x)
+    return m.chain(lam, n, x)
 
 
 def model_size(model: str, lam: Sequence[int], n: int) -> int:
     """The state count of :func:`model_chain`, without building it."""
-    m = _model(model, n)
+    m, _ = _model(model, n)
     if m.ringing:
         return count_queues(lam, n, m.kind)
     return count_states(lam, n, "tasep" if m.kind == "fermionic" else "tazrp")
@@ -686,15 +670,15 @@ def model_size(model: str, lam: Sequence[int], n: int) -> int:
 def queue_law(model: str, lam: Sequence[int], n: int, x: RateParams | None = None) -> dict:
     """The stationary law the queues give for ``model``, without its chain:
     state -> probability, with the weights taken at ``x`` (unit when None)."""
-    m = _model(model, n, x)
+    m, x = _model(model, n, x)
     if not m.ringing:
-        return fiber_law(conjugate(lam), n, m.kind, None if x is None else x.x)
+        return fiber_law(conjugate(lam), n, m.kind, x)
     states = ringing_states(m.kind, lam, n)
     if x is None:
         weights = [_ONE] * len(states)
     else:  # no site holds more than sum(lam) particles of a queue
-        powers = [[xj**e for e in range(sum(lam) + 1)] for xj in x.x]
-        weights = [math.prod([p[e] for p, e in zip(powers, s.weight().exponents)], start=_ONE) for s in states]
+        powers = [[xj**e for e in range(sum(lam) + 1)] for xj in x]
+        weights = [math.prod([p[e] for p, e in zip(powers, s.weight())], start=_ONE) for s in states]
     total = sum(weights)
     return {s: w / total for s, w in zip(states, weights)}
 

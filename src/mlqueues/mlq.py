@@ -25,33 +25,10 @@ from .words import _built, _ints, _site_counts, indicator_multiset
 
 
 @dataclass(frozen=True)
-class Monomial:
-    """A monomial in the site variables x_1..x_n, stored as its exponent vector."""
-
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "exponents", _ints(self.exponents, "exponents"))
-        if any(e < 0 for e in self.exponents):
-            raise ValueError("exponents must be nonnegative")
-
-    def evaluate(self, x: Sequence[Fraction]) -> Fraction:
-        if len(x) != len(self.exponents):
-            raise ValueError("variable vector length mismatch")
-        out = Fraction(1)
-        for xi, e in zip(x, self.exponents):
-            out *= Fraction(xi) ** e
-        return out
-
-    def __str__(self) -> str:
-        parts = [f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}" for i, e in enumerate(self.exponents) if e]
-        return "*".join(parts) if parts else "1"
-
-
-@dataclass(frozen=True)
 class RateParams:
     """Positive site values x_1..x_n: the rates of the site-dependent chains
-    and the variables the queue weights are evaluated at."""
+    and the variables the queue weights are evaluated at.  Where a function
+    takes x, None stands for unit values on every site."""
 
     x: tuple[Fraction, ...]
 
@@ -68,6 +45,24 @@ class RateParams:
         if not 1 <= site <= len(self.x):
             raise IndexError(f"rate site {site} outside 1..{len(self.x)}")
         return self.x[site - 1]
+
+    def __iter__(self) -> Iterator[Fraction]:
+        """x_1..x_n; spelled out, since the 1-based ``__getitem__`` would end
+        iteration at index 0."""
+        return iter(self.x)
+
+
+def _site_values(x: RateParams | Sequence | None, n: int) -> RateParams | None:
+    """``x`` as the values of sites 1..n: None (unit values) and a
+    :class:`RateParams` pass unchanged, any other sequence is read into one,
+    and a length other than ``n`` raises ``ValueError``."""
+    if x is None:
+        return None
+    if not isinstance(x, RateParams):
+        x = RateParams(tuple(x))
+    if len(x.x) != n:
+        raise ValueError(f"expected {n} site values, got {len(x.x)}")
+    return x
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,9 +103,10 @@ class MLQ:
         s = self.shape
         return all(a >= b for a, b in zip(s, s[1:]))
 
-    def weight(self) -> Monomial:
+    def weight(self) -> tuple[int, ...]:
+        """The exponent vector of the weight x^D: particles per site, over all rows."""
         counts = Counter(j for r in self.rows for j in r)
-        return Monomial(tuple(counts.get(j, 0) for j in range(1, self.n + 1)))
+        return tuple(counts[j] for j in range(1, self.n + 1))
 
 
 class FermionicMLQ(MLQ):

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ShapeError
-from .mlq import MLQ, RateParams, _exchange, count_queues, multisets_colex, subsets_colex
+from .mlq import MLQ, RateParams, _exchange, _site_values, count_queues, multisets_colex, subsets_colex
 from .pairing import _match, pair_strictly_left, pair_weakly_right
 from .words import (
     WORD_CLASSES,
@@ -139,10 +139,10 @@ def label_trace(q: MLQ) -> list[Word]:
     return [_stacked(WORD_CLASSES[q.kind], layers, q.n) for layers in _fold(q)][::-1]
 
 
-def fiber_law(shape: Sequence[int], n: int, kind: str, x: Sequence[Fraction] | None = None) -> dict:
+def fiber_law(shape: Sequence[int], n: int, kind: str, x: RateParams | Sequence[Fraction] | None = None) -> dict:
     """Law of ``project(q)`` over the queues of ``shape`` on ``n`` sites, each
-    weighing 1, or its weight monomial at the site values ``x`` if given (each
-    must be positive).
+    weighing 1, or its weight x^D at the site values ``x`` if given (n
+    positive values).
 
     The queues are not enumerated.  Entry j-1 of :func:`label_trace` depends
     only on rows j..k, so a law on layer stacks is pushed down through the
@@ -150,9 +150,7 @@ def fiber_law(shape: Sequence[int], n: int, kind: str, x: Sequence[Fraction] | N
     weight of the rows r of size ``shape[j-1]`` whose row operator takes L to
     L'.  One word is built per stack left after row 1.
     """
-    xs = None if x is None else RateParams(x).x
-    if xs is not None and len(xs) != n:
-        raise ValueError(f"expected {n} site values, got {len(xs)}")
+    x = _site_values(x, n)
     count_queues(shape, n, kind)
     if not shape:
         raise ValueError("a queue needs at least one row")
@@ -161,7 +159,7 @@ def fiber_law(shape: Sequence[int], n: int, kind: str, x: Sequence[Fraction] | N
     for j in range(len(shape), 0, -1):
         rows = []  # (per-site counts, weight) of each row of size shape[j-1]
         for r in (subsets_colex if fermionic else multisets_colex)(n, shape[j - 1]):
-            weight = 1 if xs is None else math.prod([xs[s - 1] for s in r], start=Fraction(1))
+            weight = 1 if x is None else math.prod([x[s] for s in r], start=Fraction(1))
             rows.append((tuple(_site_counts(r, n, fermionic)), weight))
         pushed: dict = {}
         for stack, mass in law.items():

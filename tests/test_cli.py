@@ -318,6 +318,62 @@ class TestRingCommand:
         assert code == 0
         assert json.loads(out)["queue"]["rows"] == [[], []]
 
+    @pytest.mark.parametrize("reverse", ((), ("--reverse",)))
+    @pytest.mark.parametrize("x", ("garbage", "1,2,3", ""))
+    def test_x_on_a_fermionic_queue_is_input_error(self, tmp_path, capsys, x, reverse):
+        # fermionic ringing has unit rates; --x used to be ignored, even --x garbage
+        path = write_doc(tmp_path, EX_QUEUE_DOC)
+        code, out, err = run(capsys, "ring", "--in", path, "--site", "1", "--x", x, *reverse)
+        assert (code, out) == (2, "")
+        assert "--x" in err
+
+
+@st.composite
+def ring_argv(draw):
+    """``mlq ring`` argv and queue document over both kinds, n <= 5, k <= 4:
+    sites inside and outside the ring, with and without ``--reverse``, and
+    ``--x`` well-formed, of the wrong length, non-positive or unparsable, with
+    a malformed queue document now and then."""
+    def rarely() -> bool:
+        return draw(st.integers(0, 5)) == 5
+
+    kind, n, k = draw(st.sampled_from(("fermionic", "bosonic"))), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    if kind == "fermionic":
+        row = st.lists(st.integers(1, n), unique=True, max_size=n).map(sorted)
+    else:
+        row = st.lists(st.integers(1, n), max_size=3).map(sorted)
+    doc = {"kind": kind, "n": n, "rows": draw(st.lists(row, min_size=k, max_size=k))}
+    if rarely():
+        doc = draw(st.sampled_from((
+            "{not json", "[]", json.dumps({**doc, "kind": "quark"}), json.dumps({**doc, "n": 0}),
+            json.dumps({**doc, "rows": []}), json.dumps({**doc, "rows": [[n + 1]]}), json.dumps({**doc, "n": True}),
+        )))
+    else:
+        doc = json.dumps(doc)
+    site = draw(st.sampled_from((-1, 0, n + 1)) if rarely() else st.integers(1, n))
+    argv = ["ring", "--in", "-", f"--site={site}"] + (["--reverse"] if draw(st.booleans()) else [])
+    if draw(st.booleans()):
+        size = draw(st.integers(0, 6)) if rarely() else n
+        rate = st.sampled_from(("0", "-1", "1/0", "x", "", "2.5") if rarely() else ("1", "2", "3", "1/2", "5/3"))
+        argv.append("--x=" + ",".join(draw(st.lists(rate, min_size=size, max_size=size))))
+    return argv, doc
+
+
+class TestRingFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(ring_argv())
+    def test_every_argv_ends_in_a_documented_exit_code(self, case):
+        argv, doc = case
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(doc)), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3, 4), case
+        assert "Traceback" not in err.getvalue()
+        if '"fermionic"' in doc and any(a.startswith("--x=") for a in argv):
+            assert code == 2, case
+        if code == 0:
+            assert json.loads(out.getvalue())["queue"]["kind"] == json.loads(doc)["kind"]
+
 
 class TestEnumerateCommand:
     def test_count_only(self, capsys):

@@ -152,7 +152,7 @@ class TestStationaryExact:
         z = Fraction(0)
         for d in enumerate_queues((2, 1), 3, "bosonic"):
             w = project(d)
-            wt = d.weight().evaluate(X123.x)
+            wt = math.prod([xj**e for xj, e in zip(X123.x, d.weight())], start=Fraction(1))
             weights[w] = weights.get(w, Fraction(0)) + wt
             z += wt
         assert all(dist[w] == v / z for w, v in weights.items())
@@ -291,6 +291,24 @@ class TestRateParams:
             with pytest.raises(IndexError):
                 X123[site]
 
+    def test_iteration_runs_over_the_sites(self):
+        # the 1-based __getitem__ raises at index 0, which used to end iteration at once
+        assert list(RateParams((1, 2, 3))) == [1, 2, 3]
+        assert tuple(X123) == X123.x
+        assert RateParams(())  # no __len__, so an empty one is still true
+
+    def test_none_is_unit_rates(self):
+        w = bw("12,-,2")
+        assert tazrp_transitions(w, None) == tazrp_transitions(w, RateParams.ones(3))
+        assert tazrp_chain((2, 1), 3) == tazrp_chain((2, 1), 3, RateParams.ones(3))
+        assert fiber_law((2, 1), 3, "bosonic") == fiber_law((2, 1), 3, "bosonic", (1, 1, 1))
+
+    @pytest.mark.parametrize("x", [X123, RateParams((Fraction(1), Fraction(2))), (1, 1, 1)])
+    def test_fermionic_ringing_takes_no_rates(self, x):
+        # fermionic ringing has unit rates; an x of any length used to be ignored
+        with pytest.raises(ValueError, match="fermionic ringing takes no site rates"):
+            mlq_chain("fermionic", (2, 1), 3, x)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             tazrp_chain((2, 1), 4, X123)
@@ -417,10 +435,10 @@ class TestBosonicRinging:
             d = BosonicMLQ(n, rows)
             i = rng.randint(1, n)
             img, exit_site, _ = ring_forward_bosonic(d, i)
-            want = list(d.weight().exponents)
+            want = list(d.weight())
             want[exit_site % n] += 1  # site exit+1, cyclically
             want[i - 1] -= 1
-            assert list(img.weight().exponents) == want
+            assert list(img.weight()) == want
 
 
 class TestMlqChains:
@@ -434,7 +452,7 @@ class TestMlqChains:
         chain = mlq_chain("bosonic", (2, 1), 3, X123)
         assert len(chain.states) == 18
         dist = stationary_exact(chain)
-        weights = {s: s.weight().evaluate(X123.x) for s in chain.states}
+        weights = {s: math.prod([xj**e for xj, e in zip(X123.x, s.weight())], start=Fraction(1)) for s in chain.states}
         z = sum(weights.values())
         assert all(dist[s] == weights[s] / z for s in chain.states)
 

@@ -1,6 +1,5 @@
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +10,6 @@ from mlqueues import (
     BosonicWord,
     FermionicMLQ,
     FermionicWord,
-    Monomial,
     RateParams,
     apply_row_bosonic,
     apply_row_fermionic,
@@ -46,18 +44,13 @@ class TestShapeWeight:
         assert bq(4, (2,), (2, 3, 3), (1, 1)).shape == (1, 3, 2)
 
     def test_weight_examples(self):
-        assert fq(4, (2,), (2, 3, 4), (1, 4)).weight() == Monomial((1, 2, 1, 2))
-        assert bq(4, (2,), (2, 3, 3), (1, 1)).weight() == Monomial((2, 2, 2, 0))
-        assert fq(3, (), ()).weight() == Monomial((0, 0, 0))
+        assert fq(4, (2,), (2, 3, 4), (1, 4)).weight() == (1, 2, 1, 2)
+        assert bq(4, (2,), (2, 3, 3), (1, 1)).weight() == (2, 2, 2, 0)
+        assert fq(3, (), ()).weight() == (0, 0, 0)
 
     def test_straightness(self):
         assert fq(3, (1, 2), (3,)).is_straight
         assert not fq(3, (1,), (2, 3)).is_straight
-
-    def test_monomial_evaluate(self):
-        m = Monomial((1, 2, 0))
-        assert m.evaluate((Fraction(2), Fraction(3), Fraction(5))) == 18
-        assert str(Monomial((0, 0))) == "1"
 
 
 class TestTwist:
@@ -197,10 +190,6 @@ class TestValidation:
     def test_site_out_of_range(self):
         with pytest.raises(ValueError):
             FermionicMLQ(3, ((4,),))
-
-    def test_non_integer_exponents_rejected(self):
-        with pytest.raises(ValueError, match="exponents must be integers"):
-            Monomial((1.5, 2))
 
     def test_non_integer_sites_rejected(self):
         with pytest.raises(ValueError, match="row sites must be integers"):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -522,7 +523,7 @@ def _enumerated_fiber_law(shape, n, kind, x=None):
     mass = {}
     for q in enumerate_queues(shape, n, kind):
         w = project(q)
-        mass[w] = mass.get(w, 0) + (1 if x is None else q.weight().evaluate(x))
+        mass[w] = mass.get(w, 0) + (1 if x is None else math.prod([xj**e for xj, e in zip(x, q.weight())], start=Fraction(1)))
     total = sum(mass.values())
     return {w: Fraction(m) / total for w, m in mass.items()}
 
