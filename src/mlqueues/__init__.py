@@ -20,6 +20,7 @@ from .markov import (
     ktazrp_chain,
     ktazrp_transitions,
     mlq_chain,
+    ring,
     ring_forward,
     ring_forward_bosonic,
     ring_reverse,

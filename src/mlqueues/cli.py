@@ -19,10 +19,7 @@ from .markov import (
     RateParams,
     model_chain,
     queue_law,
-    ring_forward,
-    ring_forward_bosonic,
-    ring_reverse,
-    ring_reverse_bosonic,
+    ring,
     simulate_ctmc,
     stationary_exact,
 )
@@ -129,16 +126,10 @@ def cmd_stationary(args) -> int:
 
 def cmd_ring(args) -> int:
     q = documents.parse_queue(_load_json(args.infile))
-    if q.kind == "fermionic":
-        if args.x is not None:
-            raise SchemaError("--x does not apply to a fermionic queue, whose ringing rates are all 1")
-        fn = ring_reverse if args.reverse else ring_forward
-        image, exit_site = fn(q, args.site)
-        rate = Fraction(1)
-    else:
-        x = _parse_x(args.x, q.n)
-        fn = ring_reverse_bosonic if args.reverse else ring_forward_bosonic
-        image, exit_site, rate = fn(q, args.site, x)
+    if q.kind == "fermionic" and args.x is not None:
+        raise SchemaError("--x does not apply to a fermionic queue, whose ringing rates are all 1")
+    x = None if args.x is None else _parse_x(args.x, q.n)
+    image, exit_site, rate = ring(q, args.site, x, args.reverse)
     _emit(
         {
             "queue": documents.emit_queue(image),
@@ -158,7 +149,10 @@ def cmd_enumerate(args) -> int:
     if args.count_only:
         print(total)
         return 0
-    sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    try:
+        sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    except OSError as exc:
+        raise SchemaError(f"cannot write to {args.out}: {exc}") from exc
     try:
         for q in enumerate_queues(alpha, args.n, args.kind):
             sink.write(json.dumps(documents.emit_queue(q)))

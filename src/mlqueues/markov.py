@@ -476,9 +476,12 @@ def stationary_exact(chain: ChainSpec) -> RationalDistribution:
 # ---------------------------------------------------------------------------
 
 
-def _require_kind(q: MLQ, kind: str) -> None:
+def _ring_site(q: MLQ, kind: str, i: int) -> None:
+    """The guard of every ringing map: ``q`` is of ``kind`` and i is one of its sites."""
     if q.kind != kind:
         raise ValueError(f"expected a {kind} queue, got a {q.kind} one")
+    if not 1 <= i <= q.n:
+        raise IndexError(f"site {i} outside 1..{q.n}")
 
 
 def ring_forward(q: FermionicMLQ, i: int) -> tuple[FermionicMLQ, int]:
@@ -488,10 +491,8 @@ def ring_forward(q: FermionicMLQ, i: int) -> tuple[FermionicMLQ, int]:
     hole; every particle the path lands on hops one site left when its left
     neighbour is free.
     """
-    _require_kind(q, "fermionic")
+    _ring_site(q, "fermionic", i)
     n = q.n
-    if not 1 <= i <= n:
-        raise IndexError(f"site {i} outside 1..{n}")
     a = i
     new_rows = []
     for row in q.rows:
@@ -505,10 +506,8 @@ def ring_forward(q: FermionicMLQ, i: int) -> tuple[FermionicMLQ, int]:
 
 def ring_reverse(q: FermionicMLQ, i: int) -> tuple[FermionicMLQ, int]:
     """Inverse of :func:`ring_forward`: descends the rows undoing the hops."""
-    _require_kind(q, "fermionic")
+    _ring_site(q, "fermionic", i)
     n = q.n
-    if not 1 <= i <= n:
-        raise IndexError(f"site {i} outside 1..{n}")
     c = i
     new_rows = list(q.rows)
     for j in range(q.k - 1, -1, -1):
@@ -541,10 +540,8 @@ def ring_forward_bosonic(d: BosonicMLQ, i: int, x: RateParams | None = None) -> 
     queue, the exit site, and the rate (1 on an empty column or without ``x``,
     else 1/x_i).
     """
-    _require_kind(d, "bosonic")
+    _ring_site(d, "bosonic", i)
     n = d.n
-    if not 1 <= i <= n:
-        raise IndexError(f"site {i} outside 1..{n}")
     x = _site_values(x, n)
     a = i
     new_rows = []
@@ -563,10 +560,8 @@ def ring_reverse_bosonic(d: BosonicMLQ, i: int, x: RateParams | None = None) -> 
     The rate mirrors the forward rule through the time reversal: 1 when
     column i+1 is empty or ``x`` is None, else 1/x_{i+1}.
     """
-    _require_kind(d, "bosonic")
+    _ring_site(d, "bosonic", i)
     n = d.n
-    if not 1 <= i <= n:
-        raise IndexError(f"site {i} outside 1..{n}")
     x = _site_values(x, n)
     # path values b_L..b_0; b_j depends on row j+1
     b = [0] * (d.k + 1)
@@ -583,6 +578,18 @@ def ring_reverse_bosonic(d: BosonicMLQ, i: int, x: RateParams | None = None) -> 
     return _built(BosonicMLQ, n=n, rows=tuple(new_rows)), _wrap(b[0] + 1, n), rate
 
 
+def ring(q: MLQ, i: int, x: RateParams | None = None, reverse: bool = False) -> tuple[MLQ, int, Fraction]:
+    """One ringing step of ``q`` at site i, forward or (``reverse``) back:
+    the new queue, the exit site and the rate.  A fermionic queue rings by
+    :func:`ring_forward` or :func:`ring_reverse` at rate 1 and takes no ``x``;
+    a bosonic one by :func:`ring_forward_bosonic` or :func:`ring_reverse_bosonic`."""
+    if q.kind == "bosonic":
+        return (ring_reverse_bosonic if reverse else ring_forward_bosonic)(q, i, x)
+    if x is not None:
+        raise ValueError("fermionic ringing takes no site rates x: its rates are all 1")
+    return *(ring_reverse if reverse else ring_forward)(q, i), _ONE
+
+
 def ringing_states(kind: str, alpha: Sequence[int], n: int) -> list:
     """The queues a ringing-path chain runs on.  The fermionic chain is only
     defined for straight shapes (twisted fermionic ringing does not project to
@@ -593,22 +600,14 @@ def ringing_states(kind: str, alpha: Sequence[int], n: int) -> list:
 
 
 def mlq_chain(kind: str, alpha: Sequence[int], n: int, x: RateParams | None = None) -> ChainSpec:
-    """Ringing-path chain on :func:`ringing_states`; self-loop ringings (empty
-    columns) are dropped.  Bosonic ringing at site i has rate 1/x_i (1 when
-    ``x`` is None); fermionic ringing has rate 1 and takes no ``x``."""
-    if kind == "bosonic":
-        x = _site_values(x, n)
-    elif x is not None:
-        raise ValueError("fermionic ringing takes no site rates x: its rates are all 1")
+    """Ringing-path chain on :func:`ringing_states`, one :func:`ring` per state
+    and site; self-loop ringings (empty columns) are dropped."""
     states = ringing_states(kind, alpha, n)
     index = {s: i for i, s in enumerate(states)}
     transitions = []
     for idx, state in enumerate(states):
         for site in range(1, n + 1):
-            if kind == "fermionic":
-                img, rate = ring_forward(state, site)[0], _ONE
-            else:
-                img, _, rate = ring_forward_bosonic(state, site, x)
+            img, _, rate = ring(state, site, x)
             if img != state:
                 transitions.append((idx, index[img], rate))
     return ChainSpec(tuple(states), tuple(transitions))
@@ -694,15 +693,18 @@ def simulate_ctmc(chain: ChainSpec, seed: int, jumps: int) -> dict:
     Holding times are exponential with the exact exit rate; the trajectory and
     the returned table are bitwise reproducible for a fixed seed.  Each jump
     target is the first transition, in transition order, whose cumulative
-    float rate reaches the uniform draw.  Reaching a state with no outgoing
-    transition raises :class:`ChainError`; ``jumps`` below 1 raises
-    ``ValueError``.
+    float rate reaches the uniform draw.  A one-state chain (it has no
+    transitions, self-loops being rejected) spends all its time in its state;
+    in a larger chain, reaching a state with no outgoing transition raises
+    :class:`ChainError`.  ``jumps`` below 1 raises ``ValueError``.
     """
     if jumps < 1:
         raise ValueError(f"jumps must be at least 1, got {jumps}")
     ns = len(chain.states)
     if ns == 0:
         raise ChainError("empty chain")
+    if ns == 1:
+        return {chain.states[0]: 1.0}
     rates: list[list[float]] = [[] for _ in range(ns)]
     targets: list[list[int]] = [[] for _ in range(ns)]
     for src, dst, rate in chain.transitions:

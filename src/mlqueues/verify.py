@@ -18,7 +18,7 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from . import documents
 from .errors import SchemaError
@@ -29,15 +29,12 @@ from .markov import (
     model_chain,
     model_size,
     queue_law,
-    ring_forward,
-    ring_forward_bosonic,
-    ring_reverse,
-    ring_reverse_bosonic,
+    ring,
     stationary_exact,
     tasep_transitions,
     tazrp_transitions,
 )
-from .mlq import MLQ, QUEUE_CLASSES, count_queues, enumerate_queues, twist
+from .mlq import MLQ, QUEUE_CLASSES, enumerate_queues, twist
 from .projection import (
     apply_row_particlewise,
     canonical_order,
@@ -137,12 +134,11 @@ def _read_rates(value) -> RateParams | None:
     return None if value is None else RateParams(tuple(documents.parse_fraction(v) for v in value))
 
 
-_ANY_QUEUE, _FERMIONIC, _BOSONIC = _queue_kind("fermionic", "bosonic"), _queue_kind("fermionic"), _queue_kind("bosonic")
+_ANY_QUEUE, _BOSONIC = _queue_kind("fermionic", "bosonic"), _queue_kind("bosonic")
 _INT = _field(lambda v: type(v) is int, "an integer")
 _FLAG = _field(lambda v: type(v) is bool, "true or false")
 _MODEL = _field(lambda v: isinstance(v, str) and v in MODELS, f"one of {', '.join(map(repr, MODELS))}")
 _PARTS = _field(lambda v: isinstance(v, list) and all(type(p) is int for p in v), "a list of integers", tuple)
-_RATES = _field(lambda v: isinstance(v, list), "a list of rationals", _read_rates)
 _RATES_OR_NONE = _field(lambda v: v is None or isinstance(v, list), "a list of rationals or null", _read_rates)
 
 
@@ -408,24 +404,6 @@ def _law_suite(model: str, grid, parameters: dict) -> SuiteReport:
     return _run(f"stationary-{model}", parameters, [(check_stationary_law, cases)])
 
 
-def suite_stationary_tasep(lam: Sequence[int] = (2, 1), n: int = 3) -> SuiteReport:
-    """Exclusion-process stationary law equals projection fiber counting.
-
-    ``lam`` is the queue shape; the exclusion process runs on words whose
-    content is the conjugate partition.
-    """
-    lam = tuple(sorted(map(int, lam), reverse=True))
-    parameters = {"lambda": list(lam), "n": n, "queues": count_queues(lam, n, "fermionic")}
-    return _law_suite("tasep", [(lam, n, None)], parameters)
-
-
-def suite_stationary_tazrp(lam: Sequence[int] = (2, 1), n: int = 3, x: RateParams | None = None) -> SuiteReport:
-    """Zero-range stationary law equals the weighted projection fiber sums."""
-    lam = tuple(sorted(map(int, lam), reverse=True))
-    x = x or RateParams.ones(n)
-    return _law_suite("tazrp", [(lam, n, x)], {"lambda": list(lam), "n": n, "x": [str(v) for v in x]})
-
-
 TASEP_GRID = [((2, 1), 3), ((2, 1), 4), ((2, 1), 5), ((2, 2), 3), ((2, 2), 4), ((2, 2), 5),
               ((3, 1), 3), ((3, 1), 4), ((3, 1), 5), ((2, 1, 1), 3), ((2, 1, 1), 4), ((2, 1, 1), 5),
               ((3, 2, 1), 8)]
@@ -446,51 +424,40 @@ def _suite_tazrp_grid(bounds: dict | None, seed: int) -> SuiteReport:
     return _law_suite("tazrp", grid, {"grid": [[list(lam), n] for lam, n in TAZRP_GRID], "x": TAZRP_X})
 
 
-@_check("ring-inverse", fields={"queue": _FERMIONIC, "site": _INT})
+@_check("ring-inverse", "ring-weight", fields={"queue": _ANY_QUEUE, "site": _INT})
 def check_ring_inverse(case: dict) -> list:
-    """Fermionic forward and reverse ringing at a site are mutual inverses."""
+    """Forward and reverse ringing at a site are mutual inverses; on a bosonic
+    queue, ringing moves one unit of weight from the entry site to the site
+    after the exit."""
     q, i = case["queue"], case["site"]
-    if ring_reverse(*ring_forward(q, i)) != (q, i) or ring_forward(*ring_reverse(q, i)) != (q, i):
-        return [_witness("ring-inverse", case)]
-    return []
-
-
-@_check("ring-inverse-bosonic", "ring-weight", fields={"queue": _BOSONIC, "site": _INT})
-def check_ring_bosonic(case: dict) -> list:
-    """Bosonic ringing is inverted by reverse ringing and moves one unit of
-    weight from the entry site to the site after the exit."""
-    d, i = case["queue"], case["site"]
     found = []
-    img, exit_site, _ = ring_forward_bosonic(d, i)
-    back, back_site, _ = ring_reverse_bosonic(img, exit_site)
-    fwd_of_rev = ring_forward_bosonic(*ring_reverse_bosonic(d, i)[:2])
-    if (back, back_site) != (d, i) or fwd_of_rev[:2] != (d, i):
-        found.append(_witness("ring-inverse-bosonic", case))
-    want = list(d.weight())
-    want[_wrap(exit_site + 1, d.n) - 1] += 1
-    want[i - 1] -= 1
-    if list(img.weight()) != want:
-        found.append(_witness("ring-weight", case))
+    img, exit_site, _ = ring(q, i)
+    if ring(img, exit_site, reverse=True)[:2] != (q, i) or ring(*ring(q, i, reverse=True)[:2])[:2] != (q, i):
+        found.append(_witness("ring-inverse", case))
+    if q.kind == "bosonic":
+        want = list(q.weight())
+        want[_wrap(exit_site + 1, q.n) - 1] += 1
+        want[i - 1] -= 1
+        if list(img.weight()) != want:
+            found.append(_witness("ring-weight", case))
     return found
 
 
-@_check("chain-projection", fields={"queue": _BOSONIC, "x": _RATES})
+@_check("chain-projection", fields={"queue": _ANY_QUEUE, "x": _RATES_OR_NONE})
 def check_chain_projection(case: dict) -> list:
-    """Ringing moves out of a bosonic queue project onto the zero-range moves (and rates) out of its projection."""
-    d, x = case["queue"], case["x"]
-    tau = project(d)
+    """The ringing moves out of a queue that change its projection carry, summed
+    per image word, the rates of the exclusion moves (fermionic, no ``x``) or the
+    zero-range moves at ``x`` (bosonic) out of that projection."""
+    q, x = case["queue"], case["x"]
+    tau = project(q)
     zr_rates: dict = {}
-    for target, rate in tazrp_transitions(tau, x):
+    for target, rate in tasep_transitions(tau) if q.kind == "fermionic" else tazrp_transitions(tau, x):
         zr_rates[target] = zr_rates.get(target, Fraction(0)) + rate
     mlq_rates: dict = {}
-    for site in range(1, d.n + 1):
-        img, _, rate = ring_forward_bosonic(d, site, x)
-        if img == d:
-            continue
-        w = project(img)
-        if w == tau:
-            continue
-        mlq_rates[w] = mlq_rates.get(w, Fraction(0)) + rate
+    for site in range(1, q.n + 1):
+        img, _, rate = ring(q, site, x)
+        if img != q and (w := project(img)) != tau:
+            mlq_rates[w] = mlq_rates.get(w, Fraction(0)) + rate
     if zr_rates != mlq_rates:
         zr, mlq = ({str(k): str(v) for k, v in rates.items()} for rates in (zr_rates, mlq_rates))
         return [_witness("chain-projection", case, zr=zr, mlq=mlq)]
@@ -503,40 +470,23 @@ def check_twist_commute(case: dict) -> list:
     d, m, i = case["queue"], case["m"], case["site"]
     td = twist(d, m)
     found = []
-    if twist(ring_forward_bosonic(d, i)[0], m) != ring_forward_bosonic(td, i)[0]:
+    if twist(ring(d, i)[0], m) != ring(td, i)[0]:
         found.append(_witness("twist-forward-commute", case))
-    if twist(ring_reverse_bosonic(d, i)[0], m) != ring_reverse_bosonic(td, i)[0]:
+    if twist(ring(d, i, reverse=True)[0], m) != ring(td, i, reverse=True)[0]:
         found.append(_witness("twist-reverse-commute", case))
     return found
 
 
-@_check("ringing-projection-counterexample", fields={"queue": _FERMIONIC})
-def check_ringing_projection(case: dict) -> list:
-    """The first site where ringing moves a fermionic queue's projection more
-    than one exclusion step: the expected finding on twisted queues."""
-    q = case["queue"]
-    w = project(q)
-    neighbours = {t for t, _ in tasep_transitions(w)}
-    for i in range(1, q.n + 1):
-        img, _ = ring_forward(q, i)
-        if img == q:
-            continue
-        w2 = project(img)
-        if w2 != w and w2 not in neighbours:
-            return [_witness("ringing-projection-counterexample", case, site=i, word=w, image_word=w2)]
-    return []
-
-
 def find_ringing_counterexample(max_n: int = 4, max_k: int = 4) -> dict | None:
-    """Search twisted fermionic queues for a ringing move whose projection is
-    not a single exclusion-process transition away.  Returns a witness or None."""
+    """The ``chain-projection`` witness of the first twisted fermionic queue
+    whose ringing does not lump onto the exclusion process, or None."""
     for n in range(2, max_n + 1):
         for k in range(2, max_k + 1):
             for alpha in itertools.product(range(n + 1), repeat=k):
                 if all(a >= b for a, b in zip(alpha, alpha[1:])):
                     continue  # straight shapes project; skip
                 for q in enumerate_queues(alpha, n, "fermionic"):
-                    found = check_ringing_projection.run({"queue": q})
+                    found = check_chain_projection.run({"queue": q, "x": None})
                     if found:
                         return found[0]
     return None
@@ -555,7 +505,7 @@ def check_ringing_search(case: dict) -> list:
 
 
 def suite_ringing(bounds: dict | None = None, seed: int = 0) -> SuiteReport:
-    """Ringing-path identities: inverses, weights, stationarity, projection,
+    """Ringing-path identities: inverses and weights, stationarity, projection,
     twist commutation, and the twisted-fermionic counterexample search."""
     _bounds(bounds)
     search = {"max_n": 4, "max_k": 4}
@@ -567,7 +517,7 @@ def suite_ringing(bounds: dict | None = None, seed: int = 0) -> SuiteReport:
     bosonic = (_random_queue(rng, "bosonic", 5, 4, 3) for _ in range(500))  # lazy: each queue, then its site
     parts = [
         (check_ring_inverse, ({"queue": q, "site": i} for q, n in fermionic for i in range(1, n + 1))),
-        (check_ring_bosonic, ({"queue": d, "site": rng.randint(1, d.n)} for d in bosonic)),
+        (check_ring_inverse, ({"queue": d, "site": rng.randint(1, d.n)} for d in bosonic)),
         (check_stationary_law, [{"model": "mlq-bosonic", "lambda": (2, 1), "n": 3, "x": x}]),
         (check_chain_projection, ({"queue": d, "x": x} for alpha in ((2, 1), (1, 2))
                                   for d in enumerate_queues(alpha, 3, "bosonic"))),

@@ -31,6 +31,7 @@ from mlqueues import (
     twist,
 )
 from mlqueues.verify import (
+    SUITES,
     TASEP_GRID,
     TAZRP_GRID,
     TAZRP_X,
@@ -39,8 +40,6 @@ from mlqueues.verify import (
     suite_phi_equals_ctm,
     suite_r_invariance,
     suite_ringing,
-    suite_stationary_tasep,
-    suite_stationary_tazrp,
 )
 
 from conftest import bq, bw, fq, fw
@@ -172,19 +171,17 @@ class TestCriterion1:
 
 def test_criterion_2_exclusion_stationary_fibers():
     start = time.perf_counter()
-    for lam, n in TASEP_GRID:
-        report = suite_stationary_tasep(lam, n)
-        assert report.passed, report.to_text()
+    report = SUITES["stationary-tasep"](None, 0)
+    assert report.passed, report.to_text()
+    assert report.parameters["grid"] == [[list(lam), n] for lam, n in TASEP_GRID]
     assert time.perf_counter() - start <= 10.0
 
 
 def test_criterion_3_zero_range_stationary_fibers():
     start = time.perf_counter()
-    for lam, n in TAZRP_GRID:
-        for xs in TAZRP_X:
-            x = RateParams(tuple(Fraction(v) for v in xs[:n]))
-            report = suite_stationary_tazrp(lam, n, x)
-            assert report.passed, report.to_text()
+    report = SUITES["stationary-tazrp"](None, 0)
+    assert report.passed, report.to_text()
+    assert report.parameters == {"grid": [[list(lam), n] for lam, n in TAZRP_GRID], "x": TAZRP_X}
     assert time.perf_counter() - start <= 10.0
 
 

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import tempfile
 from fractions import Fraction
 from unittest import mock
 
@@ -124,6 +126,16 @@ class TestStationaryCommand:
         assert sum(e["prob"] for e in doc["entries"]) == pytest.approx(1)
         code, out, _ = run(capsys, "stationary", "--model", "tasep", "--lambda", "2,1", "--n", "3")
         assert "estimate" not in json.loads(out)
+
+    @pytest.mark.parametrize("model, lam, n", [("tasep", "1", "1"), ("mlq-bosonic", "0", "2")])
+    def test_mc_on_a_one_state_chain(self, capsys, model, lam, n):
+        # a one-state chain has no transitions; mc used to call its state absorbing (exit 3)
+        laws = {}
+        for method in ("exact", "mc"):
+            code, out, err = run(capsys, "stationary", "--model", model, "--lambda", lam, "--n", n, "--method", method)
+            assert (code, err) == (0, "")
+            laws[method] = [(e["state"], Fraction(e["prob"])) for e in json.loads(out)["entries"]]
+        assert laws["mc"] == laws["exact"] == [(laws["exact"][0][0], 1)]
 
     def test_mc_zero_jumps_is_input_error(self, capsys):
         code, out, err = run(
@@ -396,6 +408,89 @@ class TestEnumerateCommand:
     def test_bad_shape(self, capsys):
         code, _, err = run(capsys, "enumerate", "--alpha", "5", "--n", "4", "--kind", "fermionic", "--count-only")
         assert code == 2
+
+    def test_out_into_a_missing_directory_is_input_error(self, tmp_path, capsys):
+        # the open used to raise FileNotFoundError out of main
+        out_path = tmp_path / "missing" / "queues.jsonl"
+        code, out, err = run(capsys, "enumerate", "--alpha", "2", "--n", "3", "--kind", "bosonic", "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: cannot write to ")
+
+
+@st.composite
+def enumerate_argv(draw):
+    """``mlq enumerate`` argv over both kinds, n in -1..4 and at most a few
+    hundred queues: alpha well-formed, empty, negative or non-numeric, with and
+    without ``--count-only``, and ``--out`` to stdout, a writable file or a
+    file in a missing directory (the string ``{dir}`` stands for a fresh one)."""
+    parts = draw(st.lists(st.integers(0, 3), max_size=4))
+    assume(sum(parts) <= 4)
+    alpha = draw(st.sampled_from(("", "-1", "2,-1", "a", "1.5", "2;1", "1,,2")) if draw(st.integers(0, 3)) == 3 else
+                 st.just(",".join(map(str, parts))))
+    argv = ["enumerate", f"--alpha={alpha}", f"--n={draw(st.integers(-1, 4))}",
+            f"--kind={draw(st.sampled_from(('fermionic', 'bosonic')))}"]
+    if draw(st.booleans()):
+        argv.append("--count-only")
+    out = draw(st.sampled_from((None, "{dir}/queues.jsonl", "{dir}/missing/queues.jsonl")))
+    return argv + ([] if out is None else [f"--out={out}"])
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def render_document(draw):
+    """A document for ``mlq render``: arbitrary JSON now and then, else a queue
+    or word on n <= 5 sites with, now and then, one field replaced by arbitrary
+    JSON."""
+    def rarely() -> bool:
+        return draw(st.integers(0, 3)) == 3
+
+    if rarely():
+        return draw(JSON)
+    kind, n = draw(st.sampled_from(("fermionic", "bosonic", "fermionic_word", "bosonic_word"))), draw(st.integers(1, 5))
+    site = st.integers(1, n)
+    body = {
+        "fermionic": ("rows", st.lists(st.lists(site, unique=True).map(sorted), min_size=1, max_size=4)),
+        "bosonic": ("rows", st.lists(st.lists(site, max_size=4).map(sorted), min_size=1, max_size=4)),
+        "fermionic_word": ("letters", st.lists(st.integers(0, 4), min_size=n, max_size=n)),
+        "bosonic_word": ("sites", st.lists(st.lists(st.integers(1, 4), max_size=3).map(sorted), min_size=n, max_size=n)),
+    }
+    name, value = body[kind]
+    doc = {"kind": kind, "n": n, name: draw(value)}
+    if rarely():
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(JSON)
+    return doc
+
+
+def _exit_code(argv, stdin=""):
+    """``main(argv)`` on ``stdin``: its exit code, and whether stderr holds a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, "Traceback" in err.getvalue()
+
+
+class TestEnumerateAndRenderFuzz:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(enumerate_argv())
+    def test_every_enumerate_argv_ends_in_a_documented_exit_code(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [a.replace("{dir}", tmp) for a in argv]
+            code, traceback = _exit_code(argv)
+            assert code in (0, 2, 3, 4) and not traceback, argv
+            if code == 0 and "--count-only" not in argv and any(a.startswith("--out=") for a in argv):
+                assert os.path.exists(argv[-1].removeprefix("--out="))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(render_document())
+    def test_every_render_document_ends_in_a_documented_exit_code(self, doc):
+        code, traceback = _exit_code(["render", "--in", "-"], json.dumps(doc))
+        assert code in (0, 2, 3, 4) and not traceback, doc
 
 
 class TestVerifyCommand:

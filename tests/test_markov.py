@@ -22,6 +22,7 @@ from mlqueues import (
     ktazrp_transitions,
     mlq_chain,
     project,
+    ring,
     ring_forward,
     ring_forward_bosonic,
     ring_reverse,
@@ -441,6 +442,39 @@ class TestBosonicRinging:
             assert list(img.weight()) == want
 
 
+class TestRing:
+    """``ring`` is the per-kind ringing map of the queue's kind, with its rate."""
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_fermionic_is_the_unit_rate_map(self, reverse):
+        fn = ring_reverse if reverse else ring_forward
+        for alpha, n in (((2, 1), 3), ((2, 2, 1), 4), ((1, 2), 3)):
+            for q in enumerate_queues(alpha, n, "fermionic"):
+                for i in range(1, n + 1):
+                    assert ring(q, i, reverse=reverse) == (*fn(q, i), 1)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("x", [None, X123])
+    def test_bosonic_is_the_bosonic_map(self, reverse, x):
+        fn = ring_reverse_bosonic if reverse else ring_forward_bosonic
+        for alpha in ((2, 1), (1, 2), (2, 0, 1)):
+            for q in enumerate_queues(alpha, 3, "bosonic"):
+                for i in range(1, 4):
+                    assert ring(q, i, x, reverse) == fn(q, i, x)
+
+    @pytest.mark.parametrize("x", [X123, RateParams.ones(3), RateParams((Fraction(1), Fraction(2))), (1, 1, 1)])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_fermionic_takes_no_rates(self, x, reverse):
+        with pytest.raises(ValueError, match="fermionic ringing takes no site rates"):
+            ring(fq(3, (1,), (2,)), 1, x, reverse)
+
+    def test_guards_of_the_per_kind_maps(self):
+        with pytest.raises(IndexError, match="site 4 outside 1..3"):
+            ring(bq(3, (1,)), 4)
+        with pytest.raises(IndexError, match="site 0 outside 1..3"):
+            ring(fq(3, (1,)), 0, reverse=True)
+
+
 class TestMlqChains:
     def test_fermionic_chain_is_uniform(self):
         chain = mlq_chain("fermionic", (2, 1), 3)
@@ -528,3 +562,6 @@ class TestSimulation:
         chain = ChainSpec(("a", "b"), ((0, 1, Fraction(1)),))
         with pytest.raises(ChainError):
             simulate_ctmc(chain, seed=0, jumps=100)
+
+    def test_one_state_chain_stays_put(self):
+        assert simulate_ctmc(ChainSpec(("a",), ()), seed=0, jumps=100) == {"a": 1.0}

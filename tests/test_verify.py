@@ -6,7 +6,7 @@ import pytest
 from mlqueues import markov, verify
 from mlqueues.cli import main
 from mlqueues.markov import MODELS, RateParams, count_states
-from mlqueues.mlq import FermionicMLQ
+from mlqueues.mlq import FermionicMLQ, enumerate_queues
 from mlqueues.words import BosonicWord, FermionicWord
 from mlqueues.verify import (
     SuiteReport,
@@ -16,8 +16,6 @@ from mlqueues.verify import (
     suite_phi_equals_ctm,
     suite_r_invariance,
     suite_ringing,
-    suite_stationary_tasep,
-    suite_stationary_tazrp,
 )
 
 SMALL = {
@@ -46,8 +44,8 @@ class TestSuites:
         assert report.passed
 
     def test_stationary_suites(self):
-        assert suite_stationary_tasep((2, 1), 3).passed
-        assert suite_stationary_tazrp((2, 1), 2).passed
+        assert verify.SUITES["stationary-tasep"](None, 0).passed
+        assert verify.SUITES["stationary-tazrp"](None, 0).passed
 
     def test_ringing_small(self):
         report = suite_ringing(SMALL, seed=2)
@@ -113,7 +111,7 @@ class TestSuites:
 
 class TestReports:
     def test_json_and_text(self):
-        report = suite_stationary_tasep((2, 1), 3)
+        report = verify.SUITES["stationary-tasep"](None, 0)
         doc = json.loads(report.to_json())
         assert doc["suite"] == "stationary-tasep"
         assert doc["pass"] is True
@@ -131,6 +129,16 @@ class TestWitnesses:
         assert witness is not None
         assert replay_witness(witness)
 
+    def test_counterexample_is_pinned(self):
+        # ringing at site 1 moves the projection 210 to 102, two exclusion steps away
+        assert find_ringing_counterexample(4, 4) == {
+            "check": "chain-projection",
+            "queue": {"kind": "fermionic", "n": 3, "rows": [[1], [], [1, 2]]},
+            "x": None,
+            "zr": {"0 1 2": "1"},
+            "mlq": {"1 0 2": "1"},
+        }
+
     def test_fabricated_witness_does_not_reproduce(self):
         fake = {
             "check": "twist-invariance",
@@ -142,6 +150,21 @@ class TestWitnesses:
     def test_unknown_witness_kind_rejected(self):
         with pytest.raises(ValueError):
             replay_witness({"check": "nonsense"})
+
+
+class TestChainProjection:
+    """The lumping check on fermionic queues: ringing projects onto the exclusion
+    process on straight shapes (the ringing suite runs it on bosonic ones)."""
+
+    @pytest.mark.parametrize("alpha, n", [((2, 1), 3), ((2, 1), 4), ((2, 2, 1), 4), ((3, 2, 1), 4)])
+    def test_straight_fermionic_ringing_lumps_onto_the_exclusion_process(self, alpha, n):
+        for q in enumerate_queues(alpha, n, "fermionic"):
+            assert verify.check_chain_projection.run({"queue": q, "x": None}) == []
+
+    def test_fermionic_queue_takes_no_rates(self):
+        q = FermionicMLQ(3, ((1,), (2,)))
+        with pytest.raises(ValueError, match="fermionic ringing takes no site rates"):
+            verify.check_chain_projection.run({"queue": q, "x": RateParams.ones(3)})
 
 
 def _rates(*xs):
@@ -248,17 +271,29 @@ def _escaping_law(real):
     return law
 
 
+def _reverse_fixed_on(kind):
+    """A fault of ``ring`` whose reverse step leaves a ``kind`` queue as it is."""
+
+    def make(real):
+        def ring(q, i, x=None, reverse=False):
+            return (q, i, Fraction(1)) if reverse and q.kind == kind else real(q, i, x, reverse)
+
+        return ring
+
+    return make
+
+
 def _shifted_exit(real):
-    def ring(d, i, x=None):
-        img, exit_site, rate = real(d, i, x)
-        return img, exit_site % d.n + 1, rate
+    def ring(q, i, x=None, reverse=False):
+        img, exit_site, rate = real(q, i, x, reverse)
+        return img, exit_site % q.n + 1, rate
 
     return ring
 
 
 def _row_dependent_site(real):
-    def ring(d, i, x=None):
-        return real(d, (i + len(d.rows[0]) - 1) % d.n + 1, x)
+    def ring(q, i, x=None, reverse=False):
+        return real(q, (i + len(q.rows[0]) - 1) % q.n + 1, x, reverse)
 
     return ring
 
@@ -269,8 +304,8 @@ def _doubled_rates(real):
 
 SWEEP = lambda: verify.suite_phi_equals_ctm(SMALL, seed=1)  # noqa: E731
 RINGING = lambda: verify.suite_ringing(None, 0)  # noqa: E731
-TASEP = lambda: verify.suite_stationary_tasep((2, 1), 3)  # noqa: E731
-TAZRP = lambda: verify.suite_stationary_tazrp((2, 1), 2, RateParams((Fraction(1), Fraction(2))))  # noqa: E731
+TASEP = lambda: verify.SUITES["stationary-tasep"](None, 0)  # noqa: E731
+TAZRP = lambda: verify.SUITES["stationary-tazrp"](None, 0)  # noqa: E731
 
 # witness kind -> (report whose failures hold the witness, {verify attribute: fault built from the real one})
 FAULTS = {
@@ -282,12 +317,11 @@ FAULTS = {
     "particlewise": (SWEEP, {"apply_row_particlewise": lambda real: lambda row, label, word, order=None: word}),
     "law-mismatch": (TAZRP, {"queue_law": _uniform_law}),
     "law-support": (TASEP, {"queue_law": _escaping_law}),
-    "ring-inverse": (RINGING, {"ring_reverse": lambda real: lambda q, i: (q, i)}),
-    "ring-inverse-bosonic": (RINGING, {"ring_reverse_bosonic": lambda real: lambda d, i, x=None: (d, i, Fraction(1))}),
-    "ring-weight": (RINGING, {"ring_forward_bosonic": _shifted_exit}),
+    "ring-inverse": (RINGING, {"ring": _reverse_fixed_on("fermionic")}),
+    "ring-weight": (RINGING, {"ring": _shifted_exit}),
     "chain-projection": (RINGING, {"tazrp_transitions": _doubled_rates}),
-    "twist-forward-commute": (RINGING, {"ring_forward_bosonic": _row_dependent_site}),
-    "twist-reverse-commute": (RINGING, {"ring_reverse_bosonic": _row_dependent_site}),
+    "twist-forward-commute": (RINGING, {"ring": _row_dependent_site}),
+    "twist-reverse-commute": (RINGING, {"ring": _row_dependent_site}),
     "ringing-counterexample": (RINGING, {"enumerate_queues": lambda real: lambda *args: iter(())}),
 }
 
@@ -299,14 +333,21 @@ def _replay_code(tmp_path, capsys, witness):
     return code, capsys.readouterr().err
 
 
+# test id -> (witness kind, report, faults): each kind once, and ring-inverse again
+# from a bosonic queue, the first one its fault reaches in the ringing suite
+FAULT_CASES = {kind: (kind, *entry) for kind, entry in FAULTS.items()}
+FAULT_CASES["ring-inverse-from-bosonic"] = ("ring-inverse", RINGING, {"ring": _reverse_fixed_on("bosonic")})
+
+
 def test_every_witness_kind_is_registered():
-    assert set(verify.CHECKS) == set(FAULTS) | {"ringing-projection-counterexample"}
-    assert len(verify.CHECKS) == 16
+    assert set(verify.CHECKS) == set(FAULTS)
+    assert len(verify.CHECKS) == 14
+    assert len({check.run for check in verify.CHECKS.values()}) == 7
 
 
-@pytest.mark.parametrize("kind", sorted(FAULTS))
-def test_suite_witness_replays_under_its_fault_only(kind, monkeypatch, tmp_path, capsys):
-    run_suite, faults = FAULTS[kind]
+@pytest.mark.parametrize("case", sorted(FAULT_CASES))
+def test_suite_witness_replays_under_its_fault_only(case, monkeypatch, tmp_path, capsys):
+    kind, run_suite, faults = FAULT_CASES[case]
     with monkeypatch.context() as patch:
         for name, make in faults.items():
             patch.setattr(verify, name, make(getattr(verify, name)))
@@ -319,8 +360,8 @@ def test_suite_witness_replays_under_its_fault_only(kind, monkeypatch, tmp_path,
 
 
 def test_counterexample_witness_replays_under_its_fault_only(monkeypatch, tmp_path, capsys):
-    # the real counterexample replays anywhere; with no exclusion step counted
-    # as a neighbour the search stops earlier, on a move that is one
+    # the real counterexample replays anywhere; with no exclusion move out of
+    # any word the search stops earlier, on a queue whose ringing does lump
     real = verify.find_ringing_counterexample(4, 4)
     with monkeypatch.context() as patch:
         patch.setattr(verify, "tasep_transitions", lambda w: [])
