@@ -14,6 +14,7 @@ from .markov import (
     ChainSpec,
     RateParams,
     RationalDistribution,
+    certify_stationary,
     conjugate,
     count_states,
     enumerate_states,

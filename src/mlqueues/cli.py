@@ -7,6 +7,7 @@ absorbing state, bad shape), 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -65,8 +66,7 @@ def cmd_project(args) -> int:
         print("projection routes disagree", file=sys.stderr)
         _emit({"label": documents.emit_word(by_labels), "ctm": documents.emit_word(by_ctm)})
         return 4
-    word = by_ctm if args.method == "ctm" else by_labels
-    out = documents.emit_word(word)
+    out = documents.emit_word(by_labels)
     if args.trace:
         out = {"word": out, "trace": [documents.emit_word(w) for w in label_trace(q)]}
     _emit(out)
@@ -149,17 +149,13 @@ def cmd_enumerate(args) -> int:
     if args.count_only:
         print(total)
         return 0
-    try:
-        sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    try:  # a failed open, write or close of --out is an input error
+        with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout) as sink:
+            for q in enumerate_queues(alpha, args.n, args.kind):
+                sink.write(json.dumps(documents.emit_queue(q)))
+                sink.write("\n")
     except OSError as exc:
-        raise SchemaError(f"cannot write to {args.out}: {exc}") from exc
-    try:
-        for q in enumerate_queues(alpha, args.n, args.kind):
-            sink.write(json.dumps(documents.emit_queue(q)))
-            sink.write("\n")
-    finally:
-        if args.out:
-            sink.close()
+        raise SchemaError(f"cannot write to {args.out or 'stdout'}: {exc}") from exc
     return 0
 
 
@@ -214,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="project a queue to a ring word")
     p.add_argument("--in", dest="infile", required=True, help="queue JSON file, or - for stdin")
     p.add_argument("--trace", action="store_true", help="include the per-row labelled words")
-    p.add_argument("--method", choices=("label", "ctm"), default="label")
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("sigma", help="twist two adjacent rows")

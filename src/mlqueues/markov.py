@@ -1,22 +1,21 @@
 """Ring particle processes, ringing-path dynamics, and exact stationary laws.
 
-Everything here is exact: rates are rationals, and the stationary
-distribution is the one-dimensional null space of the transposed generator.
-That generator is kept sparse, one ``{column: rate}`` dict per state, and
-solved modulo a prime p on plain ints, by sparse elimination with Markowitz
-pivots: the shortest active row pivots next, on its column shared by the
-fewest active rows (ties by index), which keeps fill-in low on ring chains.
+Everything here is exact: rates are rationals, and the stationary law is one
+null vector of the transposed generator mod p, checked by one certificate.
+The generator rows are built mod p straight from the transitions, one
+``{column: residue}`` dict per state, and eliminated on plain ints with
+Markowitz pivots: the shortest active row pivots next, on its column shared by
+the fewest active rows (ties by index), which keeps fill-in low on ring chains.
 Each entry of the null vector is lifted to a fraction by rational
-reconstruction and the vector is checked exactly against every row; when p
-divides a rate denominator, an entry does not lift or the check fails, the
-solve runs again from scratch at the next prime of a fixed Mersenne ladder,
-and raises past the last one.  The law is then certified by guards that need
-no elimination: the chain is irreducible (so its stationary law is unique),
-the vector is strictly positive, sums to exactly 1, and balances state by
-state, from one O(T) tally of flux out of and into every state over the T
-transitions.  Floating point appears only in the Monte-Carlo sampler.
-``MODELS`` is the one table of the ``mlq stationary`` models, read by
-:func:`model_chain`, :func:`queue_law` and :func:`model_size`.
+reconstruction, and the normalized vector must pass :func:`certify_stationary`:
+strictly positive, summing to exactly 1, and balanced state by state, from one
+O(T) tally of flux over the T transitions.  The chain is checked irreducible
+before any solve, so that law is unique, and the one certificate both decides
+whether the next prime of a fixed Mersenne ladder is tried and certifies the
+result; the solve raises past the last prime.  Floating point appears only in
+the Monte-Carlo sampler.  ``MODELS`` is the one table of the ``mlq
+stationary`` models, read by :func:`model_chain`, :func:`queue_law` and
+:func:`model_size`.
 """
 
 from __future__ import annotations
@@ -297,80 +296,59 @@ def _strongly_connected(n_states: int, transitions) -> bool:
     return len(reach(fwd)) == n_states and len(reach(bwd)) == n_states
 
 
-# The moduli of the null-space solve, in the order tried: Mersenne primes 2^e - 1.
+def certify_stationary(chain: ChainSpec, probs: Sequence) -> bool:
+    """Whether ``probs`` (indexed like ``chain.states``) is strictly positive,
+    sums to exactly 1 and balances the flux out of and into every state.  On an
+    irreducible chain, whose stationary law is unique, a vector that passes
+    *is* that law."""
+    if any(p <= 0 for p in probs) or sum(probs) != 1:
+        return False
+    out_flux, in_flux = chain.flux(probs)
+    return out_flux == in_flux
+
+
+# The moduli of the stationary solve, in the order tried: Mersenne primes 2^e - 1.
 _MODULI = tuple(2**e - 1 for e in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423))
 
 
-def nullspace(rows, ncols: int | None = None) -> list[list[Fraction]]:
-    """Basis of the right null space of a rational matrix, certified exactly.
+def _law_mod(chain: ChainSpec, p: int) -> list[Fraction] | None:
+    """The stationary law of ``chain``, solved over GF(p) and lifted, or None.
 
-    Each row is a dense list or a ``{column: value}`` dict.  ``ncols`` defaults
-    to the widest row: the longest dense row, or one past the largest dict
-    column.  The basis has one vector per non-pivot column, in increasing
-    column order, with 1 at that column and 0 at the other non-pivot columns.
-    It is computed modulo each prime of ``_MODULI`` in turn (see
-    :func:`_nullspace_mod`) until one gives a basis whose every vector is a
-    null vector over the rationals; each prime is tried on its own.  Raises
-    ``ArithmeticError`` when no prime does.
-    """
-    sparse = []
-    width = 0
-    for r in rows:
-        if isinstance(r, dict):
-            sparse.append({c: Fraction(v) for c, v in r.items() if v != 0})
-            width = max(width, max(r, default=-1) + 1)
-        else:
-            sparse.append({c: Fraction(v) for c, v in enumerate(r) if v != 0})
-            width = max(width, len(r))
-    if ncols is None:
-        ncols = width
-    elif width > ncols:
-        raise ValueError(f"row entries beyond column {ncols - 1}")
-    for p in _MODULI:
-        basis = _nullspace_mod(sparse, ncols, p)
-        if basis is not None:
-            return basis
-    raise ArithmeticError("no modulus certified the null space")
-
-
-def _nullspace_mod(sparse: list[dict], ncols: int, p: int) -> list[list[Fraction]] | None:
-    """The null-space basis of :func:`nullspace`, computed over GF(p) and lifted.
-
-    Pivots follow the Markowitz rule: the shortest active row is eliminated
-    next, on its column shared by the fewest active rows, ties broken by the
-    lower index.  Back-substitution gives the basis mod p; each entry is lifted
+    The rows of the transposed generator are built mod p straight from the
+    transitions, one residue per distinct rate.  Pivots follow the Markowitz
+    rule: the shortest active row is eliminated next, on its column shared by
+    the fewest active rows, ties broken by the lower index.  Back-substitution
+    gives the null vector mod p with 1 at its free column; each entry is lifted
     to the unique fraction r/s with |r|, s <= sqrt(p/2) (Wang's rational
-    reconstruction), and each lifted vector is checked exactly against the
-    rows.  Returns None when p divides a denominator, an entry does not lift,
-    or a vector fails the check.  A basis that passes is the rational one: its
-    vectors are independent null vectors, as many as the nullity mod p, which
-    is at least the rational nullity.
+    reconstruction) and the vector is normalized.  Returns None when p divides
+    a rate denominator, the null space mod p is not a line, an entry does not
+    lift, or the lifted law fails :func:`certify_stationary`.
     """
+    ns = len(chain.states)
     residues: dict[Fraction, int] = {}
-    reduced = []
-    for row in sparse:
-        out = {}
-        for c, v in row.items():
-            r = residues.get(v)
-            if r is None:
-                if v.denominator % p == 0:
-                    return None
-                r = residues[v] = v.numerator * pow(v.denominator, -1, p) % p
-            if r:
-                out[c] = r
-        reduced.append(out)
+    rows: list[dict] = [{} for _ in range(ns)]  # row i: rates into state i, minus the exit rate of i
+    for src, dst, rate in chain.transitions:
+        r = residues.get(rate)
+        if r is None:
+            q = Fraction(rate)
+            if q.denominator % p == 0:
+                return None
+            r = residues[rate] = q.numerator * pow(q.denominator, -1, p) % p
+        rows[dst][src] = (rows[dst].get(src, 0) + r) % p
+        rows[src][src] = (rows[src].get(src, 0) - r) % p
+    rows = [{c: v for c, v in row.items() if v} for row in rows]
 
     col_rows = defaultdict(set)  # column -> active rows with a nonzero entry there
-    for i, row in enumerate(reduced):
+    for i, row in enumerate(rows):
         for c in row:
             col_rows[c].add(i)
-    active = set(range(len(reduced)))
-    queue = [(len(row), i) for i, row in enumerate(reduced)]  # lazy: stale keys are skipped
+    active = set(range(ns))
+    queue = [(len(row), i) for i, row in enumerate(rows)]  # lazy: stale keys are skipped
     heapq.heapify(queue)
     pivots = []  # (column, rest of its row scaled so the pivot entry is 1)
     while queue:
         length, i = heapq.heappop(queue)
-        row = reduced[i]
+        row = rows[i]
         if i not in active or length != len(row):
             continue
         active.discard(i)
@@ -382,7 +360,7 @@ def _nullspace_mod(sparse: list[dict], ncols: int, p: int) -> list[list[Fraction
         inv = pow(row[c], -1, p)
         rest = {j: v * inv % p for j, v in row.items() if j != c}
         for k in col_rows.pop(c):
-            other = reduced[k]
+            other = rows[k]
             f = other.pop(c)
             for j, v in rest.items():
                 o = other.get(j)
@@ -396,28 +374,20 @@ def _nullspace_mod(sparse: list[dict], ncols: int, p: int) -> list[list[Fraction
                     col_rows[j].discard(k)
             heapq.heappush(queue, (len(other), k))
         pivots.append((c, rest))
+    if len(pivots) != ns - 1:  # the rows sum to zero, so the rank is at most ns - 1
+        return None
 
+    (free,) = set(range(ns)).difference(c for c, _ in pivots)
+    v = [0] * ns
+    v[free] = 1
+    for c, rest in reversed(pivots):
+        v[c] = -sum(val * v[j] for j, val in rest.items()) % p
     bound = math.isqrt(p // 2)
-    pivot_cols = {c for c, _ in pivots}
-    basis = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        v = {free: 1}
-        for c, rest in reversed(pivots):
-            s = sum(val * v[j] for j, val in rest.items() if j in v) % p
-            if s:
-                v[c] = p - s
-        lifted = {}
-        for j, a in v.items():
-            q = _rational(a, p, bound)
-            if q is None:
-                return None
-            lifted[j] = q
-        if any(sum(val * lifted[j] for j, val in row.items() if j in lifted) for row in sparse):
-            return None
-        basis.append([lifted.get(j, Fraction(0)) for j in range(ncols)])
-    return basis
+    lifted = [_rational(a, p, bound) for a in v]
+    if None in lifted or not (total := sum(lifted)):  # the law of an irreducible chain has one sign
+        return None
+    probs = [q / total for q in lifted]
+    return probs if certify_stationary(chain, probs) else None
 
 
 def _rational(a: int, p: int, bound: int) -> Fraction | None:
@@ -434,41 +404,23 @@ def _rational(a: int, p: int, bound: int) -> Fraction | None:
 
 
 def stationary_exact(chain: ChainSpec) -> RationalDistribution:
-    """Exact stationary law: null space of the transposed generator, verified.
+    """Exact stationary law: the null vector of the transposed generator,
+    solved modulo each prime of ``_MODULI`` in turn (see :func:`_law_mod`)
+    until one gives a law that passes :func:`certify_stationary`.
 
-    Raises :class:`ChainError` when the chain is empty, not strongly
-    connected, or the null space is not one-dimensional or cannot be
-    certified, and when the solution is not strictly positive or fails the
-    balance re-check.  An irreducible chain has exactly one stationary law, so
-    a vector that passes these guards and sums to exactly 1 is that law.
+    Raises :class:`ChainError` when the chain is empty or not strongly
+    connected (before any solve), and when no prime certifies a law.
     """
     ns = len(chain.states)
     if ns == 0:
         raise ChainError("empty chain")
     if not _strongly_connected(ns, chain.transitions):
         raise ChainError("chain is not irreducible")
-    # row i of the transposed generator: rates into state i, minus the exit rate of i
-    qt: list[dict] = [{} for _ in range(ns)]
-    for src, dst, rate in chain.transitions:
-        qt[dst][src] = qt[dst].get(src, 0) + rate
-        qt[src][src] = qt[src].get(src, 0) - rate
-    try:
-        basis = nullspace(qt, ns)
-    except ArithmeticError as exc:
-        raise ChainError(str(exc)) from exc
-    if len(basis) != 1:
-        raise ChainError(f"null space has dimension {len(basis)}, expected 1")
-    v = basis[0]
-    total = sum(v, Fraction(0))
-    if total == 0:
-        raise ChainError("degenerate null vector")
-    probs = [vi / total for vi in v]
-    if any(p <= 0 for p in probs):
-        raise ChainError("stationary vector is not strictly positive")
-    out_flux, in_flux = chain.flux(probs)
-    if out_flux != in_flux:
-        raise ChainError("balance equation violated by solver output")
-    return RationalDistribution(dict(zip(chain.states, probs)))
+    for p in _MODULI:
+        probs = _law_mod(chain, p)
+        if probs is not None:
+            return RationalDistribution(dict(zip(chain.states, probs)))
+    raise ChainError("no modulus certified the stationary law")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mlqueues import ChainSpec, cli, documents, markov
+from mlqueues import ChainSpec, cli, documents, markov, verify
 from mlqueues.cli import main
 
 from conftest import bq, bw, fq, fw
@@ -44,7 +44,7 @@ class TestProjectCommand:
 
     def test_bosonic_example_ctm_method(self, tmp_path, capsys):
         doc = {"kind": "bosonic", "n": 5, "rows": [[1, 3, 3, 5], [2, 2, 4], [1, 2]]}
-        code, out, _ = run(capsys, "project", "--in", write_doc(tmp_path, doc), "--method", "ctm")
+        code, out, _ = run(capsys, "project", "--in", write_doc(tmp_path, doc))
         assert code == 0
         assert json.loads(out)["sites"] == [[3], [], [1, 3], [], [2]]
 
@@ -416,6 +416,13 @@ class TestEnumerateCommand:
         assert (code, out) == (2, "")
         assert err.startswith("input error: cannot write to ")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_is_input_error(self, capsys):
+        # the open succeeds; the buffered write used to raise OSError out of main at close
+        code, out, err = run(capsys, "enumerate", "--alpha", "2", "--n", "3", "--kind", "bosonic", "--out", "/dev/full")
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: cannot write to /dev/full")
+
 
 @st.composite
 def enumerate_argv(draw):
@@ -491,6 +498,53 @@ class TestEnumerateAndRenderFuzz:
     def test_every_render_document_ends_in_a_documented_exit_code(self, doc):
         code, traceback = _exit_code(["render", "--in", "-"], json.dumps(doc))
         assert code in (0, 2, 3, 4) and not traceback, doc
+
+
+@st.composite
+def queue_document(draw):
+    """A queue document of either kind on n <= 5 sites and k <= 4 rows, with
+    now and then sites in -1..n+1 or one field replaced by arbitrary JSON."""
+    def rarely() -> bool:
+        return draw(st.integers(0, 3)) == 3
+
+    kind, n, k = draw(st.sampled_from(("fermionic", "bosonic"))), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    site = st.integers(-1, n + 1) if rarely() else st.integers(1, n)
+    row = st.lists(site, unique=kind == "fermionic", max_size=4).map(sorted)
+    doc = {"kind": kind, "n": n, "rows": draw(st.lists(row, min_size=k, max_size=k))}
+    if rarely():
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(JSON)
+    return json.dumps(doc)
+
+
+@st.composite
+def bounds_argv(draw):
+    """``mlq verify`` argv on the r-invariance or projection suite with every
+    bound in 0..2, now and then with an unknown key or a malformed entry."""
+    entries = [f"{key}={draw(st.integers(0, 2))}" for key in sorted(verify.DEFAULT_BOUNDS)]
+    if draw(st.integers(0, 3)) == 3:
+        entries.append(draw(st.sampled_from(("max_turbo=1", "random_cases", "random_cases=x", "=2", ""))))
+    suite = draw(st.sampled_from(("r-invariance", "projection")))
+    return ["verify", f"--suite={suite}", f"--seed={draw(st.integers(0, 3))}", "--bounds=" + ",".join(entries)]
+
+
+class TestProjectSigmaVerifyFuzz:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(queue_document(), st.booleans())
+    def test_every_project_run_ends_in_a_documented_exit_code(self, doc, trace):
+        code, traceback = _exit_code(["project", "--in", "-"] + (["--trace"] if trace else []), doc)
+        assert code in (0, 2, 3, 4) and not traceback, doc
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(queue_document(), st.integers(-1, 5), st.booleans())
+    def test_every_sigma_run_ends_in_a_documented_exit_code(self, doc, i, braid):
+        code, traceback = _exit_code(["sigma", "--in", "-", f"--i={i}"] + (["--check-braid"] if braid else []), doc)
+        assert code in (0, 2, 3, 4) and not traceback, (doc, i)
+
+    @settings(max_examples=90, deadline=None, derandomize=True)
+    @given(bounds_argv())
+    def test_every_bounds_argv_ends_in_a_documented_exit_code(self, argv):
+        code, traceback = _exit_code(argv)
+        assert code in (0, 2, 3, 4) and not traceback, argv
 
 
 class TestVerifyCommand:

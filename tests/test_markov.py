@@ -14,6 +14,7 @@ from mlqueues import (
     RateParams,
     RationalDistribution,
     ShapeError,
+    certify_stationary,
     conjugate,
     count_states,
     enumerate_queues,
@@ -35,7 +36,6 @@ from mlqueues import (
     tazrp_transitions,
 )
 from mlqueues import markov
-from mlqueues.markov import nullspace
 from mlqueues.projection import fiber_law
 
 from conftest import bq, bw, fq, fw
@@ -171,22 +171,6 @@ class TestStationaryExact:
         dist = stationary_exact(ChainSpec(("only",), ()))
         assert dist["only"] == 1
 
-    def test_nullspace_solver(self):
-        rows = [[Fraction(1), Fraction(-1), Fraction(0)], [Fraction(0), Fraction(1), Fraction(-1)]]
-        basis = nullspace(rows)
-        assert len(basis) == 1
-        assert basis[0] == [Fraction(1), Fraction(1), Fraction(1)]
-
-    def test_nullspace_rank_deficient_dense_and_dict_rows(self):
-        dense = [[1, -1, 0, 0, 0], [2, -2, 0, 0, 0], [0, 0, 3, -1, 0], [1, -1, 3, -1, 0]]
-        as_dicts = [{0: 1, 1: -1}, {0: 2, 1: -2}, {2: 3, 3: -1}, {0: 1, 1: -1, 2: 3, 3: -1}]
-        for basis in (nullspace(dense), nullspace(as_dicts, 5)):
-            assert len(basis) == 3  # rank 2 on 5 columns
-            assert _rank(basis) == 3
-            for v in basis:
-                assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in dense)
-        assert nullspace(dense) == nullspace(as_dicts, 5)
-
     @settings(max_examples=80, derandomize=True)
     @given(st.data())
     def test_random_irreducible_chain_is_stationary(self, data):
@@ -216,18 +200,30 @@ class TestStationaryExact:
         assert out == [3, 2, 15]
         assert into == [15, 2, 3]
 
+    def test_certificate_rejects_what_is_not_the_law(self):
+        chain = ChainSpec(
+            ("a", "b", "c"),
+            ((0, 1, Fraction(2)), (1, 2, Fraction(1)), (2, 0, Fraction(3)), (0, 2, Fraction(1))),
+        )
+        law = [stationary_exact(chain)[s] for s in chain.states]
+        assert certify_stationary(chain, law)
+        moved = [law[0] + Fraction(1, 100), law[1] - Fraction(1, 100), law[2]]  # still sums to 1
+        assert sum(moved) == 1 and not certify_stationary(chain, moved)
+        assert not certify_stationary(chain, [Fraction(0), Fraction(1, 2), Fraction(1, 2)])
+        assert not certify_stationary(chain, [2 * p for p in law])
+
 
 def _recorded_attempts(monkeypatch) -> list:
-    """Record (modulus, certified?) for each prime the null-space solve tries."""
+    """Record (modulus, certified?) for each prime the stationary solve tries."""
     attempts = []
-    real = markov._nullspace_mod
+    real = markov._law_mod
 
-    def attempt(sparse, ncols, p):
-        basis = real(sparse, ncols, p)
-        attempts.append((p, basis is not None))
-        return basis
+    def attempt(chain, p):
+        law = real(chain, p)
+        attempts.append((p, law is not None))
+        return law
 
-    monkeypatch.setattr(markov, "_nullspace_mod", attempt)
+    monkeypatch.setattr(markov, "_law_mod", attempt)
     return attempts
 
 
@@ -248,13 +244,20 @@ class TestModularSolve:
         assert stationary_exact(chain) == law
         assert attempts == [(7, False), (2**61 - 1, True)]
 
+    def test_null_space_plane_mod_p_is_retried(self, monkeypatch):
+        # both rates between a and b vanish mod 7, so mod 7 a decouples from b and c
+        seven, one = Fraction(7), Fraction(1)
+        chain = ChainSpec(("a", "b", "c"), ((0, 1, seven), (1, 0, seven), (1, 2, one), (2, 1, one)))
+        monkeypatch.setattr(markov, "_MODULI", (7, 2**61 - 1))
+        attempts = _recorded_attempts(monkeypatch)
+        assert stationary_exact(chain).probs == {s: Fraction(1, 3) for s in "abc"}
+        assert attempts == [(7, False), (2**61 - 1, True)]
+
     def test_exhausted_ladder_raises(self, monkeypatch):
         chain = tazrp_chain((2, 1), 3, RateParams((Fraction(1), Fraction(2), Fraction(7))))
         monkeypatch.setattr(markov, "_MODULI", (7, 101))
         with pytest.raises(ChainError):
             stationary_exact(chain)
-        with pytest.raises(ArithmeticError):
-            nullspace([{0: Fraction(1, 7), 1: -3}])  # the null vector (21, 1) does not lift mod 101
 
     def test_rational_reconstruction(self):
         p = 2**61 - 1
@@ -268,21 +271,6 @@ class TestModularSolve:
         dist = stationary_exact(tasep_chain((4, 3, 2, 1), 8))
         assert len(dist.probs) == 1680
         assert fiber_law((4, 3, 2, 1), 8, "fermionic") == dist.probs
-
-
-def _rank(rows) -> int:
-    m = [[Fraction(v) for v in r] for r in rows]
-    rank = 0
-    for c in range(len(m[0])):
-        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for i in range(rank + 1, len(m)):
-            f = m[i][c] / m[rank][c]
-            m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
 
 
 class TestRateParams:
