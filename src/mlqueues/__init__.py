@@ -11,6 +11,7 @@ from .mlq import (
     twist,
 )
 from .markov import (
+    MODELS,
     ChainSpec,
     RateParams,
     RationalDistribution,
@@ -18,9 +19,9 @@ from .markov import (
     conjugate,
     count_states,
     enumerate_states,
-    ktazrp_chain,
     ktazrp_transitions,
     mlq_chain,
+    model_chain,
     ring,
     ring_forward,
     ring_forward_bosonic,
@@ -28,9 +29,7 @@ from .markov import (
     ring_reverse_bosonic,
     simulate_ctmc,
     stationary_exact,
-    tasep_chain,
     tasep_transitions,
-    tazrp_chain,
     tazrp_transitions,
 )
 from .pairing import PairingResult, pair_strictly_left, pair_weakly_right

@@ -180,7 +180,7 @@ def cmd_verify(args) -> int:
         ok = verify.replay_witness(witness)
         print("witness reproduces" if ok else "witness does NOT reproduce", file=sys.stderr)
         return 0 if ok else 4
-    suites = {**verify.SUITES, "all": lambda bounds, seed: verify.suite_all({"bounds": bounds, "seed": seed})}
+    suites = {**verify.SUITES, "all": verify.suite_all}
     if args.suite not in suites:
         raise SchemaError(f"unknown suite {args.suite!r}; choose from {sorted(suites)}")
     report = suites[args.suite](_parse_bounds(args.bounds), args.seed)

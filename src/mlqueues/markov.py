@@ -14,8 +14,8 @@ before any solve, so that law is unique, and the one certificate both decides
 whether the next prime of a fixed Mersenne ladder is tried and certifies the
 result; the solve raises past the last prime.  Floating point appears only in
 the Monte-Carlo sampler.  ``MODELS`` is the one table of the ``mlq
-stationary`` models, read by :func:`model_chain`, :func:`queue_law` and
-:func:`model_size`.
+stationary`` models and their move rules, read by :func:`model_chain`,
+:func:`queue_law` and :func:`model_size`.
 """
 
 from __future__ import annotations
@@ -209,23 +209,26 @@ def tasep_transitions(w: FermionicWord) -> list[tuple[FermionicWord, Fraction]]:
     return out
 
 
+def _block_hops(w: BosonicWord, top_only: bool) -> list[tuple[BosonicWord, int]]:
+    """Each hop of a top block of a site one site right, with the site j it
+    leaves: the top particle alone when ``top_only``, else every nonempty
+    suffix of the site (stored ascending)."""
+    out = []
+    for j, site in enumerate(w.sites, 1):
+        for take in range(1, (min(len(site), 1) if top_only else len(site)) + 1):
+            sites = list(w.sites)
+            sites[j - 1] = site[:-take]
+            dst = _wrap(j + 1, w.n)
+            sites[dst - 1] = tuple(sorted(sites[dst - 1] + site[-take:]))
+            out.append((BosonicWord(tuple(sites)), j))
+    return out
+
+
 def tazrp_transitions(w: BosonicWord, x: RateParams | None) -> list[tuple[BosonicWord, Fraction]]:
     """The top particle of each occupied site hops one site right, rate 1/x_j
     (1 when ``x`` is None)."""
-    out = []
-    n = w.n
-    x = _site_values(x, n)
-    for j in range(1, n + 1):
-        site = w.sites[j - 1]
-        if not site:
-            continue
-        y = site[-1]
-        sites = list(w.sites)
-        sites[j - 1] = site[:-1]
-        dst = _wrap(j + 1, n)
-        sites[dst - 1] = tuple(sorted(sites[dst - 1] + (y,)))
-        out.append((BosonicWord(tuple(sites)), _ONE if x is None else _ONE / x[j]))
-    return out
+    x = _site_values(x, w.n)
+    return [(target, _ONE if x is None else _ONE / x[j]) for target, j in _block_hops(w, True)]
 
 
 def ktazrp_transitions(w: BosonicWord) -> list[tuple[BosonicWord, Fraction]]:
@@ -234,37 +237,16 @@ def ktazrp_transitions(w: BosonicWord) -> list[tuple[BosonicWord, Fraction]]:
     A block is a nonempty multiset Y from the site with min(Y) at least the
     largest label left behind: with the site stored ascending, a suffix of it.
     """
-    out = []
-    n = w.n
-    for j in range(1, n + 1):
-        site = w.sites[j - 1]
-        for take in range(1, len(site) + 1):
-            sites = list(w.sites)
-            sites[j - 1] = site[:-take]
-            dst = _wrap(j + 1, n)
-            sites[dst - 1] = tuple(sorted(sites[dst - 1] + site[-take:]))
-            out.append((BosonicWord(tuple(sites)), Fraction(1)))
-    return out
+    return [(target, _ONE) for target, _ in _block_hops(w, False)]
 
 
-def tasep_chain(lam: Sequence[int], n: int) -> ChainSpec:
-    return _build_chain(enumerate_states(lam, n, "tasep"), tasep_transitions)
-
-
-def tazrp_chain(lam: Sequence[int], n: int, x: RateParams | None = None) -> ChainSpec:
-    x = _site_values(x, n)
-    return _build_chain(enumerate_states(lam, n, "tazrp"), lambda w: tazrp_transitions(w, x))
-
-
-def ktazrp_chain(lam: Sequence[int], n: int) -> ChainSpec:
-    return _build_chain(enumerate_states(lam, n, "tazrp"), ktazrp_transitions)
-
-
-def _build_chain(states, rule) -> ChainSpec:
+def _build_chain(states: list, moves: Callable, x: RateParams | None) -> ChainSpec:
+    """The chain on ``states`` whose transitions out of a state are
+    ``moves(state, x)``, as (target, rate) pairs; self-loops are dropped."""
     index = {s: i for i, s in enumerate(states)}
     transitions = []
     for i, s in enumerate(states):
-        for target, rate in rule(s):
+        for target, rate in moves(s, x):
             j = index[target]
             if j != i:
                 transitions.append((i, j, rate))
@@ -542,27 +524,14 @@ def ring(q: MLQ, i: int, x: RateParams | None = None, reverse: bool = False) -> 
     return *(ring_reverse if reverse else ring_forward)(q, i), _ONE
 
 
-def ringing_states(kind: str, alpha: Sequence[int], n: int) -> list:
-    """The queues a ringing-path chain runs on.  The fermionic chain is only
-    defined for straight shapes (twisted fermionic ringing does not project to
-    the exclusion process); the bosonic chain accepts any composition."""
-    if kind == "fermionic" and any(a < b for a, b in zip(alpha, list(alpha)[1:])):
-        raise ShapeError(f"fermionic ringing chain needs a straight shape, got {tuple(alpha)}")
-    return list(enumerate_queues(alpha, n, kind))
+def _ringing_moves(q: MLQ, x: RateParams | None) -> list[tuple[MLQ, Fraction]]:
+    """One :func:`ring` of ``q`` at each site: the new queue and the rate."""
+    return [(img, rate) for img, _, rate in (ring(q, i, x) for i in range(1, q.n + 1))]
 
 
 def mlq_chain(kind: str, alpha: Sequence[int], n: int, x: RateParams | None = None) -> ChainSpec:
-    """Ringing-path chain on :func:`ringing_states`, one :func:`ring` per state
-    and site; self-loop ringings (empty columns) are dropped."""
-    states = ringing_states(kind, alpha, n)
-    index = {s: i for i, s in enumerate(states)}
-    transitions = []
-    for idx, state in enumerate(states):
-        for site in range(1, n + 1):
-            img, _, rate = ring(state, site, x)
-            if img != state:
-                transitions.append((idx, index[img], rate))
-    return ChainSpec(tuple(states), tuple(transitions))
+    """Ringing-path chain on the queues of shape ``alpha``: the chain of ``mlq-{kind}``."""
+    return _build_chain(_chain_states(kind, True, alpha, n), _ringing_moves, x)
 
 
 # ---------------------------------------------------------------------------
@@ -570,27 +539,40 @@ def mlq_chain(kind: str, alpha: Sequence[int], n: int, x: RateParams | None = No
 # ---------------------------------------------------------------------------
 
 
+def _chain_states(kind: str, ringing: bool, lam: Sequence[int], n: int) -> list:
+    """The states of a chain: the queues of shape lambda and ``kind`` when
+    ``ringing``, else the words of content lambda.  Fermionic ringing needs a
+    straight shape: twisted, it does not project to the exclusion process."""
+    if not ringing:
+        return enumerate_states(lam, n, "tasep" if kind == "fermionic" else "tazrp")
+    if kind == "fermionic" and any(a < b for a, b in zip(lam, list(lam)[1:])):
+        raise ShapeError(f"fermionic ringing chain needs a straight shape, got {tuple(lam)}")
+    return list(enumerate_queues(lam, n, kind))
+
+
 @dataclass(frozen=True)
 class Model:
     """A model of ``mlq stationary``, on lambda as ``--lambda`` gives it.  A
     ``ringing`` model runs on the queues of shape lambda and ``kind``, with
     their normalized weights as queue law; any other on the words of content
-    lambda, with the fiber law of the conj(lambda)-shaped queues.  Only a
-    model with ``rates`` takes site rates x; its weights are taken at x too."""
+    lambda, with the fiber law of the conj(lambda)-shaped queues.  ``moves``
+    is its rule: ``moves(state, x)`` lists the (target, rate) moves out of a
+    state.  Only a model with ``rates`` takes site rates x; its weights are
+    taken at x too."""
 
     kind: str
     ringing: bool
     rates: bool
-    chain: Callable[[Sequence[int], int, RateParams | None], ChainSpec]
+    moves: Callable[[Hashable, RateParams | None], list[tuple[Hashable, Fraction]]]
 
 
-# each chain looks its builder up by name when it runs, so a rebound builder runs
+# each rule looks its transitions up by name when it runs, so a rebound function runs
 MODELS: dict[str, Model] = {
-    "tasep": Model("fermionic", False, False, lambda lam, n, x: tasep_chain(lam, n)),
-    "tazrp": Model("bosonic", False, True, lambda lam, n, x: tazrp_chain(lam, n, x)),
-    "ktazrp": Model("bosonic", False, False, lambda lam, n, x: ktazrp_chain(lam, n)),
-    "mlq-fermionic": Model("fermionic", True, False, lambda lam, n, x: mlq_chain("fermionic", lam, n)),
-    "mlq-bosonic": Model("bosonic", True, True, lambda lam, n, x: mlq_chain("bosonic", lam, n, x)),
+    "tasep": Model("fermionic", False, False, lambda w, x: tasep_transitions(w)),
+    "tazrp": Model("bosonic", False, True, lambda w, x: tazrp_transitions(w, x)),
+    "ktazrp": Model("bosonic", False, False, lambda w, x: ktazrp_transitions(w)),
+    "mlq-fermionic": Model("fermionic", True, False, lambda q, x: _ringing_moves(q, x)),
+    "mlq-bosonic": Model("bosonic", True, True, lambda q, x: _ringing_moves(q, x)),
 }
 
 
@@ -607,7 +589,7 @@ def _model(model: str, n: int, x: RateParams | None = None) -> tuple[Model, Rate
 def model_chain(model: str, lam: Sequence[int], n: int, x: RateParams | None = None) -> ChainSpec:
     """The chain of ``model`` on ``n`` sites, at rates ``x`` (unit when None)."""
     m, x = _model(model, n, x)
-    return m.chain(lam, n, x)
+    return _build_chain(_chain_states(m.kind, m.ringing, lam, n), m.moves, x)
 
 
 def model_size(model: str, lam: Sequence[int], n: int) -> int:
@@ -624,7 +606,7 @@ def queue_law(model: str, lam: Sequence[int], n: int, x: RateParams | None = Non
     m, x = _model(model, n, x)
     if not m.ringing:
         return fiber_law(conjugate(lam), n, m.kind, x)
-    states = ringing_states(m.kind, lam, n)
+    states = _chain_states(m.kind, True, lam, n)
     if x is None:
         weights = [_ONE] * len(states)
     else:  # no site holds more than sum(lam) particles of a queue

@@ -197,9 +197,12 @@ def multisets_colex(n: int, size: int) -> Iterator[tuple[int, ...]]:
 
 
 def count_queues(alpha: Sequence[int], n: int, kind: str) -> int:
-    """Closed-form size of the queue family of the given shape."""
+    """Closed-form size of the queue family of the given shape; the one check
+    of a shape: it needs at least one row, each of a size the kind allows."""
     if n < 1:
         raise ValueError(f"ring size must be positive, got {n}")
+    if not alpha:
+        raise ValueError("a queue needs at least one row")
     total = 1
     for a in alpha:
         if a < 0:
@@ -222,7 +225,5 @@ def enumerate_queues(alpha: Sequence[int], n: int, kind: str) -> Iterator[MLQ]:
     samplers can index into it reproducibly.  A bad shape raises on the call.
     """
     count_queues(alpha, n, kind)
-    if not alpha:
-        raise ValueError("a queue needs at least one row")
     rows, cls = (subsets_colex if kind == "fermionic" else multisets_colex), QUEUE_CLASSES[kind]
     return (_built(cls, n=n, rows=q_rows) for q_rows in itertools.product(*[list(rows(n, a)) for a in alpha]))

@@ -152,8 +152,6 @@ def fiber_law(shape: Sequence[int], n: int, kind: str, x: RateParams | Sequence[
     """
     x = _site_values(x, n)
     count_queues(shape, n, kind)
-    if not shape:
-        raise ValueError("a queue needs at least one row")
     fermionic = kind == "fermionic"
     law: dict = {(): 1}  # layer stack -> mass of the queues' upper rows that fold to it
     for j in range(len(shape), 0, -1):

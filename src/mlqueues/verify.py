@@ -538,11 +538,8 @@ SUITES: dict[str, Callable[[dict | None, int], SuiteReport]] = {
 }
 
 
-def suite_all(config: dict | None = None) -> SuiteReport:
-    """Run every suite in ``SUITES`` at desk-scale defaults and merge the reports."""
-    config = config or {}
-    seed = config.get("seed", 0)
-    bounds = config.get("bounds")
+def suite_all(bounds: dict | None = None, seed: int = 0) -> SuiteReport:
+    """Run every suite in ``SUITES`` on ``bounds`` and ``seed`` and merge the reports."""
     start = time.perf_counter()
     reports = [suite(bounds, seed) for suite in SUITES.values()]
     failures = [f for r in reports for f in r.failures]

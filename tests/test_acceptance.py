@@ -19,15 +19,13 @@ from mlqueues import (
     ctm_components,
     ctm_project,
     ferrari_martin,
-    ktazrp_chain,
     label_trace,
+    model_chain,
     project,
     ring_forward_bosonic,
     ring_reverse_bosonic,
     simulate_ctmc,
     stationary_exact,
-    tasep_chain,
-    tazrp_chain,
     twist,
 )
 from mlqueues.verify import (
@@ -232,7 +230,7 @@ def test_criterion_6_counterexample_exists_and_replays():
 
 def test_criterion_7_monte_carlo_sanity():
     start = time.perf_counter()
-    chain = tasep_chain((2, 1), 3)
+    chain = model_chain("tasep", (2, 1), 3)
     exact = stationary_exact(chain)
     for seed in (11, 22, 33):
         freqs = simulate_ctmc(chain, seed=seed, jumps=100_000)
@@ -247,6 +245,6 @@ def test_criterion_7_monte_carlo_sanity():
 
 def test_criterion_8_block_chain_consistency():
     for n in (2, 3):
-        blocks = stationary_exact(ktazrp_chain((2, 1), n))
-        unit = stationary_exact(tazrp_chain((2, 1), n))
+        blocks = stationary_exact(model_chain("ktazrp", (2, 1), n))
+        unit = stationary_exact(model_chain("tazrp", (2, 1), n))
         assert all(blocks[s] == unit[s] for s in blocks.probs)

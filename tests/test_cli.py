@@ -171,7 +171,7 @@ class TestStationaryCommand:
 
     def test_reducible_chain_is_model_error(self, capsys, monkeypatch):
         reducible = ChainSpec(("a", "b", "c"), ((0, 1, Fraction(1)), (1, 0, Fraction(1))))
-        monkeypatch.setattr(markov, "tasep_chain", lambda lam, n: reducible)
+        monkeypatch.setattr(markov, "_build_chain", lambda states, moves, x: reducible)
         code, out, err = run(capsys, "stationary", "--model", "tasep", "--lambda", "2,1", "--n", "3")
         assert code == 3
         assert out == ""
@@ -296,14 +296,19 @@ class TestStationaryInputs:
 
     @pytest.mark.parametrize("model", MODELS)
     def test_fiber_route_builds_no_chain(self, capsys, monkeypatch, model):
-        def no_chain(*args, **kwargs):
-            raise AssertionError("--method mlq built a chain")
-
-        for name in ("tasep_chain", "tazrp_chain", "ktazrp_chain", "mlq_chain"):
-            monkeypatch.setattr(markov, name, no_chain)
+        # markov._build_chain is the one chain builder: model_chain calls it once, --method mlq never
+        calls = []
+        build = markov._build_chain
+        monkeypatch.setattr(markov, "_build_chain", lambda *args: calls.append(args) or build(*args))
+        chain = markov.model_chain(model, (2, 1), 3, (1, 2, 3) if markov.MODELS[model].rates else None)
+        assert len(calls) == 1
         code, out, _ = run(capsys, "stationary", "--model", model, "--lambda", "2,1", "--n", "3", "--method", "mlq")
-        assert code == 0
-        assert sum(Fraction(e["prob"]) for e in json.loads(out)["entries"]) == 1
+        assert (code, len(calls)) == (0, 1)
+        entries = json.loads(out)["entries"]
+        assert sum(Fraction(e["prob"]) for e in entries) == 1
+        assert len(entries) == len(chain.states)
+        assert run(capsys, "stationary", "--model", model, "--lambda", "2,1", "--n", "3")[0] == 0
+        assert len(calls) == 2
 
 
 class TestRingCommand:
@@ -493,6 +498,21 @@ class TestEnumerateAndRenderFuzz:
             if code == 0 and "--count-only" not in argv and any(a.startswith("--out=") for a in argv):
                 assert os.path.exists(argv[-1].removeprefix("--out="))
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(enumerate_argv())
+    def test_count_only_counts_the_streamed_queues(self, argv):
+        # the same argv, streamed to stdout and with --count-only: one exit code, one count
+        argv = [a for a in argv if a != "--count-only" and not a.startswith("--out=")]
+        runs = []
+        for extra in ([], ["--count-only"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                runs.append((main(argv + extra), out.getvalue()))
+        (code, streamed), (count_code, count) = runs
+        assert code == count_code, argv
+        if code == 0:
+            assert int(count) == len(streamed.splitlines()), argv
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(render_document())
     def test_every_render_document_ends_in_a_documented_exit_code(self, doc):
@@ -527,6 +547,20 @@ def bounds_argv(draw):
     return ["verify", f"--suite={suite}", f"--seed={draw(st.integers(0, 3))}", "--bounds=" + ",".join(entries)]
 
 
+@st.composite
+def verify_argv(draw):
+    """``mlq verify`` argv: ``--suite`` one of the cheap suites or arbitrary
+    text, ``--seed`` small, negative or above 2^64, and every bound at most 1
+    (``random_max_n`` at its least legal value, 2)."""
+    cheap = ("r-invariance", "projection")
+    suite = draw(st.sampled_from(cheap) | st.text(max_size=12).filter(lambda s: s not in verify.SUITES and s != "all"))
+    seed = draw(st.integers(0, 3) | st.integers(-(2**70), -1) | st.integers(2**64, 2**70))
+    bounds = ",".join(
+        f"{key}={2 if key == 'random_max_n' else draw(st.integers(0, 1))}" for key in sorted(verify.DEFAULT_BOUNDS)
+    )
+    return ["verify", f"--suite={suite}", f"--seed={seed}", f"--bounds={bounds}"]
+
+
 class TestProjectSigmaVerifyFuzz:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(queue_document(), st.booleans())
@@ -543,6 +577,12 @@ class TestProjectSigmaVerifyFuzz:
     @settings(max_examples=90, deadline=None, derandomize=True)
     @given(bounds_argv())
     def test_every_bounds_argv_ends_in_a_documented_exit_code(self, argv):
+        code, traceback = _exit_code(argv)
+        assert code in (0, 2, 3, 4) and not traceback, argv
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(verify_argv())
+    def test_every_verify_argv_ends_in_a_documented_exit_code(self, argv):
         code, traceback = _exit_code(argv)
         assert code in (0, 2, 3, 4) and not traceback, argv
 

@@ -19,9 +19,9 @@ from mlqueues import (
     count_states,
     enumerate_queues,
     enumerate_states,
-    ktazrp_chain,
-    ktazrp_transitions,
     mlq_chain,
+    model_chain,
+    ktazrp_transitions,
     project,
     ring,
     ring_forward,
@@ -30,9 +30,7 @@ from mlqueues import (
     ring_reverse_bosonic,
     simulate_ctmc,
     stationary_exact,
-    tasep_chain,
     tasep_transitions,
-    tazrp_chain,
     tazrp_transitions,
 )
 from mlqueues import markov
@@ -134,11 +132,11 @@ class TestTransitions:
 
 class TestStationaryExact:
     def test_two_identical_particles_uniform(self):
-        dist = stationary_exact(tasep_chain((1, 1), 3))
+        dist = stationary_exact(model_chain("tasep", (1, 1), 3))
         assert all(p == Fraction(1, 3) for p in dist.probs.values())
 
     def test_tasep_21_3_matches_fiber_counts(self):
-        dist = stationary_exact(tasep_chain((2, 1), 3))
+        dist = stationary_exact(model_chain("tasep", (2, 1), 3))
         assert dist[fw("210")] == Fraction(2, 9)
         assert dist[fw("012")] == Fraction(1, 9)
         fibers = {}
@@ -148,7 +146,7 @@ class TestStationaryExact:
         assert all(dist[w] == Fraction(c, 9) for w, c in fibers.items())
 
     def test_tazrp_21_3_matches_weighted_fibers(self):
-        dist = stationary_exact(tazrp_chain((2, 1), 3, X123))
+        dist = stationary_exact(model_chain("tazrp", (2, 1), 3, X123))
         weights = {}
         z = Fraction(0)
         for d in enumerate_queues((2, 1), 3, "bosonic"):
@@ -229,7 +227,7 @@ def _recorded_attempts(monkeypatch) -> list:
 
 class TestModularSolve:
     def test_prime_too_small_to_reconstruct_is_retried(self, monkeypatch):
-        chain = tasep_chain((3, 2, 1), 6)
+        chain = model_chain("tasep", (3, 2, 1), 6)
         law = stationary_exact(chain)
         monkeypatch.setattr(markov, "_MODULI", (101, 2**61 - 1))
         attempts = _recorded_attempts(monkeypatch)
@@ -237,7 +235,7 @@ class TestModularSolve:
         assert attempts == [(101, False), (2**61 - 1, True)]
 
     def test_prime_dividing_a_rate_denominator_is_retried(self, monkeypatch):
-        chain = tazrp_chain((2, 1), 3, RateParams((Fraction(1), Fraction(2), Fraction(7))))
+        chain = model_chain("tazrp", (2, 1), 3, RateParams((Fraction(1), Fraction(2), Fraction(7))))
         law = stationary_exact(chain)
         monkeypatch.setattr(markov, "_MODULI", (7, 2**61 - 1))
         attempts = _recorded_attempts(monkeypatch)
@@ -254,7 +252,7 @@ class TestModularSolve:
         assert attempts == [(7, False), (2**61 - 1, True)]
 
     def test_exhausted_ladder_raises(self, monkeypatch):
-        chain = tazrp_chain((2, 1), 3, RateParams((Fraction(1), Fraction(2), Fraction(7))))
+        chain = model_chain("tazrp", (2, 1), 3, RateParams((Fraction(1), Fraction(2), Fraction(7))))
         monkeypatch.setattr(markov, "_MODULI", (7, 101))
         with pytest.raises(ChainError):
             stationary_exact(chain)
@@ -268,7 +266,7 @@ class TestModularSolve:
 
     def test_n8_tasep_law_equals_fiber_law(self):
         # 1680 states; the fiber side pushes 878 080 queues' law through 4 rows
-        dist = stationary_exact(tasep_chain((4, 3, 2, 1), 8))
+        dist = stationary_exact(model_chain("tasep", (4, 3, 2, 1), 8))
         assert len(dist.probs) == 1680
         assert fiber_law((4, 3, 2, 1), 8, "fermionic") == dist.probs
 
@@ -289,7 +287,7 @@ class TestRateParams:
     def test_none_is_unit_rates(self):
         w = bw("12,-,2")
         assert tazrp_transitions(w, None) == tazrp_transitions(w, RateParams.ones(3))
-        assert tazrp_chain((2, 1), 3) == tazrp_chain((2, 1), 3, RateParams.ones(3))
+        assert model_chain("tazrp", (2, 1), 3) == model_chain("tazrp", (2, 1), 3, RateParams.ones(3))
         assert fiber_law((2, 1), 3, "bosonic") == fiber_law((2, 1), 3, "bosonic", (1, 1, 1))
 
     @pytest.mark.parametrize("x", [X123, RateParams((Fraction(1), Fraction(2))), (1, 1, 1)])
@@ -297,10 +295,14 @@ class TestRateParams:
         # fermionic ringing has unit rates; an x of any length used to be ignored
         with pytest.raises(ValueError, match="fermionic ringing takes no site rates"):
             mlq_chain("fermionic", (2, 1), 3, x)
+        with pytest.raises(ValueError, match="mlq-fermionic takes no site rates"):
+            model_chain("mlq-fermionic", (2, 1), 3, x)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            tazrp_chain((2, 1), 4, X123)
+            model_chain("tazrp", (2, 1), 4, X123)
+        with pytest.raises(ValueError):
+            model_chain("mlq-bosonic", (2, 1), 4, X123)
         with pytest.raises(ValueError):
             mlq_chain("bosonic", (2, 1), 4, X123)
         with pytest.raises(ValueError):
@@ -465,13 +467,13 @@ class TestRing:
 
 class TestMlqChains:
     def test_fermionic_chain_is_uniform(self):
-        chain = mlq_chain("fermionic", (2, 1), 3)
+        chain = model_chain("mlq-fermionic", (2, 1), 3)
         assert len(chain.states) == 9
         dist = stationary_exact(chain)
         assert all(p == Fraction(1, 9) for p in dist.probs.values())
 
     def test_bosonic_chain_weight_stationary(self):
-        chain = mlq_chain("bosonic", (2, 1), 3, X123)
+        chain = model_chain("mlq-bosonic", (2, 1), 3, X123)
         assert len(chain.states) == 18
         dist = stationary_exact(chain)
         weights = {s: math.prod([xj**e for xj, e in zip(X123.x, s.weight())], start=Fraction(1)) for s in chain.states}
@@ -479,12 +481,12 @@ class TestMlqChains:
         assert all(dist[s] == weights[s] / z for s in chain.states)
 
     def test_twisted_bosonic_chain_allowed(self):
-        chain = mlq_chain("bosonic", (1, 2), 2)
+        chain = model_chain("mlq-bosonic", (1, 2), 2)
         stationary_exact(chain)  # well-defined and irreducible
 
     def test_twisted_fermionic_chain_rejected(self):
         with pytest.raises(ShapeError):
-            mlq_chain("fermionic", (1, 2), 3)
+            model_chain("mlq-fermionic", (1, 2), 3)
 
     def test_projection_identity_straight_and_twisted(self):
         for alpha in ((2, 1), (1, 2)):
@@ -505,8 +507,8 @@ class TestMlqChains:
 
     def test_ktazrp_matches_tazrp_at_unit_rates(self):
         for n in (2, 3):
-            a = stationary_exact(ktazrp_chain((2, 1), n))
-            b = stationary_exact(tazrp_chain((2, 1), n))
+            a = stationary_exact(model_chain("ktazrp", (2, 1), n))
+            b = stationary_exact(model_chain("tazrp", (2, 1), n))
             assert all(a[s] == b[s] for s in a.probs)
 
 
@@ -517,13 +519,13 @@ class TestSimulation:
         assert abs(freqs["a"] - 0.5) < 0.02
 
     def test_close_to_exact_stationary(self):
-        chain = tasep_chain((2, 1), 3)
+        chain = model_chain("tasep", (2, 1), 3)
         exact = stationary_exact(chain)
         freqs = simulate_ctmc(chain, seed=7, jumps=100_000)
         assert exact.tv_distance(freqs) < 0.02
 
     def test_deterministic_for_fixed_seed(self):
-        chain = tasep_chain((2, 1), 3)
+        chain = model_chain("tasep", (2, 1), 3)
         a = simulate_ctmc(chain, seed=3, jumps=5_000)
         b = simulate_ctmc(chain, seed=3, jumps=5_000)
         assert a == b
@@ -532,7 +534,7 @@ class TestSimulation:
 
     def test_pinned_table(self):
         # seeded trajectories are bitwise reproducible, down to the last float bit
-        freqs = simulate_ctmc(tasep_chain((2, 1), 3), seed=3, jumps=5_000)
+        freqs = simulate_ctmc(model_chain("tasep", (2, 1), 3), seed=3, jumps=5_000)
         assert {w.letters: p for w, p in freqs.items()} == {
             (0, 1, 2): 0.116843626251013,
             (0, 2, 1): 0.22670621658113338,
@@ -544,7 +546,7 @@ class TestSimulation:
 
     def test_zero_jumps_rejected(self):
         with pytest.raises(ValueError):
-            simulate_ctmc(tasep_chain((2, 1), 3), seed=0, jumps=0)
+            simulate_ctmc(model_chain("tasep", (2, 1), 3), seed=0, jumps=0)
 
     def test_absorbing_state_rejected(self):
         chain = ChainSpec(("a", "b"), ((0, 1, Fraction(1)),))

@@ -220,7 +220,7 @@ class TestStationaryLaw:
 
 
 def test_suite_all_smoke():
-    report = suite_all({"bounds": SMALL, "seed": 0})
+    report = suite_all(SMALL, 0)
     assert report.passed
     assert report.suite == "all"
     assert report.cases > 0
