@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 input/schema error, 3 model error (reducible chain,
-absorbing state, bad shape), 4 verification failure.
+Exit codes: 0 success, 2 input/schema error (a failed write to stdout too), 3
+model error (reducible chain, absorbing state, bad shape), 4 verification
+failure.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -261,7 +263,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a failed write shows here, not in the flush at exit
+        return code
+    except OSError as exc:
+        # files are read in _load_json and --out is written in cmd_enumerate, so this is stdout (its
+        # reader gone, its disk full); point it at devnull, so the flush at exit is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"input error: cannot write to stdout: {exc}", file=sys.stderr)
+        return 2
     except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,10 @@
 """Canonical JSON documents and plain-text dot diagrams.
 
 Queues and words round-trip losslessly through small JSON objects; rationals
-serialize as "p/q" strings in lowest terms (a bare integer is accepted on
-input).  Diagrams print the top row first; bosonic multiplicities appear as
-digit counts.
+serialize as "p/q" strings in lowest terms (a bare integer or decimal is
+accepted on input, exponent notation is not).  Diagrams print the top row
+first; bosonic multiplicities appear as digit counts, and a diagram holds at
+most ``MAX_DIAGRAM_CELLS`` cells (lines times sites).
 """
 
 from __future__ import annotations
@@ -22,8 +23,11 @@ def format_fraction(f: Fraction) -> str:
 
 
 def parse_fraction(s) -> Fraction:
+    text = str(s)
+    # in exponent notation Fraction would build 10**exponent, however large
+    _require("e" not in text.lower(), f"bad rational {s!r}")
     try:
-        return Fraction(str(s))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad rational {s!r}") from exc
 
@@ -102,6 +106,14 @@ def emit_distribution(model: str, lam, n: int, x, entries) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# the most cells (lines times sites) a diagram may hold; a larger one is an input error
+MAX_DIAGRAM_CELLS = 100_000
+
+
+def _require_cells(lines: int, n: int) -> None:
+    _require(lines * n <= MAX_DIAGRAM_CELLS, f"a diagram of {lines} lines on {n} sites exceeds {MAX_DIAGRAM_CELLS} cells")
+
+
 def _grid(rows_of_counts: list[list[int]], digits: bool) -> str:
     lines = []
     for counts in rows_of_counts:
@@ -112,6 +124,7 @@ def _grid(rows_of_counts: list[list[int]], digits: bool) -> str:
 
 def render_queue(q: MLQ) -> str:
     """Dot diagram of a queue, top row first."""
+    _require_cells(q.k, q.n)
     digits = q.kind == "bosonic"
     rows = []
     for row in reversed(q.rows):
@@ -124,6 +137,7 @@ def render_word(w: Word) -> str:
     """Column diagram of a word: one line per label level, top level first."""
     digits = w.kind == "bosonic"
     k = w.max_label
+    _require_cells(max(k, 1), w.n)
     if k == 0:
         return " ".join(["."] * w.n)
     rows = [list(w.layer(m)) for m in range(k, 0, -1)]

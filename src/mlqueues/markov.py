@@ -115,48 +115,41 @@ def conjugate(lam: Sequence[int]) -> tuple[int, ...]:
 
 
 def _content(lam: Sequence[int], n: int, kind: str) -> tuple[int, ...]:
-    """``lam`` sorted descending, once it is a valid content for ``kind`` on ``n`` sites."""
+    """``lam`` sorted descending, once it is a valid content for ``kind`` words on ``n`` sites."""
     lam = tuple(sorted(_ints(lam, "content parts"), reverse=True))
     if not lam or lam[-1] < 1:
         raise ValueError("content partition must have positive parts")
     if n < 1:
         raise ValueError(f"ring size must be positive, got {n}")
-    if kind not in ("tasep", "tazrp"):
+    if kind not in ("fermionic", "bosonic"):
         raise ValueError(f"unknown kind {kind!r}")
-    if kind == "tasep" and len(lam) > n:
+    if kind == "fermionic" and len(lam) > n:
         raise ValueError(f"cannot place {len(lam)} particles on {n} exclusion sites")
     return lam
 
 
 def count_states(lam: Sequence[int], n: int, kind: str) -> int:
     """Closed-form size of :func:`enumerate_states`: a multinomial for
-    ``tasep``, a product of multiset counts (one per label value) for ``tazrp``."""
+    ``fermionic``, a product of multiset counts (one per label value) for ``bosonic``."""
     lam = _content(lam, n, kind)
     mults = Counter(lam).values()
-    if kind == "tasep":
+    if kind == "fermionic":
         total = math.factorial(n) // math.factorial(n - len(lam))
         return total // math.prod(math.factorial(m) for m in mults)
     return math.prod(math.comb(m + n - 1, m) for m in mults)
 
 
 def enumerate_states(lam: Sequence[int], n: int, kind: str) -> list[Word]:
-    """All ring words whose particle content is the partition ``lam``."""
+    """All ring words of ``kind`` with content ``lam``, in lexicographic order:
+    of the letters, or of the per-site counts of each label, largest label first."""
     lam = _content(lam, n, kind)
-    if kind == "tasep":
+    if kind == "fermionic":
         return [FermionicWord(p) for p in _multiset_permutations(lam + (0,) * (n - len(lam)))]
-    placements_per_value = []
     values = sorted(set(lam), reverse=True)
-    for v in values:
-        mult = lam.count(v)
-        placements_per_value.append([c for c in _compositions(mult, n)])
-    states = []
-    for combo in itertools.product(*placements_per_value):
-        sites = [[] for _ in range(n)]
-        for v, counts in zip(values, combo):
-            for j, c in enumerate(counts):
-                sites[j].extend([v] * c)
-        states.append(BosonicWord(tuple(tuple(sorted(s)) for s in sites)))
-    return states
+    # descending site tuples are ascending per-site count vectors
+    placements = [list(itertools.combinations_with_replacement(range(1, n + 1), lam.count(v)))[::-1] for v in values]
+    return [BosonicWord.from_particles(n, [(j, v) for v, placed in zip(values, combo) for j in placed])
+            for combo in itertools.product(*placements)]
 
 
 def _multiset_permutations(letters: Sequence[int]):
@@ -175,16 +168,6 @@ def _multiset_permutations(letters: Sequence[int]):
             j -= 1
         a[i], a[j] = a[j], a[i]
         a[i + 1 :] = a[:i:-1]
-
-
-def _compositions(total: int, parts: int):
-    """Weak compositions of ``total`` into ``parts`` parts, lexicographic."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -530,24 +513,14 @@ def _ringing_moves(q: MLQ, x: RateParams | None) -> list[tuple[MLQ, Fraction]]:
 
 
 def mlq_chain(kind: str, alpha: Sequence[int], n: int, x: RateParams | None = None) -> ChainSpec:
-    """Ringing-path chain on the queues of shape ``alpha``: the chain of ``mlq-{kind}``."""
-    return _build_chain(_chain_states(kind, True, alpha, n), _ringing_moves, x)
+    """The chain of ``mlq-{kind}`` on shape ``alpha``; ``ring`` reads ``x``, and refuses it on a fermionic queue."""
+    m, alpha, _ = _model(f"mlq-{kind}", alpha, n)
+    return _build_chain(_states(m, alpha, n), _ringing_moves, x)
 
 
 # ---------------------------------------------------------------------------
 # models: the chain and the queue law of each stationary claim
 # ---------------------------------------------------------------------------
-
-
-def _chain_states(kind: str, ringing: bool, lam: Sequence[int], n: int) -> list:
-    """The states of a chain: the queues of shape lambda and ``kind`` when
-    ``ringing``, else the words of content lambda.  Fermionic ringing needs a
-    straight shape: twisted, it does not project to the exclusion process."""
-    if not ringing:
-        return enumerate_states(lam, n, "tasep" if kind == "fermionic" else "tazrp")
-    if kind == "fermionic" and any(a < b for a, b in zip(lam, list(lam)[1:])):
-        raise ShapeError(f"fermionic ringing chain needs a straight shape, got {tuple(lam)}")
-    return list(enumerate_queues(lam, n, kind))
 
 
 @dataclass(frozen=True)
@@ -576,37 +549,48 @@ MODELS: dict[str, Model] = {
 }
 
 
-def _model(model: str, n: int, x: RateParams | None = None) -> tuple[Model, RateParams | None]:
-    """The entry of ``model`` and its rates, once ``x`` is None (unit rates)
-    or n rates it takes."""
-    if model not in MODELS:
+def _model(model: str, lam: Sequence[int], n: int, x: RateParams | None = None) -> tuple[Model, tuple[int, ...], RateParams | None]:
+    """The one reader of a model's arguments: its entry, lambda and rates,
+    once each is valid.  Fermionic ringing needs a straight shape: twisted,
+    it does not project to the exclusion process."""
+    if (m := MODELS.get(model)) is None:
         raise ValueError(f"unknown model {model!r}; choose from {list(MODELS)}")
-    if x is not None and not MODELS[model].rates:
+    if x is not None and not m.rates:
         raise ValueError(f"{model} takes no site rates x: its rates are all 1")
-    return MODELS[model], _site_values(x, n)
+    lam = _ints(lam, "lambda parts")
+    if m.ringing and m.kind == "fermionic" and any(a < b for a, b in zip(lam, lam[1:])):
+        raise ShapeError(f"fermionic ringing chain needs a straight shape, got {lam}")
+    if m.ringing:
+        count_queues(lam, n, m.kind)
+    else:
+        lam = _content(lam, n, m.kind)
+    return m, lam, _site_values(x, n)
+
+
+def _states(m: Model, lam: tuple[int, ...], n: int) -> list:
+    """The states of ``m`` on n sites: queues of shape lambda if it rings, else words of content lambda."""
+    return list((enumerate_queues if m.ringing else enumerate_states)(lam, n, m.kind))
 
 
 def model_chain(model: str, lam: Sequence[int], n: int, x: RateParams | None = None) -> ChainSpec:
     """The chain of ``model`` on ``n`` sites, at rates ``x`` (unit when None)."""
-    m, x = _model(model, n, x)
-    return _build_chain(_chain_states(m.kind, m.ringing, lam, n), m.moves, x)
+    m, lam, x = _model(model, lam, n, x)
+    return _build_chain(_states(m, lam, n), m.moves, x)
 
 
 def model_size(model: str, lam: Sequence[int], n: int) -> int:
     """The state count of :func:`model_chain`, without building it."""
-    m, _ = _model(model, n)
-    if m.ringing:
-        return count_queues(lam, n, m.kind)
-    return count_states(lam, n, "tasep" if m.kind == "fermionic" else "tazrp")
+    m, lam, _ = _model(model, lam, n)
+    return (count_queues if m.ringing else count_states)(lam, n, m.kind)
 
 
 def queue_law(model: str, lam: Sequence[int], n: int, x: RateParams | None = None) -> dict:
     """The stationary law the queues give for ``model``, without its chain:
     state -> probability, with the weights taken at ``x`` (unit when None)."""
-    m, x = _model(model, n, x)
+    m, lam, x = _model(model, lam, n, x)
     if not m.ringing:
         return fiber_law(conjugate(lam), n, m.kind, x)
-    states = _chain_states(m.kind, True, lam, n)
+    states = _states(m, lam, n)
     if x is None:
         weights = [_ONE] * len(states)
     else:  # no site holds more than sum(lam) particles of a queue

@@ -2,15 +2,19 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mlqueues import ChainSpec, cli, documents, markov, verify
+import mlqueues
+from mlqueues import ChainSpec, SchemaError, cli, documents, markov, verify
 from mlqueues.cli import main
 
 from conftest import bq, bw, fq, fw
@@ -33,6 +37,16 @@ def write_doc(tmp_path, doc, name="in.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def run_process(*argv, stdout=subprocess.PIPE):
+    """``mlq argv`` in a fresh interpreter with default (block) buffering,
+    its stderr captured; gives up after 30 s."""
+    src = str(Path(mlqueues.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "mlqueues.cli", *argv], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, env=env, timeout=30)
 
 
 class TestProjectCommand:
@@ -655,6 +669,55 @@ class TestVerifyCommand:
         assert "input error" in err
 
 
+class TestExponentNotation:
+    # Fraction("1e999999999") builds 10**999999999: the run had not ended after 20 s;
+    # 1e5000 failed only when its 5001 digits were printed
+    @pytest.mark.parametrize("x", ["1e999999999,1,1", "1e5000,1,1"])
+    def test_ring_x_in_exponent_notation_is_input_error(self, tmp_path, x):
+        path = write_doc(tmp_path, {"kind": "bosonic", "n": 3, "rows": [[1, 2], [3]]})
+        done = run_process("ring", "--in", path, "--site", "1", "--x", x)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"input error: bad rational {x.split(',')[0]!r}\n"
+
+    def test_law_witness_x_in_exponent_notation_is_input_error(self, tmp_path, capsys):
+        witness = {"check": "law-mismatch", "model": "tazrp", "lambda": [2, 1], "n": 3, "x": ["1e5000", "1", "1"]}
+        code, out, err = run(capsys, "verify", "--witness", write_doc(tmp_path, witness))
+        assert (code, out) == (2, "")
+        assert err == "input error: bad rational '1e5000'\n"
+
+
+class TestFailedStdout:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("stationary", "--model", "tasep", "--lambda", "3,2,1", "--n", "6"),
+            ("stationary", "--model", "tasep", "--lambda", "1", "--n", "1"),
+            ("enumerate", "--alpha", "2,3,1", "--n", "4", "--kind", "fermionic"),
+            ("enumerate", "--alpha", "2,3,1", "--n", "4", "--kind", "fermionic", "--count-only"),
+        ],
+        ids=["stationary", "stationary-short", "enumerate", "enumerate-count"],
+    )
+    def test_closed_stdout_is_input_error(self, argv):
+        # a long stationary law used to end in a BrokenPipeError traceback, exit 1; output
+        # short enough to sit in the buffer failed in the flush at exit, exit 120
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the command writes
+        try:
+            done = run_process(*argv, stdout=write)
+        finally:
+            os.close(write)
+        assert done.returncode == 2
+        assert done.stderr.startswith("input error: cannot write to stdout: ")
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout_is_input_error(self):
+        with open("/dev/full", "w") as full:
+            done = run_process("stationary", "--model", "tasep", "--lambda", "2,1", "--n", "3", stdout=full)
+        assert done.returncode == 2
+        assert done.stderr == "input error: cannot write to stdout: [Errno 28] No space left on device\n"
+
+
 class TestRenderCommand:
     def test_fermionic_queue(self, tmp_path, capsys):
         doc = {"kind": "fermionic", "n": 4, "rows": [[2], [2, 3, 4], [1, 4]]}
@@ -682,6 +745,28 @@ class TestRenderCommand:
         doc = {"kind": "fermionic", "n": 3, "rows": [[], []]}
         code, out, _ = run(capsys, "render", "--in", write_doc(tmp_path, doc))
         assert out.splitlines() == [". . .", ". . ."]
+
+    CELLS = documents.MAX_DIAGRAM_CELLS
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "fermionic_word", "n": 1, "letters": [300_000]},  # used to print 300 000 lines
+            {"kind": "fermionic_word", "n": CELLS + 1, "letters": [0] * (CELLS + 1)},
+            {"kind": "bosonic", "n": CELLS // 2 + 1, "rows": [[1], [2]]},
+        ],
+        ids=["tall-word", "wide-word", "wide-queue"],
+    )
+    def test_diagram_over_the_cell_limit_is_input_error(self, tmp_path, capsys, doc):
+        code, out, err = run(capsys, "render", "--in", write_doc(tmp_path, doc))
+        assert (code, out) == (2, "")
+        assert f"exceeds {self.CELLS} cells" in err
+
+    def test_diagram_at_the_cell_limit_renders(self, tmp_path, capsys):
+        doc = {"kind": "bosonic", "n": self.CELLS // 2, "rows": [[1], [2]]}
+        code, out, _ = run(capsys, "render", "--in", write_doc(tmp_path, doc))
+        assert code == 0
+        assert len(out.split()) == self.CELLS
 
 
 class TestExitCodesAndSchema:
@@ -737,5 +822,9 @@ class TestDocuments:
         assert documents.format_fraction(Fraction(2, 4)) == "1/2"
         assert documents.parse_fraction("7") == 7
         assert documents.parse_fraction("2/6") == Fraction(1, 3)
+        assert documents.parse_fraction("0.25") == Fraction(1, 4)
         with pytest.raises(Exception):
             documents.parse_fraction("1/0")
+        for text in ("1e3", "2E-1", "1.5e2", 1e300):
+            with pytest.raises(SchemaError, match="bad rational"):
+                documents.parse_fraction(text)

@@ -19,6 +19,7 @@ from mlqueues import (
     count_states,
     enumerate_queues,
     enumerate_states,
+    MODELS,
     mlq_chain,
     model_chain,
     ktazrp_transitions,
@@ -34,6 +35,7 @@ from mlqueues import (
     tazrp_transitions,
 )
 from mlqueues import markov
+from mlqueues.markov import model_size, queue_law
 from mlqueues.projection import fiber_law
 
 from conftest import bq, bw, fq, fw
@@ -43,32 +45,48 @@ X123 = RateParams((Fraction(1), Fraction(2), Fraction(3)))
 
 class TestStateSpaces:
     def test_tasep_states(self):
-        words = enumerate_states((2, 1), 3, "tasep")
+        words = enumerate_states((2, 1), 3, "fermionic")
         assert {w.letters for w in words} == {
             (2, 1, 0), (1, 2, 0), (1, 0, 2), (2, 0, 1), (0, 1, 2), (0, 2, 1),
         }
 
     def test_tazrp_states(self):
-        words = enumerate_states((2, 1), 2, "tazrp")
+        words = enumerate_states((2, 1), 2, "bosonic")
         assert {w.sites for w in words} == {
             ((1, 2), ()), ((2,), (1,)), ((1,), (2,)), ((), (1, 2)),
         }
 
     def test_single_state(self):
-        assert len(enumerate_states((1,), 1, "tasep")) == 1
+        assert len(enumerate_states((1,), 1, "fermionic")) == 1
 
     def test_tasep_states_are_sorted_distinct_permutations(self):
         for lam, n in (((1,), 1), ((1, 1), 3), ((2, 1), 4), ((1, 1, 1), 3), ((2, 2), 4), ((2, 2, 1), 5), ((3, 1, 1), 6)):
             letters = lam + (0,) * (n - len(lam))
             want = sorted(set(itertools.permutations(letters)))
-            assert [w.letters for w in enumerate_states(lam, n, "tasep")] == want
+            assert [w.letters for w in enumerate_states(lam, n, "fermionic")] == want
+
+    @pytest.mark.parametrize(
+        "lam, n", [((1,), 3), ((2, 1), 3), ((2, 2, 1), 3), ((3, 1, 1), 4), ((2, 2, 2), 2), ((1, 1, 1, 1), 3)]
+    )
+    def test_bosonic_states_in_count_vector_order(self, lam, n):
+        # per label, largest first, the per-site count vectors in lexicographic order;
+        # the Monte-Carlo run starts at states[0]
+        values = sorted(set(lam), reverse=True)
+        per_label = [
+            [c for c in itertools.product(range(m + 1), repeat=n) if sum(c) == m] for m in map(lam.count, values)
+        ]
+        want = [
+            tuple(tuple(sorted(v for v, counts in zip(values, combo) for _ in range(counts[j]))) for j in range(n))
+            for combo in itertools.product(*per_label)
+        ]
+        assert [w.sites for w in enumerate_states(lam, n, "bosonic")] == want
 
     def test_closed_form_count_matches_enumeration(self):
-        for kind in ("tasep", "tazrp"):
+        for kind in ("fermionic", "bosonic"):
             for n in range(1, 6):
                 for k in range(1, 4):
                     for lam in itertools.combinations_with_replacement((3, 2, 1), k):
-                        if kind == "tasep" and k > n:
+                        if kind == "fermionic" and k > n:
                             with pytest.raises(ValueError):
                                 count_states(lam, n, kind)
                             continue
@@ -76,19 +94,19 @@ class TestStateSpaces:
 
     def test_too_many_particles_rejected(self):
         with pytest.raises(ValueError):
-            enumerate_states((1, 1, 1), 2, "tasep")
+            enumerate_states((1, 1, 1), 2, "fermionic")
 
     def test_empty_content_rejected(self):
         with pytest.raises(ValueError):
-            enumerate_states((), 3, "tazrp")
+            enumerate_states((), 3, "bosonic")
 
     @pytest.mark.parametrize("lam", [(2.9,), (1.5,), (2, 1.0), (True,)], ids=["2.9", "1.5", "float-part", "bool"])
     def test_non_integer_content_parts_rejected(self, lam):
-        # int() used to truncate them: count_states((2.9,), 3, "tasep") was 3
+        # int() used to truncate them: count_states((2.9,), 3, "fermionic") was 3
         with pytest.raises(ValueError, match="content parts must be integers"):
-            count_states(lam, 3, "tasep")
+            count_states(lam, 3, "fermionic")
         with pytest.raises(ValueError, match="content parts must be integers"):
-            enumerate_states(lam, 3, "tazrp")
+            enumerate_states(lam, 3, "bosonic")
 
     def test_conjugate(self):
         assert conjugate((2, 1)) == (2, 1)
@@ -309,6 +327,27 @@ class TestRateParams:
             ring_forward_bosonic(bq(4, (1,)), 1, X123)
         with pytest.raises(ValueError):
             ring_reverse_bosonic(bq(4, (1,)), 1, X123)
+
+
+class TestModelArguments:
+    @pytest.mark.parametrize("lam", [(True, 1), (2.0, 1)], ids=["bool", "float"])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_non_integer_parts_rejected_alike_on_every_route(self, model, lam):
+        # queue_law read lambda only through conjugate: (True, 1) gave a law, (2.0, 1) a TypeError
+        for route in (queue_law, model_chain, model_size):
+            with pytest.raises(ValueError, match="^lambda parts must be integers$"):
+                route(model, lam, 3)
+
+    @pytest.mark.parametrize("route", [queue_law, model_chain, model_size])
+    def test_twisted_fermionic_shape_checked_before_the_ring_size(self, route):
+        with pytest.raises(ShapeError):
+            route("mlq-fermionic", (1, 2), 0)
+
+    def test_mlq_chain_is_the_ringing_model_chain(self):
+        assert mlq_chain("fermionic", (2, 1), 3) == model_chain("mlq-fermionic", (2, 1), 3)
+        assert mlq_chain("bosonic", (1, 2), 3, X123) == model_chain("mlq-bosonic", (1, 2), 3, X123)
+        with pytest.raises(ShapeError):
+            mlq_chain("fermionic", (1, 2), 3)
 
 
 class TestChainSpecValidation:

@@ -1,9 +1,14 @@
-"""The README "Library quick tour" runs as written and gives the results its comments state."""
+"""The README "Library quick tour" and "CLI" blocks run as written and give
+the results their comments state."""
 
 import ast
+import json
 import math
+import shlex
 from fractions import Fraction
 from pathlib import Path
+
+from mlqueues import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -36,3 +41,37 @@ def test_quick_tour_runs_and_its_comments_hold():
     weights = {s: math.prod([xj**e for xj, e in zip(x, s.weight())], start=Fraction(1)) for s in chain.states}
     total = sum(weights.values())
     assert {s: law[s] for s in chain.states} == {s: w / total for s, w in weights.items()}
+
+
+def _cli_block() -> list[str]:
+    body = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    return body.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+
+
+def test_cli_block_runs_and_its_stated_results_hold(tmp_path, monkeypatch, capsys):
+    """Each ``echo ... > file`` writes its file; each ``mlq`` line but ``mlq
+    verify`` (the suites have their own tests, and the block writes no
+    witness) exits 0; and each stated result holds: ``-> letters [...]``, a
+    bare count, and ``-> "estimate": true`` on the line after the MC run."""
+    monkeypatch.chdir(tmp_path)
+    out, ran, checked = "", 0, 0
+    for line in _cli_block():
+        words = shlex.split(line, comments=True)
+        if words[:1] == ["echo"]:
+            Path(words[3]).write_text(words[1], encoding="utf-8")
+        elif words[:1] == ["mlq"] and words[1] != "verify":
+            assert cli.main(words[1:]) == 0, line
+            out = capsys.readouterr().out
+            ran += 1
+        stated = line.partition("# ")[2].strip()
+        if stated.startswith("-> letters "):
+            assert json.loads(out)["letters"] == json.loads(stated.removeprefix("-> letters ")), line
+        elif stated.isdigit():
+            assert out == stated + "\n", line
+        elif stated.startswith('-> "estimate": true'):
+            doc = json.loads(out)
+            assert doc["estimate"] is True and all(type(e["prob"]) is float for e in doc["entries"]), line
+        else:
+            continue
+        checked += 1
+    assert (ran, checked) == (11, 3)

@@ -195,7 +195,7 @@ class TestStationaryLaw:
         # the block-hopping chain is not the process the unit-weight bosonic fibers describe
         case = {"model": "ktazrp", "lambda": (2, 2, 1), "n": 4, "x": None}
         witnesses = verify.check_stationary_law.run(case)
-        assert verify.check_stationary_law.units(case) == count_states((2, 2, 1), 4, "tazrp") == 40
+        assert verify.check_stationary_law.units(case) == count_states((2, 2, 1), 4, "bosonic") == 40
         assert [w["check"] for w in witnesses] == ["law-mismatch"] * 32
         for witness in witnesses:
             assert _replay_code(tmp_path, capsys, witness) == (0, "witness reproduces\n")
