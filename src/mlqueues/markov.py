@@ -397,6 +397,8 @@ def _ring_site(q: MLQ, kind: str, i: int) -> None:
     """The guard of every ringing map: ``q`` is of ``kind`` and i is one of its sites."""
     if q.kind != kind:
         raise ValueError(f"expected a {kind} queue, got a {q.kind} one")
+    if type(i) is not int:
+        raise ValueError(f"ringing site must be an integer, got {i!r}")
     if not 1 <= i <= q.n:
         raise IndexError(f"site {i} outside 1..{q.n}")
 

@@ -13,6 +13,7 @@ by the test suite rather than assumed).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -122,19 +123,24 @@ class BosonicMLQ(MLQ):
 QUEUE_CLASSES: dict[str, type[MLQ]] = {"fermionic": FermionicMLQ, "bosonic": BosonicMLQ}
 
 
-def _exchange(lower: Sequence[int], upper: Sequence[int], fermionic: bool) -> tuple[list[int], list[int]]:
-    """Swap the cylindrically unpaired particles of two rows given as per-site
-    counts; returns the new (lower, upper) counts.
+@functools.lru_cache(maxsize=4096)
+def _exchange(lower: tuple[int, ...], upper: tuple[int, ...], n: int, fermionic: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Swap the cylindrically unpaired particles of two ascending rows of sites
+    in {1..n}; returns the new (lower, upper) rows.
 
     Fermionic rows pair weakly right and must hold at most one particle per
     site, before and after the exchange; bosonic rows pair strictly left.
+    Verification exchanges the same few rows over and over, so results are
+    memoized on the row tuples, up to a fixed 4096 entries; a raised
+    exchange is not cached and raises again.
     """
-    _, unpaired_lower, unpaired_upper = _match(lower, upper, fermionic)
-    lo = [c - out + into for c, out, into in zip(lower, unpaired_lower, unpaired_upper)]
-    up = [c - out + into for c, out, into in zip(upper, unpaired_upper, unpaired_lower)]
-    if fermionic and max(max(lower), max(upper), max(lo), max(up)) > 1:
+    lower_c, upper_c = _site_counts(lower, n, False), _site_counts(upper, n, False)
+    _, unpaired_lower, unpaired_upper = _match(lower_c, upper_c, fermionic)
+    lo = [c - out + into for c, out, into in zip(lower_c, unpaired_lower, unpaired_upper)]
+    up = [c - out + into for c, out, into in zip(upper_c, unpaired_upper, unpaired_lower)]
+    if fermionic and max(max(lower_c), max(upper_c), max(lo), max(up)) > 1:
         raise ValueError("fermionic row contains a duplicate site")
-    return lo, up
+    return indicator_multiset(lo), indicator_multiset(up)
 
 
 def twist(q: MLQ, i: int) -> MLQ:
@@ -143,11 +149,12 @@ def twist(q: MLQ, i: int) -> MLQ:
     The paired particles stay put, so the shape becomes s_i applied to the old
     shape while the weight is unchanged.
     """
+    if type(i) is not int:
+        raise ValueError(f"twist index must be an integer, got {i!r}")
     if not 1 <= i < q.k:
         raise IndexError(f"twist index {i} outside 1..{q.k - 1}")
-    lower, upper = (_site_counts(row, q.n, False) for row in q.rows[i - 1 : i + 1])
-    lo, up = _exchange(lower, upper, q.kind == "fermionic")
-    return _built(type(q), n=q.n, rows=q.rows[: i - 1] + (indicator_multiset(lo), indicator_multiset(up)) + q.rows[i + 1 :])
+    rows = q.rows
+    return _built(type(q), n=q.n, rows=rows[: i - 1] + _exchange(rows[i - 1], rows[i], q.n, q.kind == "fermionic") + rows[i + 1 :])
 
 
 def apply_twists(q: MLQ, word: Sequence[int]) -> MLQ:

@@ -44,6 +44,7 @@ from .words import (
     FermionicWord,
     Indicator,
     Word,
+    indicator_multiset,
     multiset_indicator,
 )
 
@@ -279,21 +280,21 @@ def ctm_components(q: MLQ, j: int = 1) -> list[Indicator]:
     """Row-j readings of the partial corner transfer: [pi_j, ..., pi_k].
 
     The i-th entry is the indicator of row j after rows j..i-1 have been
-    twisted out of the way: row i, as a count vector, is exchanged down
-    through the original rows i-1, ..., j and keeps the lower output each
-    time.  As a multiset the entries are nested; this is verified before
-    returning them in index order.
+    twisted out of the way: row i is exchanged down through the original
+    rows i-1, ..., j and keeps the lower output each time.  As a multiset the
+    entries are nested; this is verified before returning them in index order.
     """
+    if type(j) is not int:
+        raise ValueError(f"component base must be an integer, got {j!r}")
     if not 1 <= j <= q.k:
         raise IndexError(f"component base {j} outside 1..{q.k}")
     fermionic = q.kind == "fermionic"
-    counts = [_site_counts(row, q.n, False) for row in q.rows]
     comps: list[Indicator] = []
     for i in range(j, q.k + 1):
-        carry = counts[i - 1]
+        carry = q.rows[i - 1]
         for t in range(i - 1, j - 1, -1):
-            carry = _exchange(counts[t - 1], carry, fermionic)[0]
-        comps.append(tuple(carry))
+            carry = _exchange(q.rows[t - 1], carry, q.n, fermionic)[0]
+        comps.append(multiset_indicator(carry, q.n))
     ranked = sorted(comps, key=sum, reverse=True)
     for high, low in zip(ranked, ranked[1:]):
         if any(l > h for h, l in zip(high, low)):
@@ -320,7 +321,9 @@ def check_r_expansion(row: Sequence[int], word: Word) -> bool:
         raise ValueError("smallest word label must be at least 2")
     fermionic = word.kind == "fermionic"
     counts = multiset_indicator(row, word.n)
-    stack = [counts] + [tuple(_exchange(counts, u, fermionic)[0]) for u in word.layers()[1:]]
+    sites = indicator_multiset(counts)  # the row as an ascending tuple, each site checked
+    readings = (_exchange(sites, indicator_multiset(u), word.n, fermionic)[0] for u in word.layers()[1:])
+    stack = [counts] + [multiset_indicator(r, word.n) for r in readings]
     if fermionic:
         return apply_row_fermionic(row, 1, word).letters == tuple(map(sum, zip(*stack)))
     stack.sort(key=sum, reverse=True)

@@ -503,6 +503,13 @@ class TestRing:
         with pytest.raises(IndexError, match="site 0 outside 1..3"):
             ring(fq(3, (1,)), 0, reverse=True)
 
+    @pytest.mark.parametrize("i", [2.0, True, "2"])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_site_must_be_an_int(self, i, reverse):
+        for q in (fq(3, (2,), (2, 3)), bq(3, (2,), (2, 3))):
+            with pytest.raises(ValueError, match="ringing site must be an integer"):
+                ring(q, i, reverse=reverse)
+
 
 class TestMlqChains:
     def test_fermionic_chain_is_uniform(self):

@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,12 @@ class TestTwist:
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             twist(fq(3, (1,), (2,)), 2)
+
+    @pytest.mark.parametrize("i", [True, 1.0, "1"])
+    def test_index_must_be_an_int(self, i):
+        for q in (fq(3, (1,), (2,)), bq(3, (1,), (2,))):
+            with pytest.raises(ValueError, match="twist index must be an integer"):
+                twist(q, i)
 
     def test_involution_exhaustive(self):
         for kind in ("fermionic", "bosonic"):
@@ -282,9 +290,66 @@ class TestDerivedQueues:
         assert_word_matches_validated_rebuild(out)
 
 
+def all_rows(n, kind, max_size):
+    rows = subsets_colex if kind == "fermionic" else multisets_colex
+    return [r for size in range(max_size + 1) for r in rows(n, size)]
+
+
 class TestExchange:
     def test_fermionic_count_check_fires_on_a_doubled_site(self):
         with pytest.raises(ValueError, match="duplicate site"):
-            _exchange([2, 0, 0], [0, 1, 0], True)
+            _exchange((1, 1), (2,), 3, True)
         with pytest.raises(ValueError, match="duplicate site"):
-            _exchange([1, 0, 0], [0, 2, 0], True)
+            _exchange((1,), (2, 2), 3, True)
+
+    def test_memo_agrees_with_the_unmemoized_exchange(self):
+        for n in range(1, 5):
+            for kind in ("fermionic", "bosonic"):
+                fermionic = kind == "fermionic"
+                rows = all_rows(n, kind, n if fermionic else 3)
+                for lower, upper in itertools.product(rows, repeat=2):
+                    expected = _exchange.__wrapped__(lower, upper, n, fermionic)
+                    for _ in range(2):  # a miss, then a hit
+                        got = _exchange(lower, upper, n, fermionic)
+                        assert got == expected
+                        assert type(got) is tuple and all(type(r) is tuple for r in got)
+
+    def test_a_raised_exchange_is_not_cached(self):
+        before = _exchange.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match="duplicate site"):
+                _exchange((1, 1), (2,), 3, True)
+        assert _exchange.cache_info().currsize == before
+
+    def test_memo_is_bounded(self):
+        rows = all_rows(6, "bosonic", 3)
+        assert len(rows) ** 2 > 4096
+        for lower, upper in itertools.product(rows, repeat=2):
+            _exchange(lower, upper, 6, False)
+        assert _exchange.cache_info().currsize == _exchange.cache_info().maxsize == 4096
+
+    def test_memo_shared_by_threads(self):
+        # verify runs its cases on a thread pool, so threads share the one memo
+        rows = all_rows(5, "bosonic", 2)
+        expected = {(l, u): _exchange.__wrapped__(l, u, 5, False) for l, u in itertools.product(rows, repeat=2)}
+        wrong = []
+
+        def work(seed):
+            keys = list(expected)
+            random.Random(seed).shuffle(keys)
+            wrong.extend(k for k in keys if _exchange(*k, 5, False) != expected[k])
+
+        _exchange.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
+        assert _exchange.cache_info().currsize == len(expected)

@@ -412,6 +412,11 @@ class TestCornerTransfer:
         assert ctm_project(EX_QUEUE, 2) == fw("203022")
         assert ctm_project(EX_QUEUE, 3) == fw("121010")
 
+    @pytest.mark.parametrize("j", [True, 2.0, "1"])
+    def test_base_must_be_an_int(self, j):
+        with pytest.raises(ValueError, match="component base must be an integer"):
+            ctm_components(EX_QUEUE, j)
+
     def test_count_vectors_agree_with_twist_bubbling_on_sweep(self):
         def bubbled(q, j):
             # the definition: reading i is row j of q after twists i-1, ..., j
