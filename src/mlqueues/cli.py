@@ -56,8 +56,7 @@ def _parse_x(text: str | None, n: int) -> RateParams:
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
 def cmd_project(args) -> int:
@@ -109,19 +108,18 @@ def cmd_stationary(args) -> int:
             dist = stationary_exact(chain)
             probs = {s: dist[s] for s in chain.states}
         else:
+            # estimates: each frequency prints as the float nearest its exact share of their sum
             freqs = simulate_ctmc(chain, args.seed, args.jumps)
-            total = sum((Fraction(v) for v in freqs.values()), Fraction(0))
-            probs = {s: Fraction(v) / total for s, v in freqs.items()}
+            total = sum(map(Fraction, freqs.values()))
+            probs = {s: float(Fraction(v) / total) for s, v in freqs.items()}
 
     if model.ringing:  # queue states in state order, with their weights
         entries = [(s, p, s.weight()) for s, p in probs.items()]
     else:
         entries = [(s, p, None) for s, p in sorted(probs.items(), key=lambda kv: str(kv[0]))]
     doc = documents.emit_distribution(args.model, lam, n, x, entries)
-    if args.method == "mc":  # sampled frequencies are estimates, not exact rationals
+    if args.method == "mc":
         doc["estimate"] = True
-        for e in doc["entries"]:
-            e["prob"] = float(Fraction(e["prob"]))
     _emit(doc)
     return 0
 

@@ -85,10 +85,14 @@ def parse_word(doc: dict) -> Word:
 
 
 def emit_distribution(model: str, lam, n: int, x, entries) -> dict:
-    """entries: iterable of (state word or queue, probability Fraction, weight exponents or None)."""
+    """entries: iterable of (state word or queue, probability, weight exponents
+    or None); an exact probability prints as "p/q", a float estimate as is."""
     out_entries = []
     for state, prob, weight in entries:
-        e = {"state": emit_queue(state) if isinstance(state, MLQ) else emit_word(state), "prob": format_fraction(prob)}
+        e = {
+            "state": emit_queue(state) if isinstance(state, MLQ) else emit_word(state),
+            "prob": prob if type(prob) is float else format_fraction(prob),
+        }
         if weight is not None:
             e["weight"] = list(weight)
         out_entries.append(e)

@@ -610,13 +610,16 @@ def queue_law(model: str, lam: Sequence[int], n: int, x: RateParams | None = Non
 def simulate_ctmc(chain: ChainSpec, seed: int, jumps: int) -> dict:
     """Occupation-time frequencies from a seeded jump-by-jump simulation.
 
-    Holding times are exponential with the exact exit rate; the trajectory and
-    the returned table are bitwise reproducible for a fixed seed.  Each jump
-    target is the first transition, in transition order, whose cumulative
-    float rate reaches the uniform draw.  A one-state chain (it has no
-    transitions, self-loops being rejected) spends all its time in its state;
-    in a larger chain, reaching a state with no outgoing transition raises
-    :class:`ChainError`.  ``jumps`` below 1 raises ``ValueError``.
+    Each jump draws twice from one ``random.Random(seed)``: the holding time
+    ``-log(1 - u) / total``, which is ``Random.expovariate(total)`` written
+    out, with ``total`` the float exit rate; then the target, the first
+    transition, in transition order, whose cumulative float rate reaches
+    ``u * total``.  The trajectory and the returned table are bitwise
+    reproducible for a fixed seed.  A one-state chain (it has no transitions,
+    self-loops being rejected) spends all its time in its state; in a larger
+    chain, reaching a state whose float exit rate is 0 (no outgoing
+    transition, or rates that round to 0.0) raises :class:`ChainError`.
+    ``jumps`` below 1 raises ``ValueError``.
     """
     if jumps < 1:
         raise ValueError(f"jumps must be at least 1, got {jumps}")
@@ -630,21 +633,21 @@ def simulate_ctmc(chain: ChainSpec, seed: int, jumps: int) -> dict:
     for src, dst, rate in chain.transitions:
         rates[src].append(float(rate))
         targets[src].append(dst)
-    # the exit rate comes from sum(), which may round differently from the
-    # running total (compensated on newer Pythons); a draw past the running
-    # total falls back to the last transition
-    totals = [sum(r) for r in rates]
-    cumulative = [list(itertools.accumulate(r)) for r in rates]
-    rng = random.Random(seed)
+    # per state: the exit rate, the running totals and the targets.  The exit
+    # rate comes from sum(), which may round differently from the running
+    # total (compensated on newer Pythons); a draw past the running total
+    # lands on the last target, repeated once at the end
+    moves = [(sum(r), list(itertools.accumulate(r)), t + t[-1:]) for r, t in zip(rates, targets)]
+    draw = random.Random(seed).random
+    log = math.log
     occupation = [0.0] * ns
     state = 0
-    for _ in range(jumps):
-        total = totals[state]
-        if total <= 0:
-            raise ChainError(f"absorbing state reached: {chain.states[state]!r}")
-        occupation[state] += rng.expovariate(total)
-        dsts = targets[state]
-        k = bisect_left(cumulative[state], rng.random() * total)
-        state = dsts[k] if k < len(dsts) else dsts[-1]
+    try:
+        for _ in range(jumps):
+            total, cumulative, dsts = moves[state]
+            occupation[state] += -log(1.0 - draw()) / total
+            state = dsts[bisect_left(cumulative, draw() * total)]
+    except ZeroDivisionError:
+        raise ChainError(f"absorbing state reached: {chain.states[state]!r}") from None
     span = sum(occupation)
     return {s: occupation[i] / span for i, s in enumerate(chain.states)}

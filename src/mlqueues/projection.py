@@ -54,10 +54,11 @@ from .words import (
 # ---------------------------------------------------------------------------
 
 
-def _row_layers(row: list[int], fresh: int, layers: list, weakly_right: bool) -> list[list[int]]:
+def _row_layers(row: list[int], fresh: int, layers: list, weakly_right: bool, match=_match) -> list[list[int]]:
     """The layers L'_1, L'_2, ... of the word that ``row`` (per-site counts)
     holds once the word with layers ``layers`` has passed its labels down and
-    the unreached row particles have taken ``fresh``; see the module notes."""
+    the unreached row particles have taken ``fresh``; see the module notes.
+    ``match`` pairs the row against one layer, as :func:`pairing._match` does."""
     if not layers:
         return [row] * fresh if any(row) else []
     # a: the smallest label, below which every layer is L_1 (the stack's layers
@@ -66,7 +67,7 @@ def _row_layers(row: list[int], fresh: int, layers: list, weakly_right: bool) ->
     while a < k and layers[a] == layers[0]:
         a += 1
     # unpaired (row, word) counts against each class a..k
-    unpaired = [_match(row, layer, weakly_right)[1:] for layer in layers[a - 1 :]]
+    unpaired = [match(row, layer, weakly_right)[1:] for layer in layers[a - 1 :]]
     s = next((r for r in range(k, a - 1, -1) if not any(unpaired[r - a][0])), None)
     if s is None:  # every word particle pairs; the row's leftovers take the fresh label
         s, below = a, [row] * fresh + [[x - u for x, u in zip(row, unpaired[0][0])]] * (a - fresh)
@@ -149,7 +150,9 @@ def fiber_law(shape: Sequence[int], n: int, kind: str, x: RateParams | Sequence[
     only on rows j..k, so a law on layer stacks is pushed down through the
     rows from the top: mu_j(L') = sum over L of mu_{j+1}(L) times the total
     weight of the rows r of size ``shape[j-1]`` whose row operator takes L to
-    L'.  One word is built per stack left after row 1.
+    L'.  Within a stage, many stacks share a layer, so each (row, layer)
+    pairing is made once per stage.  One word is built per stack left after
+    row 1.
     """
     x = _site_values(x, n)
     count_queues(shape, n, kind)
@@ -160,10 +163,17 @@ def fiber_law(shape: Sequence[int], n: int, kind: str, x: RateParams | Sequence[
         for r in (subsets_colex if fermionic else multisets_colex)(n, shape[j - 1]):
             weight = 1 if x is None else math.prod([x[s] for s in r], start=Fraction(1))
             rows.append((tuple(_site_counts(r, n, fermionic)), weight))
+        pairings: dict = {}  # (row, layer) -> _match of the row against the layer
+
+        def match(row, layer, weakly_right):
+            if (hit := pairings.get((row, layer))) is None:
+                hit = pairings[row, layer] = _match(row, layer, weakly_right)
+            return hit
+
         pushed: dict = {}
         for stack, mass in law.items():
             for row, weight in rows:
-                key = tuple(map(tuple, _row_layers(row, j, stack, fermionic)))
+                key = tuple(map(tuple, _row_layers(row, j, stack, fermionic, match)))
                 pushed[key] = pushed.get(key, 0) + mass * weight
         law = pushed
     total = sum(law.values())

@@ -304,7 +304,7 @@ def check_projection_routes(case: dict) -> list:
         perm[i - 1], perm[i] = perm[i], perm[i - 1]
         if after != [before[p] for p in perm]:
             return [_witness("component-swap", case, i=i)]
-    if _particlewise_mismatch(q, trace, case["all_orders"], random.Random(case["order_seed"])):
+    if _particlewise_mismatch(q, trace, case["all_orders"], case["order_seed"]):
         return [_witness("particlewise", case)]
     return []
 
@@ -319,10 +319,12 @@ def _priority_orders(word):
         yield tuple(p for block in perms for p in block)
 
 
-def _particlewise_mismatch(q: MLQ, trace: list, all_orders: bool, rng: random.Random) -> bool:
+def _particlewise_mismatch(q: MLQ, trace: list, all_orders: bool, order_seed: int) -> bool:
     """Replay the projection fold, ``trace`` = ``label_trace(q)``, with the
-    queueing formulation of the row op."""
+    queueing formulation of the row op.  The rows whose orders are sampled
+    share one ``random.Random(order_seed)``, built when the first needs it."""
     word = WORD_CLASSES[q.kind].from_particles(q.n, ())
+    rng = None
     for j in range(q.k, 0, -1):
         expected = trace[j - 1]
         got = apply_row_particlewise(q.rows[j - 1], j, word)
@@ -333,6 +335,7 @@ def _particlewise_mismatch(q: MLQ, trace: list, all_orders: bool, rng: random.Ra
             if n_particles <= 6:
                 orders = _priority_orders(word)
             else:
+                rng = rng or random.Random(order_seed)
                 orders = _random_orders(word, rng, 50)
             for order in orders:
                 if apply_row_particlewise(q.rows[j - 1], j, word, order) != expected:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -140,6 +141,17 @@ class TestStationaryCommand:
         assert sum(e["prob"] for e in doc["entries"]) == pytest.approx(1)
         code, out, _ = run(capsys, "stationary", "--model", "tasep", "--lambda", "2,1", "--n", "3")
         assert "estimate" not in json.loads(out)
+
+    def test_mc_output_is_pinned(self, capsys):
+        # 200 000 jumps on the 120-state chain: the estimate is reproducible to the last bit
+        code, out, _ = run(
+            capsys, "stationary", "--model", "tasep", "--lambda", "3,2,1", "--n", "6",
+            "--method", "mc", "--seed", "4177", "--jumps", "200000",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "55a636e01de6b425a296148a22b29925f2a76276fa27340ced0c4974c9a56624"
+        )
 
     @pytest.mark.parametrize("model, lam, n", [("tasep", "1", "1"), ("mlq-bosonic", "0", "2")])
     def test_mc_on_a_one_state_chain(self, capsys, model, lam, n):

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 import random
@@ -227,6 +228,13 @@ class TestStationaryExact:
         assert sum(moved) == 1 and not certify_stationary(chain, moved)
         assert not certify_stationary(chain, [Fraction(0), Fraction(1, 2), Fraction(1, 2)])
         assert not certify_stationary(chain, [2 * p for p in law])
+
+    def test_certificate_accepts_a_large_fiber_law(self):
+        # 3024 states: the push-forward and the balance check, no solve
+        chain = model_chain("tasep", (4, 3, 2, 1), 9)
+        law = queue_law("tasep", (4, 3, 2, 1), 9)
+        assert len(law) == len(chain.states) == 3024
+        assert certify_stationary(chain, [law[s] for s in chain.states])
 
 
 def _recorded_attempts(monkeypatch) -> list:
@@ -558,7 +566,54 @@ class TestMlqChains:
             assert all(a[s] == b[s] for s in a.probs)
 
 
+def _reference_simulate(chain, seed, jumps):
+    """The jump loop as first written, on Random.expovariate and a per-jump
+    absorbing-state test: :func:`simulate_ctmc` must match it bit for bit."""
+    ns = len(chain.states)
+    rates = [[] for _ in range(ns)]
+    targets = [[] for _ in range(ns)]
+    for src, dst, rate in chain.transitions:
+        rates[src].append(float(rate))
+        targets[src].append(dst)
+    totals = [sum(r) for r in rates]
+    cumulative = [list(itertools.accumulate(r)) for r in rates]
+    rng = random.Random(seed)
+    occupation = [0.0] * ns
+    state = 0
+    for _ in range(jumps):
+        total = totals[state]
+        if total <= 0:
+            raise ChainError(f"absorbing state reached: {chain.states[state]!r}")
+        occupation[state] += rng.expovariate(total)
+        dsts = targets[state]
+        k = bisect.bisect_left(cumulative[state], rng.random() * total)
+        state = dsts[k] if k < len(dsts) else dsts[-1]
+    span = sum(occupation)
+    return {s: occupation[i] / span for i, s in enumerate(chain.states)}
+
+
 class TestSimulation:
+    @pytest.mark.parametrize(
+        "model, lam, n, x",
+        [("tasep", (3, 2, 1), 5, None), ("tazrp", (2, 2, 1), 3, (1, Fraction(2, 3), 5)),
+         ("ktazrp", (2, 1, 1), 3, None), ("mlq-bosonic", (2, 1), 3, (Fraction(1, 7), 2, 3))],
+    )
+    def test_matches_the_reference_loop(self, model, lam, n, x):
+        chain = model_chain(model, lam, n, x)
+        for seed in (0, 5, 4177):
+            for jumps in (1, 7, 20_000):
+                got = simulate_ctmc(chain, seed, jumps)
+                assert list(got.items()) == list(_reference_simulate(chain, seed, jumps).items())
+
+    @pytest.mark.parametrize("start", (0, 1))
+    def test_exit_rate_that_rounds_to_zero_is_absorbing(self, start):
+        # float(Fraction(1, 10**400)) is 0.0: the division by the exit rate fails
+        tiny, one = Fraction(1, 10**400), Fraction(1)
+        rates = (tiny, one) if start == 0 else (one, tiny)
+        chain = ChainSpec(("a", "b"), ((0, 1, rates[0]), (1, 0, rates[1])))
+        with pytest.raises(ChainError, match="absorbing state reached: " + repr("ab"[start])):
+            simulate_ctmc(chain, seed=0, jumps=100)
+
     def test_symmetric_two_state(self):
         chain = ChainSpec(("a", "b"), ((0, 1, Fraction(1)), (1, 0, Fraction(1))))
         freqs = simulate_ctmc(chain, seed=1, jumps=20_000)
