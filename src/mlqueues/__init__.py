@@ -48,9 +48,7 @@ from .words import (
     BosonicWord,
     FermionicWord,
     indicator_multiset,
-    indicator_subset,
     multiset_indicator,
-    subset_indicator,
 )
 
 __version__ = "0.1.0"

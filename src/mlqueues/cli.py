@@ -42,7 +42,7 @@ def _load_json(path: str):
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(p) for p in text.split(",") if p.strip() != "")
+        return tuple(int(p) for p in text.split(","))  # an empty or blank entry is no integer
     except ValueError as exc:
         raise SchemaError(f"bad integer list {text!r}") from exc
 

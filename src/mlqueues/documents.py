@@ -9,12 +9,11 @@ most ``MAX_DIAGRAM_CELLS`` cells (lines times sites).
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 
 from .errors import SchemaError
 from .mlq import MLQ, QUEUE_CLASSES
-from .words import BosonicWord, FermionicWord, Word
+from .words import BosonicWord, FermionicWord, Word, multiset_indicator
 
 
 def format_fraction(f: Fraction) -> str:
@@ -49,8 +48,6 @@ def parse_queue(doc: dict) -> MLQ:
     _require(type(n) is int and n >= 1, "n must be a positive integer")
     rows = doc.get("rows")
     _require(isinstance(rows, list) and rows and all(isinstance(r, list) for r in rows), "rows must be a nonempty list of lists")
-    for r in rows:
-        _require(all(type(j) is int and 1 <= j <= n for j in r), "row entries must be sites in 1..n")
     try:
         return QUEUE_CLASSES[kind](n, tuple(tuple(r) for r in rows))
     except ValueError as exc:
@@ -71,17 +68,18 @@ def parse_word(doc: dict) -> Word:
     if kind == "fermionic_word":
         letters = doc.get("letters")
         _require(isinstance(letters, list) and len(letters) == n, "letters must be a list of length n")
-        _require(all(type(a) is int and a >= 0 for a in letters), "letters must be nonnegative integers")
-        return FermionicWord(tuple(letters))
-    if kind == "bosonic_word":
+        cls, value = FermionicWord, tuple(letters)
+    elif kind == "bosonic_word":
         sites = doc.get("sites")
-        _require(isinstance(sites, list) and len(sites) == n, "sites must be a list of length n")
-        _require(
-            all(isinstance(s, list) and all(type(a) is int and a >= 1 for a in s) for s in sites),
-            "site multisets must hold positive integers",
-        )
-        return BosonicWord(tuple(tuple(s) for s in sites))
-    raise SchemaError(f"bad word kind {kind!r}")
+        _require(isinstance(sites, list) and len(sites) == n and all(isinstance(s, list) for s in sites),
+                 "sites must be a list of n lists")
+        cls, value = BosonicWord, tuple(tuple(s) for s in sites)
+    else:
+        raise SchemaError(f"bad word kind {kind!r}")
+    try:
+        return cls(value)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def emit_distribution(model: str, lam, n: int, x, entries) -> dict:
@@ -118,7 +116,7 @@ def _require_cells(lines: int, n: int) -> None:
     _require(lines * n <= MAX_DIAGRAM_CELLS, f"a diagram of {lines} lines on {n} sites exceeds {MAX_DIAGRAM_CELLS} cells")
 
 
-def _grid(rows_of_counts: list[list[int]], digits: bool) -> str:
+def _grid(rows_of_counts: list[tuple[int, ...]], digits: bool) -> str:
     lines = []
     for counts in rows_of_counts:
         cells = [("." if c == 0 else (str(c) if digits else "*")) for c in counts]
@@ -129,12 +127,7 @@ def _grid(rows_of_counts: list[list[int]], digits: bool) -> str:
 def render_queue(q: MLQ) -> str:
     """Dot diagram of a queue, top row first."""
     _require_cells(q.k, q.n)
-    digits = q.kind == "bosonic"
-    rows = []
-    for row in reversed(q.rows):
-        cnt = Counter(row)
-        rows.append([cnt.get(j, 0) for j in range(1, q.n + 1)])
-    return _grid(rows, digits)
+    return _grid([multiset_indicator(row, q.n) for row in reversed(q.rows)], q.kind == "bosonic")
 
 
 def render_word(w: Word) -> str:
@@ -144,5 +137,5 @@ def render_word(w: Word) -> str:
     _require_cells(max(k, 1), w.n)
     if k == 0:
         return " ".join(["."] * w.n)
-    rows = [list(w.layer(m)) for m in range(k, 0, -1)]
+    rows = [w.layer(m) for m in range(k, 0, -1)]
     return _grid(rows, digits)

@@ -93,10 +93,6 @@ class RationalDistribution:
     def items(self):
         return self.probs.items()
 
-    def tv_distance(self, other: dict) -> float:
-        keys = set(self.probs) | set(other)
-        return 0.5 * sum(abs(float(self[k]) - float(other.get(k, 0.0))) for k in keys)
-
 
 # ---------------------------------------------------------------------------
 # state spaces

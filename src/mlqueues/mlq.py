@@ -16,13 +16,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Iterator, Sequence
 
 from .pairing import _match
-from .words import _built, _ints, _site_counts, indicator_multiset
+from .words import _built, _ints, _site_counts, indicator_multiset, multiset_indicator
 
 
 @dataclass(frozen=True)
@@ -83,10 +82,7 @@ class MLQ:
             raise ValueError("ring size must be a positive integer")
         rows = tuple(tuple(sorted(_ints(r, "row sites"))) for r in self.rows)
         for r in rows:
-            if any(not 1 <= j <= self.n for j in r):
-                raise ValueError(f"row site outside 1..{self.n}")
-            if self.kind == "fermionic" and len(set(r)) != len(r):
-                raise ValueError("fermionic row contains a duplicate site")
+            _site_counts(r, self.n, self.kind == "fermionic")
         if not rows:
             raise ValueError("a queue needs at least one row")
         object.__setattr__(self, "rows", rows)
@@ -106,8 +102,7 @@ class MLQ:
 
     def weight(self) -> tuple[int, ...]:
         """The exponent vector of the weight x^D: particles per site, over all rows."""
-        counts = Counter(j for r in self.rows for j in r)
-        return tuple(counts[j] for j in range(1, self.n + 1))
+        return multiset_indicator(itertools.chain.from_iterable(self.rows), self.n)
 
 
 class FermionicMLQ(MLQ):
@@ -183,24 +178,12 @@ def straighten(q: MLQ) -> tuple[MLQ, tuple[int, ...]]:
     return cur, tuple(reversed(chrono))
 
 
-def subsets_colex(n: int, size: int) -> Iterator[tuple[int, ...]]:
-    """Size-``size`` subsets of {1..n} as ascending tuples, in colex order."""
-    if size == 0:
-        yield ()
-        return
-    for top in range(size, n + 1):
-        for rest in subsets_colex(top - 1, size - 1):
-            yield rest + (top,)
-
-
-def multisets_colex(n: int, size: int) -> Iterator[tuple[int, ...]]:
-    """Size-``size`` multisets over {1..n} as ascending tuples, in colex order."""
-    if size == 0:
-        yield ()
-        return
-    for top in range(1, n + 1):
-        for rest in multisets_colex(top, size - 1):
-            yield rest + (top,)
+def colex_rows(n: int, size: int, kind: str) -> list[tuple[int, ...]]:
+    """The rows of ``size`` sites in {1..n} a queue of ``kind`` may hold (subsets
+    if fermionic, multisets if bosonic) as ascending tuples, in colex order."""
+    pick = itertools.combinations if kind == "fermionic" else itertools.combinations_with_replacement
+    # combinations of n..1 come descending in lex order; reversed twice, that is colex
+    return [c[::-1] for c in pick(range(n, 0, -1), size)][::-1]
 
 
 def count_queues(alpha: Sequence[int], n: int, kind: str) -> int:
@@ -232,5 +215,5 @@ def enumerate_queues(alpha: Sequence[int], n: int, kind: str) -> Iterator[MLQ]:
     samplers can index into it reproducibly.  A bad shape raises on the call.
     """
     count_queues(alpha, n, kind)
-    rows, cls = (subsets_colex if kind == "fermionic" else multisets_colex), QUEUE_CLASSES[kind]
-    return (_built(cls, n=n, rows=q_rows) for q_rows in itertools.product(*[list(rows(n, a)) for a in alpha]))
+    cls = QUEUE_CLASSES[kind]
+    return (_built(cls, n=n, rows=q_rows) for q_rows in itertools.product(*[colex_rows(n, a, kind) for a in alpha]))

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ShapeError
-from .mlq import MLQ, RateParams, _exchange, _site_values, count_queues, multisets_colex, subsets_colex
+from .mlq import MLQ, RateParams, _exchange, _site_values, colex_rows, count_queues
 from .pairing import _match, pair_strictly_left, pair_weakly_right
 from .words import (
     WORD_CLASSES,
@@ -160,7 +160,7 @@ def fiber_law(shape: Sequence[int], n: int, kind: str, x: RateParams | Sequence[
     law: dict = {(): 1}  # layer stack -> mass of the queues' upper rows that fold to it
     for j in range(len(shape), 0, -1):
         rows = []  # (per-site counts, weight) of each row of size shape[j-1]
-        for r in (subsets_colex if fermionic else multisets_colex)(n, shape[j - 1]):
+        for r in colex_rows(n, shape[j - 1], kind):
             weight = 1 if x is None else math.prod([x[s] for s in r], start=Fraction(1))
             rows.append((tuple(_site_counts(r, n, fermionic)), weight))
         pairings: dict = {}  # (row, layer) -> _match of the row against the layer

@@ -73,9 +73,6 @@ class SuiteReport:
             "pass": self.passed,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, default=str)
-
     def to_text(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
         lines = [f"[{verdict}] suite={self.suite} cases={self.cases} time={self.wall_time:.2f}s"]

@@ -71,15 +71,6 @@ def _site_counts(sites: Iterable[int], n: int, fermionic: bool) -> list[int]:
     return counts
 
 
-def subset_indicator(sites: Iterable[int], n: int) -> Indicator:
-    """0/1 vector of a subset of {1..n}; inverse of :func:`indicator_subset`."""
-    return tuple(_site_counts(sites, n, True))
-
-
-def indicator_subset(bits: Sequence[int]) -> tuple[int, ...]:
-    return tuple(j + 1 for j, b in enumerate(bits) if b)
-
-
 def multiset_indicator(elements: Iterable[int], n: int) -> Indicator:
     """Per-site multiplicity vector of a multiset over {1..n}."""
     return tuple(_site_counts(elements, n, False))

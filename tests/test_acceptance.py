@@ -234,7 +234,7 @@ def test_criterion_7_monte_carlo_sanity():
     exact = stationary_exact(chain)
     for seed in (11, 22, 33):
         freqs = simulate_ctmc(chain, seed=seed, jumps=100_000)
-        assert exact.tv_distance(freqs) < 0.02
+        assert 0.5 * sum(abs(float(exact[s]) - freqs.get(s, 0.0)) for s in chain.states) < 0.02
     assert time.perf_counter() - start <= 10.0
 
 

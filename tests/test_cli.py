@@ -815,6 +815,38 @@ class TestExitCodesAndSchema:
         assert (code, out) == (2, "")
         assert "input error" in err
 
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("project", {"kind": "bosonic", "n": 2, "rows": [[1.0]]}),
+            ("project", {"kind": "bosonic", "n": 2, "rows": [[1, 3]]}),
+            ("render", {"kind": "fermionic_word", "n": 2, "letters": [-1, 0]}),
+            ("render", {"kind": "bosonic_word", "n": 2, "sites": [[0], []]}),
+            ("render", {"kind": "bosonic_word", "n": 2, "sites": [[1], 2]}),
+        ],
+        ids=["float-site", "site-out-of-range", "negative-letter", "zero-label", "non-list-site"],
+    )
+    def test_entries_the_constructors_reject_are_input_errors(self, tmp_path, capsys, command, doc):
+        code, out, err = run(capsys, command, "--in", write_doc(tmp_path, doc))
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("enumerate", "--alpha", "2,,1", "--n", "3", "--kind", "fermionic", "--count-only"),
+            ("enumerate", "--alpha", "2,1,", "--n", "3", "--kind", "bosonic", "--count-only"),
+            ("enumerate", "--alpha", "2, ,1", "--n", "3", "--kind", "fermionic", "--count-only"),
+            ("stationary", "--model", "tasep", "--lambda", "2,,1", "--n", "3"),
+        ],
+        ids=["empty-entry", "trailing-comma", "blank-entry", "lambda"],
+    )
+    def test_empty_integer_list_entry_is_input_error(self, capsys, argv):
+        # empty entries used to be skipped, so 2,,1 ran as 2,1
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "bad integer list" in err
+
 
 class TestDocuments:
     def test_queue_round_trip(self):

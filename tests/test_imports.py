@@ -1,0 +1,37 @@
+"""Every module of the package uses each name it imports (``__init__`` re-exports)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import mlqueues
+
+MODULES = sorted(p for p in Path(mlqueues.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def _used(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        annotation = getattr(node, "returns" if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else "annotation", None)
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):  # quoted, e.g. -> "FermionicWord"
+            names.update(n.id for n in ast.walk(ast.parse(annotation.value, mode="eval")) if isinstance(n, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _imported(tree) - _used(tree) == set()

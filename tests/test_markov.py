@@ -377,10 +377,6 @@ class TestDistribution:
         with pytest.raises(ValueError):
             RationalDistribution({"a": Fraction(1, 2)})
 
-    def test_tv_distance(self):
-        d = RationalDistribution({"a": Fraction(1, 2), "b": Fraction(1, 2)})
-        assert d.tv_distance({"a": 1.0}) == pytest.approx(0.5)
-
 
 class TestFermionicRinging:
     def test_single_row_hop(self):
@@ -623,7 +619,7 @@ class TestSimulation:
         chain = model_chain("tasep", (2, 1), 3)
         exact = stationary_exact(chain)
         freqs = simulate_ctmc(chain, seed=7, jumps=100_000)
-        assert exact.tv_distance(freqs) < 0.02
+        assert 0.5 * sum(abs(float(exact[s]) - freqs.get(s, 0.0)) for s in chain.states) < 0.02
 
     def test_deterministic_for_fixed_seed(self):
         chain = model_chain("tasep", (2, 1), 3)

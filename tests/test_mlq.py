@@ -26,7 +26,7 @@ from mlqueues import (
     straighten,
     twist,
 )
-from mlqueues.mlq import _exchange, multisets_colex, subsets_colex
+from mlqueues.mlq import _exchange, colex_rows
 
 from conftest import bq, fq
 
@@ -174,8 +174,31 @@ class TestEnumeration:
                 enumerate_queues(alpha, n, kind)
 
     def test_colex_row_order(self):
-        assert list(subsets_colex(4, 2)) == [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]
-        assert list(multisets_colex(2, 2)) == [(1, 1), (1, 2), (2, 2)]
+        assert colex_rows(4, 2, "fermionic") == [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]
+        assert colex_rows(2, 2, "bosonic") == [(1, 1), (1, 2), (2, 2)]
+
+    @pytest.mark.parametrize("kind", ("fermionic", "bosonic"))
+    def test_colex_rows_match_the_recursive_reference(self, kind):
+        def subsets(n, size):  # size-``size`` subsets of {1..n}, the largest site varying slowest
+            if size == 0:
+                yield ()
+                return
+            for top in range(size, n + 1):
+                for rest in subsets(top - 1, size - 1):
+                    yield rest + (top,)
+
+        def multisets(n, size):
+            if size == 0:
+                yield ()
+                return
+            for top in range(1, n + 1):
+                for rest in multisets(top, size - 1):
+                    yield rest + (top,)
+
+        reference = subsets if kind == "fermionic" else multisets
+        for n in range(1, 9):
+            for size in range(7):  # fermionic sizes above n included: no rows
+                assert colex_rows(n, size, kind) == list(reference(n, size)), (n, size)
 
     def test_top_row_varies_fastest(self):
         qs = list(enumerate_queues((1, 1), 2, "fermionic"))
@@ -291,8 +314,7 @@ class TestDerivedQueues:
 
 
 def all_rows(n, kind, max_size):
-    rows = subsets_colex if kind == "fermionic" else multisets_colex
-    return [r for size in range(max_size + 1) for r in rows(n, size)]
+    return [r for size in range(max_size + 1) for r in colex_rows(n, size, kind)]
 
 
 class TestExchange:

@@ -26,7 +26,6 @@ from mlqueues import (
     label_trace,
     multiset_indicator,
     project,
-    subset_indicator,
     twist,
 )
 from mlqueues import verify
@@ -388,7 +387,7 @@ class TestCornerTransfer:
 
     def test_single_factor(self):
         q = fq(4, (2, 3))
-        assert ctm_components(q) == [subset_indicator({2, 3}, 4)]
+        assert ctm_components(q) == [multiset_indicator({2, 3}, 4)]
         assert ctm_project(q) == fw("0110")
 
     def test_swap_identity_per_twist(self):
@@ -496,7 +495,7 @@ class TestRExpansion:
         }
         for i in (2, 3, 4, 5):
             first, _ = r_matrix(row, tuple(j + 1 for j, b in enumerate(layers[i - 1]) if b), 11, "fermionic")
-            assert subset_indicator(first, 11) == firsts[i]
+            assert multiset_indicator(first, 11) == firsts[i]
         assert check_r_expansion(row, u)
 
     def test_single_layer(self):

@@ -112,7 +112,7 @@ class TestSuites:
 class TestReports:
     def test_json_and_text(self):
         report = verify.SUITES["stationary-tasep"](None, 0)
-        doc = json.loads(report.to_json())
+        doc = json.loads(json.dumps(report.to_dict()))
         assert doc["suite"] == "stationary-tasep"
         assert doc["pass"] is True
         assert "PASS" in report.to_text()
