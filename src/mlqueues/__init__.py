@@ -1,6 +1,6 @@
 """Multiline queues on the ring: projections, twists, and exact ring processes."""
 
-from .errors import ChainError, SchemaError, ShapeError
+from .errors import ChainError, ShapeError
 from .mlq import (
     BosonicMLQ,
     FermionicMLQ,

@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 input/schema error (a failed write to stdout too), 3
-model error (reducible chain, absorbing state, bad shape), 4 verification
-failure.
+Exit codes: 0 success, 2 input error (a failed write to stdout, or an input
+too large for memory, too), 3 model error (reducible chain, absorbing state,
+bad shape), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import documents, verify
-from .errors import ChainError, SchemaError, ShapeError
+from .errors import ChainError, ShapeError
 from .markov import (
     MODELS,
     RateParams,
@@ -37,20 +37,20 @@ def _load_json(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read JSON from {path}: {exc}") from exc
+        raise ValueError(f"cannot read JSON from {path}: {exc}") from exc
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in text.split(","))  # an empty or blank entry is no integer
     except ValueError as exc:
-        raise SchemaError(f"bad integer list {text!r}") from exc
+        raise ValueError(f"bad integer list {text!r}") from exc
 
 
 def _parse_x(text: str | None, n: int) -> RateParams:
     """The ``--x`` site values, unit on all ``n`` sites when absent; the
     library function that takes them checks their count against its n."""
-    if not text:
+    if text is None:
         return RateParams.ones(n)
     return RateParams(tuple(documents.parse_fraction(p) for p in text.split(",")))
 
@@ -95,7 +95,7 @@ def cmd_sigma(args) -> int:
 def cmd_stationary(args) -> int:
     model = MODELS[args.model]
     if args.x is not None and not model.rates:
-        raise SchemaError(f"--x does not apply to {args.model}, whose rates are all 1")
+        raise ValueError(f"--x does not apply to {args.model}, whose rates are all 1")
     lam = _parse_int_list(args.lam)
     n = args.n
     x = _parse_x(args.x, n) if model.rates else None
@@ -127,7 +127,7 @@ def cmd_stationary(args) -> int:
 def cmd_ring(args) -> int:
     q = documents.parse_queue(_load_json(args.infile))
     if q.kind == "fermionic" and args.x is not None:
-        raise SchemaError("--x does not apply to a fermionic queue, whose ringing rates are all 1")
+        raise ValueError("--x does not apply to a fermionic queue, whose ringing rates are all 1")
     x = None if args.x is None else _parse_x(args.x, q.n)
     image, exit_site, rate = ring(q, args.site, x, args.reverse)
     _emit(
@@ -142,10 +142,7 @@ def cmd_ring(args) -> int:
 
 def cmd_enumerate(args) -> int:
     alpha = _parse_int_list(args.alpha)
-    try:
-        total = count_queues(alpha, args.n, args.kind)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    total = count_queues(alpha, args.n, args.kind)
     if args.count_only:
         print(total)
         return 0
@@ -155,7 +152,7 @@ def cmd_enumerate(args) -> int:
                 sink.write(json.dumps(documents.emit_queue(q)))
                 sink.write("\n")
     except OSError as exc:
-        raise SchemaError(f"cannot write to {args.out or 'stdout'}: {exc}") from exc
+        raise ValueError(f"cannot write to {args.out or 'stdout'}: {exc}") from exc
     return 0
 
 
@@ -166,11 +163,11 @@ def _parse_bounds(text: str | None) -> dict | None:
     for pair in text.split(","):
         key, _, val = pair.partition("=")
         if not val:
-            raise SchemaError(f"bad bounds entry {pair!r}, expected key=value")
+            raise ValueError(f"bad bounds entry {pair!r}, expected key=value")
         try:
             out[key.strip()] = int(val)
         except ValueError as exc:
-            raise SchemaError(f"bad bounds value {val!r}") from exc
+            raise ValueError(f"bad bounds value {val!r}") from exc
     return out
 
 
@@ -182,7 +179,7 @@ def cmd_verify(args) -> int:
         return 0 if ok else 4
     suites = {**verify.SUITES, "all": verify.suite_all}
     if args.suite not in suites:
-        raise SchemaError(f"unknown suite {args.suite!r}; choose from {sorted(suites)}")
+        raise ValueError(f"unknown suite {args.suite!r}; choose from {sorted(suites)}")
     report = suites[args.suite](_parse_bounds(args.bounds), args.seed)
     print(report.to_text(), file=sys.stderr)
     _emit(report.to_dict())
@@ -197,7 +194,7 @@ def cmd_render(args) -> int:
     elif kind in ("fermionic_word", "bosonic_word"):
         print(documents.render_word(documents.parse_word(doc)))
     else:
-        raise SchemaError(f"cannot render document of kind {kind!r}")
+        raise ValueError(f"cannot render document of kind {kind!r}")
     return 0
 
 
@@ -270,14 +267,11 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"input error: cannot write to stdout: {exc}", file=sys.stderr)
         return 2
-    except SchemaError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     except (ShapeError, ChainError) as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, IndexError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+    except (ValueError, IndexError, MemoryError) as exc:  # a MemoryError from one huge allocation carries no message
+        print(f"input error: {str(exc) or 'too large to hold in memory'}", file=sys.stderr)
         return 2
 
 

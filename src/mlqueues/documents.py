@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import SchemaError
 from .mlq import MLQ, QUEUE_CLASSES
-from .words import BosonicWord, FermionicWord, Word, multiset_indicator
+from .words import BosonicWord, FermionicWord, Word, _ring_size, multiset_indicator
 
 
 def format_fraction(f: Fraction) -> str:
@@ -28,12 +27,12 @@ def parse_fraction(s) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad rational {s!r}") from exc
+        raise ValueError(f"bad rational {s!r}") from exc
 
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
-        raise SchemaError(msg)
+        raise ValueError(msg)
 
 
 def emit_queue(q: MLQ) -> dict:
@@ -44,14 +43,9 @@ def parse_queue(doc: dict) -> MLQ:
     _require(isinstance(doc, dict), "queue document must be an object")
     kind = doc.get("kind")
     _require(kind in ("fermionic", "bosonic"), f"bad queue kind {kind!r}")
-    n = doc.get("n")
-    _require(type(n) is int and n >= 1, "n must be a positive integer")
     rows = doc.get("rows")
-    _require(isinstance(rows, list) and rows and all(isinstance(r, list) for r in rows), "rows must be a nonempty list of lists")
-    try:
-        return QUEUE_CLASSES[kind](n, tuple(tuple(r) for r in rows))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    _require(isinstance(rows, list) and all(isinstance(r, list) for r in rows), "rows must be a nonempty list of lists")
+    return QUEUE_CLASSES[kind](doc.get("n"), tuple(tuple(r) for r in rows))
 
 
 def emit_word(w: Word) -> dict:
@@ -63,8 +57,7 @@ def emit_word(w: Word) -> dict:
 def parse_word(doc: dict) -> Word:
     _require(isinstance(doc, dict), "word document must be an object")
     kind = doc.get("kind")
-    n = doc.get("n")
-    _require(type(n) is int and n >= 1, "n must be a positive integer")
+    n = _ring_size(doc.get("n"))
     if kind == "fermionic_word":
         letters = doc.get("letters")
         _require(isinstance(letters, list) and len(letters) == n, "letters must be a list of length n")
@@ -75,11 +68,8 @@ def parse_word(doc: dict) -> Word:
                  "sites must be a list of n lists")
         cls, value = BosonicWord, tuple(tuple(s) for s in sites)
     else:
-        raise SchemaError(f"bad word kind {kind!r}")
-    try:
-        return cls(value)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+        raise ValueError(f"bad word kind {kind!r}")
+    return cls(value)
 
 
 def emit_distribution(model: str, lam, n: int, x, entries) -> dict:

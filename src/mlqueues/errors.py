@@ -1,8 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
 
-
-class SchemaError(ValueError):
-    """A document or CLI input failed validation."""
+Bad input raises ``ValueError`` (or ``IndexError`` for an index out of
+range); the two types here mark model errors, which ``mlq`` maps to exit 3.
+"""
 
 
 class ShapeError(ValueError):

@@ -33,7 +33,7 @@ from typing import Callable, Hashable, Sequence
 from .errors import ChainError, ShapeError
 from .mlq import MLQ, BosonicMLQ, FermionicMLQ, RateParams, _site_values, count_queues, enumerate_queues
 from .projection import fiber_law
-from .words import BosonicWord, FermionicWord, Word, _built, _ints, _site_counts, _wrap, indicator_multiset
+from .words import BosonicWord, FermionicWord, Word, _built, _ints, _ring_size, _site_counts, _wrap, indicator_multiset
 
 _ONE = Fraction(1)
 
@@ -115,8 +115,7 @@ def _content(lam: Sequence[int], n: int, kind: str) -> tuple[int, ...]:
     lam = tuple(sorted(_ints(lam, "content parts"), reverse=True))
     if not lam or lam[-1] < 1:
         raise ValueError("content partition must have positive parts")
-    if n < 1:
-        raise ValueError(f"ring size must be positive, got {n}")
+    _ring_size(n)
     if kind not in ("fermionic", "bosonic"):
         raise ValueError(f"unknown kind {kind!r}")
     if kind == "fermionic" and len(lam) > n:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import ClassVar, Iterator, Sequence
 
 from .pairing import _match
-from .words import _built, _ints, _site_counts, indicator_multiset, multiset_indicator
+from .words import _built, _ints, _ring_size, _site_counts, indicator_multiset, multiset_indicator
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,7 @@ class MLQ:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if type(self.n) is not int or self.n < 1:
-            raise ValueError("ring size must be a positive integer")
+        _ring_size(self.n)
         rows = tuple(tuple(sorted(_ints(r, "row sites"))) for r in self.rows)
         for r in rows:
             _site_counts(r, self.n, self.kind == "fermionic")
@@ -189,8 +188,7 @@ def colex_rows(n: int, size: int, kind: str) -> list[tuple[int, ...]]:
 def count_queues(alpha: Sequence[int], n: int, kind: str) -> int:
     """Closed-form size of the queue family of the given shape; the one check
     of a shape: it needs at least one row, each of a size the kind allows."""
-    if n < 1:
-        raise ValueError(f"ring size must be positive, got {n}")
+    _ring_size(n)
     if not alpha:
         raise ValueError("a queue needs at least one row")
     total = 1

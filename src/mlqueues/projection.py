@@ -184,9 +184,9 @@ def fiber_law(shape: Sequence[int], n: int, kind: str, x: RateParams | Sequence[
 def ferrari_martin(q: MLQ) -> Word:
     """Classic top-down label passing; defined only on straight queues.
 
-    Kept deliberately independent of :func:`apply_row`: labels are handed down
-    one class at a time against a shrinking pool of unclaimed particles, by
-    the public pairing map of the queue's kind.
+    Kept deliberately independent of the row operator :func:`_apply_row`:
+    labels are handed down one class at a time against a shrinking pool of
+    unclaimed particles, by the public pairing map of the queue's kind.
     """
     if not q.is_straight:
         raise ShapeError(f"label passing needs weakly decreasing row sizes, got {q.shape}")

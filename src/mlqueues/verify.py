@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import documents
-from .errors import SchemaError
 from .markov import (
     MODELS,
     RateParams,
@@ -116,7 +115,7 @@ def _field(ok: Callable[[object], bool], what: str, read: Callable = lambda valu
 
     def parse(name: str, value):
         if not ok(value):
-            raise SchemaError(f"witness field {name!r} must be {what}")
+            raise ValueError(f"witness field {name!r} must be {what}")
         return read(value)
 
     return parse
@@ -156,18 +155,18 @@ def _witness(kind: str, case: dict, **found) -> dict:
 
 def replay_witness(witness) -> bool:
     """Re-run the check a witness names on the case it records; True iff the
-    re-run returns an equal witness.  Raises :class:`SchemaError` for a witness
+    re-run returns an equal witness.  Raises ``ValueError`` for a witness
     that is not an object, names no registered kind, or lacks or mistypes a
     case field."""
     if not isinstance(witness, dict):
-        raise SchemaError("a witness must be a JSON object")
+        raise ValueError("a witness must be a JSON object")
     kind = witness.get("check")
     if not isinstance(kind, str) or kind not in CHECKS:
-        raise SchemaError(f"unknown witness kind {kind!r}; known kinds: {sorted(CHECKS)}")
+        raise ValueError(f"unknown witness kind {kind!r}; known kinds: {sorted(CHECKS)}")
     check = CHECKS[kind]
     missing = [name for name in check.fields if name not in witness]
     if missing:
-        raise SchemaError(f"{kind} witness lacks the fields {missing}")
+        raise ValueError(f"{kind} witness lacks the fields {missing}")
     case = {name: parse(name, witness[name]) for name, parse in check.fields.items()}
     return witness in json.loads(json.dumps(check.run(case)))
 

@@ -42,11 +42,17 @@ def _ints(values: Iterable, what: str) -> tuple[int, ...]:
     return out
 
 
-def _site_labels(n: int, particles: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """Per-site label lists of ``(site, label)`` particles on n sites, validated."""
+def _ring_size(n) -> int:
+    """``n``, once it is a positive plain ``int`` (no ``bool``, no ``float``):
+    the one check of a ring size."""
     if type(n) is not int or n < 1:
         raise ValueError("ring size must be a positive integer")
-    sites: list[list[int]] = [[] for _ in range(n)]
+    return n
+
+
+def _site_labels(n: int, particles: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Per-site label lists of ``(site, label)`` particles on n sites, validated."""
+    sites: list[list[int]] = [[] for _ in range(_ring_size(n))]
     for site, label in particles:
         if type(site) is not int or type(label) is not int:
             raise ValueError("particle sites and labels must be integers")

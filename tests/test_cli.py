@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mlqueues
-from mlqueues import ChainSpec, SchemaError, cli, documents, markov, verify
+from mlqueues import ChainSpec, cli, documents, markov, verify
 from mlqueues.cli import main
 
 from conftest import bq, bw, fq, fw
@@ -195,6 +195,11 @@ class TestStationaryCommand:
         assert out == ""
         assert "--x" in err
 
+    def test_empty_x_is_input_error(self, capsys):
+        # an empty --x is an empty rate, not an absent --x
+        code, out, err = run(capsys, "stationary", "--model", "tazrp", "--lambda", "2,1", "--n", "3", "--x", "")
+        assert (code, out, err) == (2, "", "input error: bad rational ''\n")
+
     def test_reducible_chain_is_model_error(self, capsys, monkeypatch):
         reducible = ChainSpec(("a", "b", "c"), ((0, 1, Fraction(1)), (1, 0, Fraction(1))))
         monkeypatch.setattr(markov, "_build_chain", lambda states, moves, x: reducible)
@@ -369,6 +374,13 @@ class TestRingCommand:
         code, out, err = run(capsys, "ring", "--in", path, "--site", "1", "--x", x, *reverse)
         assert (code, out) == (2, "")
         assert "--x" in err
+
+    @pytest.mark.parametrize("reverse", ((), ("--reverse",)))
+    def test_empty_x_on_a_bosonic_queue_is_input_error(self, tmp_path, capsys, reverse):
+        # an empty --x is an empty rate, not an absent --x
+        path = write_doc(tmp_path, SIX_QUEUE_DOC)
+        code, out, err = run(capsys, "ring", "--in", path, "--site", "1", "--x", "", *reverse)
+        assert (code, out, err) == (2, "", "input error: bad rational ''\n")
 
 
 @st.composite
@@ -831,6 +843,13 @@ class TestExitCodesAndSchema:
         assert (code, out) == (2, "")
         assert err.startswith("input error: ")
 
+    @pytest.mark.parametrize("argv", [("project",), ("ring", "--site", "1")], ids=["project", "ring"])
+    def test_ring_size_too_large_for_memory_is_input_error(self, tmp_path, capsys, argv):
+        # n = 2**62: the per-site count list is refused at its size check, before anything is allocated
+        path = write_doc(tmp_path, {"kind": "fermionic", "n": 2**62, "rows": [[1]]})
+        code, out, err = run(capsys, argv[0], "--in", path, *argv[1:])
+        assert (code, out, err) == (2, "", "input error: too large to hold in memory\n")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -870,5 +889,5 @@ class TestDocuments:
         with pytest.raises(Exception):
             documents.parse_fraction("1/0")
         for text in ("1e3", "2E-1", "1.5e2", 1e300):
-            with pytest.raises(SchemaError, match="bad rational"):
+            with pytest.raises(ValueError, match="bad rational"):
                 documents.parse_fraction(text)

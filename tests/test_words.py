@@ -5,9 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlqueues import BosonicWord, FermionicWord, indicator_multiset, multiset_indicator
+from mlqueues import (
+    BosonicMLQ,
+    BosonicWord,
+    FermionicWord,
+    count_queues,
+    count_states,
+    enumerate_queues,
+    enumerate_states,
+    indicator_multiset,
+    multiset_indicator,
+)
 
 from mlqueues.documents import emit_queue, emit_word, parse_queue, parse_word
+from mlqueues.projection import fiber_law
 from mlqueues.words import WORD_CLASSES, _site_counts
 
 from conftest import bw, fw, queues
@@ -190,6 +201,26 @@ class TestValidation:
         assert w.support() == (1, 3, 4)
         assert w.content() == (2, 3, 5)
         assert bw("13,2,-").content() == (1, 2, 3)
+
+    # every entry point that takes a ring size checks it through one words._ring_size
+    RING_SIZE_ENTRY_POINTS = {
+        "queue": lambda n: BosonicMLQ(n, ((1,),)),
+        "count_queues": lambda n: count_queues((1,), n, "fermionic"),
+        "enumerate_queues": lambda n: enumerate_queues((1,), n, "fermionic"),
+        "count_states": lambda n: count_states((1,), n, "fermionic"),
+        "enumerate_states": lambda n: enumerate_states((1,), n, "bosonic"),
+        "fiber_law": lambda n: fiber_law((1,), n, "fermionic"),
+        "from_particles": lambda n: FermionicWord.from_particles(n, ()),
+        "parse_queue": lambda n: parse_queue({"kind": "fermionic", "n": n, "rows": [[1]]}),
+        "parse_word": lambda n: parse_word({"kind": "fermionic_word", "n": n, "letters": [1]}),
+    }
+
+    @pytest.mark.parametrize("n", (True, 2.5, 0))
+    @pytest.mark.parametrize("entry", RING_SIZE_ENTRY_POINTS.values(), ids=RING_SIZE_ENTRY_POINTS)
+    def test_ring_size_must_be_a_positive_int(self, entry, n):
+        # a bool or float is no ring size, even where it compares as a positive number
+        with pytest.raises(ValueError, match="^ring size must be a positive integer$"):
+            entry(n)
 
 
 @st.composite
