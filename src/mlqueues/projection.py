@@ -83,8 +83,8 @@ def _apply_row(row: Iterable[int], fresh_label: int, word: Word, kind: str) -> W
         raise ValueError(f"a {kind} row operator got a {word.kind} word")
     fermionic = kind == "fermionic"
     counts = _site_counts(row, word.n, fermionic)
-    if fresh_label < 1:
-        raise ValueError("fresh label must be positive")
+    if type(fresh_label) is not int or fresh_label < 1:
+        raise ValueError("fresh label must be a positive integer")
     content = word.content()
     if content and fresh_label > content[0]:
         raise ValueError(f"fresh label {fresh_label} exceeds smallest word label {content[0]}")
@@ -242,15 +242,19 @@ def apply_row_particlewise(row: Iterable[int], fresh_label: int, word: Word, ord
     fermionic = word.kind == "fermionic"
     row = list(row)
     free = _site_counts(row, n, fermionic)  # row particles no word particle has taken yet
-    order = canonical_order(word) if order is None else tuple(order)
-    if not all(type(p) is tuple and len(p) == 2 and {int}.issuperset(map(type, p)) for p in order):
-        raise ValueError("order must list (site, label) pairs of integers")
-    if tuple(sorted(order)) != word.particles():
-        raise ValueError("order must list exactly the word's particles")
-    labs = [a for _, a in order]
-    if any(a < b for a, b in zip(labs, labs[1:])):
-        raise ValueError("order must have weakly decreasing labels")
-    if fresh_label < 1 or (labs and fresh_label > labs[-1]):
+    if type(fresh_label) is not int or fresh_label < 1:
+        raise ValueError("fresh label must be a positive integer")
+    if order is None:
+        order = canonical_order(word)
+    else:  # a caller's order; the canonical one holds by construction
+        order = tuple(order)
+        if not all(type(p) is tuple and len(p) == 2 and {int}.issuperset(map(type, p)) for p in order):
+            raise ValueError("order must list (site, label) pairs of integers")
+        if tuple(sorted(order)) != word.particles():
+            raise ValueError("order must list exactly the word's particles")
+        if any(a[1] < b[1] for a, b in zip(order, order[1:])):
+            raise ValueError("order must have weakly decreasing labels")
+    if order and fresh_label > order[-1][1]:
         raise ValueError("fresh label exceeds smallest word label")
 
     out: list[tuple[int, int]] = []

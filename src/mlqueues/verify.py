@@ -8,6 +8,14 @@ rebuilds the case from the witness alone and re-runs the same check.  A suite
 is a case generator plus its checks, run serially in case order: it exhausts
 the smallest nontrivial parameter box first, then samples larger instances
 from a seeded generator, so every report is deterministic given (bounds, seed).
+
+Two suites meet the same input many times: twists map the swept queue
+families onto each other, and many queues share a (row, fresh label, word)
+step of the particlewise replay.  Each call of ``suite_r_invariance`` and
+``suite_phi_equals_ctm`` therefore keeps one table (a dict) of the
+projections or default-order replays it has made, and drops it when the call
+returns; no table is kept between calls.  The registered checks, and so
+:func:`replay_witness`, start from an empty table on every case.
 """
 
 from __future__ import annotations
@@ -260,15 +268,53 @@ def _sweep_queues(bounds: dict, seed: int) -> list[MLQ]:
 # ---------------------------------------------------------------------------
 
 
+def _projected(q: MLQ, projections: dict) -> Word:
+    """``project(q)``, read from ``projections`` (queue -> word) once computed."""
+    if (word := projections.get(q)) is None:
+        word = projections[q] = project(q)
+    return word
+
+
+def _twist_invariance(case: dict, projections: dict) -> list:
+    q = case["queue"]
+    base = _projected(q, projections)
+    for i in range(1, q.k):
+        other = _projected(twist(q, i), projections)
+        if other != base:
+            return [_witness("twist-invariance", case, i=i, expected=base, got=other)]
+    return []
+
+
 @_check("twist-invariance", fields={"queue": _ANY_QUEUE})
 def check_twist_invariance(case: dict) -> list:
     """Projection is unchanged by every row twist; reports the first twist that changes it."""
+    return _twist_invariance(case, {})
+
+
+def _projection_routes(case: dict, replays: dict) -> list:
     q = case["queue"]
-    base = project(q)
+    trace = label_trace(q)
+    w = trace[0]
+    before = ctm_components(q)
+    ctm = WORD_CLASSES[q.kind].from_layers(sorted(before, key=sum, reverse=True), q.n)
+    if ctm != w:
+        return [_witness("fold-vs-ctm", case, fold=w, ctm=ctm)]
+    lam = tuple(sorted(q.shape, reverse=True))
+    sizes = [sum(layer) for layer in w.layers()[: q.k]]
+    sizes += [0] * (q.k - len(sizes))  # the layers above the largest label are empty
+    for j, (size, part) in enumerate(zip(sizes, lam), 1):
+        if size != part:
+            return [_witness("content-law", case, layer=j)]
+    if q.is_straight and ferrari_martin(q) != w:
+        return [_witness("fold-vs-label-passing", case)]
     for i in range(1, q.k):
-        other = project(twist(q, i))
-        if other != base:
-            return [_witness("twist-invariance", case, i=i, expected=base, got=other)]
+        after = ctm_components(twist(q, i))
+        perm = list(range(q.k))
+        perm[i - 1], perm[i] = perm[i], perm[i - 1]
+        if after != [before[p] for p in perm]:
+            return [_witness("component-swap", case, i=i)]
+    if _particlewise_mismatch(q, trace, case["all_orders"], case["order_seed"], replays):
+        return [_witness("particlewise", case)]
     return []
 
 
@@ -281,28 +327,7 @@ def check_projection_routes(case: dict) -> list:
     replay (every priority order if ``all_orders``, sampled from ``order_seed``
     when too many) agree, with the content law and the component swap under
     twists.  Reports the first disagreement."""
-    q = case["queue"]
-    trace = label_trace(q)
-    w = trace[0]
-    before = ctm_components(q)
-    ctm = WORD_CLASSES[q.kind].from_layers(sorted(before, key=sum, reverse=True), q.n)
-    if ctm != w:
-        return [_witness("fold-vs-ctm", case, fold=w, ctm=ctm)]
-    lam = tuple(sorted(q.shape, reverse=True))
-    for j in range(1, q.k + 1):
-        if sum(w.layer(j)) != lam[j - 1]:
-            return [_witness("content-law", case, layer=j)]
-    if q.is_straight and ferrari_martin(q) != w:
-        return [_witness("fold-vs-label-passing", case)]
-    for i in range(1, q.k):
-        after = ctm_components(twist(q, i))
-        perm = list(range(q.k))
-        perm[i - 1], perm[i] = perm[i], perm[i - 1]
-        if after != [before[p] for p in perm]:
-            return [_witness("component-swap", case, i=i)]
-    if _particlewise_mismatch(q, trace, case["all_orders"], case["order_seed"]):
-        return [_witness("particlewise", case)]
-    return []
+    return _projection_routes(case, {})
 
 
 def _priority_orders(word):
@@ -315,15 +340,18 @@ def _priority_orders(word):
         yield tuple(p for block in perms for p in block)
 
 
-def _particlewise_mismatch(q: MLQ, trace: list, all_orders: bool, order_seed: int) -> bool:
+def _particlewise_mismatch(q: MLQ, trace: list, all_orders: bool, order_seed: int, replays: dict) -> bool:
     """Replay the projection fold, ``trace`` = ``label_trace(q)``, with the
-    queueing formulation of the row op.  The rows whose orders are sampled
+    queueing formulation of the row op.  The default-order replays are read
+    from ``replays`` ((row, fresh label, word) -> word) once computed; the
+    other orders are replayed every time.  The rows whose orders are sampled
     share one ``random.Random(order_seed)``, built when the first needs it."""
     word = WORD_CLASSES[q.kind].from_particles(q.n, ())
     rng = None
     for j in range(q.k, 0, -1):
-        expected = trace[j - 1]
-        got = apply_row_particlewise(q.rows[j - 1], j, word)
+        row, expected = q.rows[j - 1], trace[j - 1]
+        if (got := replays.get((row, j, word))) is None:
+            got = replays[row, j, word] = apply_row_particlewise(row, j, word)
         if got != expected:
             return True
         if all_orders:
@@ -334,7 +362,7 @@ def _particlewise_mismatch(q: MLQ, trace: list, all_orders: bool, order_seed: in
                 rng = rng or random.Random(order_seed)
                 orders = _random_orders(word, rng, 50)
             for order in orders:
-                if apply_row_particlewise(q.rows[j - 1], j, word, order) != expected:
+                if apply_row_particlewise(row, j, word, order) != expected:
                     return True
         word = expected
     return False
@@ -356,23 +384,31 @@ def _random_orders(word, rng: random.Random, count: int):
 
 
 def suite_r_invariance(bounds: dict | None = None, seed: int = 0) -> SuiteReport:
-    """Projection is unchanged by every row twist."""
+    """Projection is unchanged by every row twist.  Twists map the swept
+    families onto each other, so each distinct queue is projected once per
+    call, through a table that lives only as long as the call."""
     b = _bounds(bounds)
-    cases = [{"queue": q} for q in _sweep_queues(b, seed)]
-    return _run("r-invariance", {"bounds": b, "seed": seed}, [(check_twist_invariance, cases)])
+    projections: dict = {}
+    check = replace(check_twist_invariance, run=lambda case: _twist_invariance(case, projections))
+    cases = ({"queue": q} for q in _sweep_queues(b, seed))
+    return _run("r-invariance", {"bounds": b, "seed": seed}, [(check, cases)])
 
 
 def suite_phi_equals_ctm(bounds: dict | None = None, seed: int = 0) -> SuiteReport:
     """All projection routes agree (:func:`check_projection_routes`); 60 seeded
-    cases replay the particles in every priority order."""
+    cases replay the particles in every priority order.  Each distinct
+    default-order replay is made once per call, through a table that lives
+    only as long as the call."""
     b = _bounds(bounds)
     queues = _sweep_queues(b, seed)
     order_sample = set(random.Random(seed + 1).sample(range(len(queues)), min(len(queues), 60)))
-    cases = [
+    replays: dict = {}
+    check = replace(check_projection_routes, run=lambda case: _projection_routes(case, replays))
+    cases = (
         {"queue": q, "all_orders": idx in order_sample, "order_seed": (seed + 1) * 1_000_003 + idx}
         for idx, q in enumerate(queues)
-    ]
-    return _run("projection-consistency", {"bounds": b, "seed": seed}, [(check_projection_routes, cases)])
+    )
+    return _run("projection-consistency", {"bounds": b, "seed": seed}, [(check, cases)])
 
 
 @_check(

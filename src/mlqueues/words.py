@@ -119,13 +119,19 @@ class Word:
 
     def layer(self, m: int) -> Indicator:
         """Per-site count of labels >= m (an indicator on a fermionic word)."""
-        if m < 1:
-            raise ValueError("layer index must be >= 1")
+        if type(m) is not int or m < 1:
+            raise ValueError(f"layer index m must be an integer >= 1, got {m!r}")
         return tuple(_site_counts([j for j, a in self.particles() if a >= m], self.n, False))
 
     def layers(self) -> list[Indicator]:
-        """Nested decomposition [layer(1), ..., layer(max_label)]."""
-        return [self.layer(m) for m in range(1, self.max_label + 1)]
+        """Nested decomposition [layer(1), ..., layer(max_label)], in one pass
+        over the particles: a label-a particle counts in layers 1..a."""
+        particles = self.particles()
+        stack = [[0] * self.n for _ in range(max([a for _, a in particles], default=0))]
+        for site, a in particles:
+            for layer in stack[:a]:
+                layer[site - 1] += 1
+        return [tuple(layer) for layer in stack]
 
     @classmethod
     def from_layers(cls, layers: Sequence[Indicator], n: int | None = None) -> Word:
@@ -150,8 +156,8 @@ class Word:
 
     def increment(self, j: int) -> Word:
         """Raise every label by j; empty sites stay empty."""
-        if j < 0:
-            raise ValueError("shift must be nonnegative")
+        if type(j) is not int or j < 0:
+            raise ValueError(f"shift j must be a nonnegative integer, got {j!r}")
         return self.from_particles(self.n, [(site, a + j) for site, a in self.particles()])
 
 

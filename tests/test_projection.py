@@ -80,6 +80,18 @@ class TestApplyRow:
         with pytest.raises(ValueError, match="site True"):
             apply_row_fermionic([True], 1, fw("00"))
 
+    @pytest.mark.parametrize("fresh", [True, 1.0, "1"], ids=["bool", "float", "str"])
+    @pytest.mark.parametrize(
+        "apply_row, word",
+        [(apply_row_fermionic, fw("20")), (apply_row_bosonic, bw("2,-")),
+         (apply_row_particlewise, fw("20")), (apply_row_particlewise, bw("2,-"))],
+        ids=["fermionic", "bosonic", "particlewise-fermionic", "particlewise-bosonic"],
+    )
+    def test_non_integer_fresh_label_rejected(self, apply_row, word, fresh):
+        # True used to run as label 1, 1.0 died in [row] * fresh, "1" in a comparison
+        with pytest.raises(ValueError, match="^fresh label must be a positive integer$"):
+            apply_row([1], fresh, word)
+
 
 class TestApplyRowFermionic:
     def test_ten_site_example(self):

@@ -371,3 +371,91 @@ def test_counterexample_witness_replays_under_its_fault_only(monkeypatch, tmp_pa
         assert (code, err.strip()) == (0, "witness reproduces")
     code, err = _replay_code(tmp_path, capsys, witness)
     assert (code, err.strip()) == (4, "witness does NOT reproduce")
+
+
+# ---------------------------------------------------------------------------
+# the per-call tables of the r-invariance and projection suites
+# ---------------------------------------------------------------------------
+
+# suite -> (suite function, witness kind whose registered check the suite runs)
+TABLED_SUITES = {
+    "r-invariance": (suite_r_invariance, "twist-invariance"),
+    "projection": (suite_phi_equals_ctm, "particlewise"),
+}
+
+
+def _recorded_cases(patch):
+    """Record the cases each suite run hands to ``verify._run``."""
+    cases, real = [], verify._run
+
+    def recording(suite, parameters, parts):
+        parts = [(check, list(batch)) for check, batch in parts]
+        cases.extend(case for _, batch in parts for case in batch)
+        return real(suite, parameters, parts)
+
+    patch.setattr(verify, "_run", recording)
+    return cases
+
+
+@pytest.mark.parametrize("fault", [None, "twist-invariance", "particlewise"])
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("suite", sorted(TABLED_SUITES))
+def test_tabled_suite_reports_what_its_check_finds_case_by_case(suite, seed, fault, monkeypatch):
+    run_suite, kind = TABLED_SUITES[suite]
+    with monkeypatch.context() as patch:
+        for name, make in (FAULTS[fault][1] if fault else {}).items():
+            patch.setattr(verify, name, make(getattr(verify, name)))
+        cases = _recorded_cases(patch)
+        report = run_suite(SMALL, seed)
+        table_free = [w for case in cases for w in verify.CHECKS[kind].run(case)]
+    assert report.cases == len(cases)
+    assert report.failures == table_free
+    if fault == kind:
+        assert report.failures  # the fault shows in the suite it targets
+
+
+def _counted(patch, name, calls):
+    """Record the positional arguments of every call of ``verify.<name>``."""
+    real = getattr(verify, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    patch.setattr(verify, name, counted)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_r_invariance_projects_each_distinct_queue_once_per_call(seed, monkeypatch):
+    runs = []
+    for _ in range(2):
+        with monkeypatch.context() as patch:
+            calls = []
+            _counted(patch, "project", calls)
+            cases = _recorded_cases(patch)
+            suite_r_invariance(SMALL, seed)
+        queues = {(case["queue"],) for case in cases}
+        queues |= {(verify.twist(q, i),) for (q,) in set(queues) for i in range(1, q.k)}
+        assert len(calls) == len(set(calls)) == len(queues) and set(calls) == queues
+        runs.append(len(calls))
+    assert runs[0] == runs[1] < sum(case["queue"].k for case in cases)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_projection_replays_each_distinct_step_once_per_call(seed, monkeypatch):
+    runs = []
+    for _ in range(2):
+        with monkeypatch.context() as patch:
+            calls = []
+            _counted(patch, "apply_row_particlewise", calls)
+            cases = _recorded_cases(patch)
+            suite_phi_equals_ctm(SMALL, seed)
+        calls = [args for args in calls if len(args) == 3]  # every other priority order is replayed each time
+        steps = set()
+        for case in cases:
+            q = case["queue"]
+            inputs = verify.label_trace(q)[1:] + [verify.WORD_CLASSES[q.kind].from_particles(q.n, ())]
+            steps |= {(q.rows[j - 1], j, inputs[j - 1]) for j in range(1, q.k + 1)}
+        assert len(calls) == len(set(calls)) == len(steps) and set(calls) == steps
+        runs.append(len(calls))
+    assert runs[0] == runs[1] < sum(case["queue"].k for case in cases)

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlqueues import (
@@ -79,6 +79,13 @@ class TestLayers:
         assert w.layer(3) == (2, 0, 2, 1)
         assert w.layer(4) == w.layer(5) == (0, 0, 1, 1)
         assert bw("-,-").layer(1) == (0, 0)
+
+    @pytest.mark.parametrize("m", [1.5, True, "1", None])
+    @pytest.mark.parametrize("w", [fw("201"), bw("2,-,1")], ids=["fermionic", "bosonic"])
+    def test_non_integer_layer_index_rejected(self, w, m):
+        # layer(1.5) used to return layer 2, and layer(True) layer 1
+        with pytest.raises(ValueError, match="layer index m must be an integer"):
+            w.layer(m)
 
     def test_layers_monotone(self):
         for w in (fw("3252035"), bw("233,-,2235,25")):
@@ -165,6 +172,13 @@ class TestIncrement:
         assert V.increment(1) == bw("-,35,224,-")
         assert V.increment(2) == bw("-,46,335,-")
 
+    @pytest.mark.parametrize("j", [1.5, True, "1", -1])
+    @pytest.mark.parametrize("w", [fw("201"), bw("2,-,1")], ids=["fermionic", "bosonic"])
+    def test_non_integer_or_negative_shift_rejected(self, w, j):
+        # increment(True) used to shift by 1, and increment(1.5) blamed the particles
+        with pytest.raises(ValueError, match="shift j must be a nonnegative integer"):
+            w.increment(j)
+
     @settings(max_examples=60, derandomize=True)
     @given(
         st.lists(st.integers(0, 6), min_size=1, max_size=8),
@@ -230,6 +244,15 @@ def words(draw):
         return FermionicWord(tuple(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))))
     sites = draw(st.lists(st.lists(st.integers(1, 5), max_size=3), min_size=n, max_size=n))
     return BosonicWord(tuple(map(tuple, sites)))
+
+
+class TestLayersInOnePass:
+    @settings(max_examples=200, derandomize=True)
+    @given(words())
+    @example(fw("000"))
+    @example(bw("-,-,-"))
+    def test_layers_are_the_layer_indicators(self, w):
+        assert w.layers() == [w.layer(m) for m in range(1, w.max_label + 1)]
 
 
 class TestParticles:
