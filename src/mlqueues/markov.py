@@ -102,7 +102,7 @@ class RationalDistribution:
 def conjugate(lam: Sequence[int]) -> tuple[int, ...]:
     """Conjugate partition (column lengths of the row diagram); every part
     must be positive."""
-    lam = sorted(lam, reverse=True)
+    lam = sorted(_ints(lam, "partition parts"), reverse=True)
     if not lam:
         return ()
     if lam[-1] < 1:
@@ -614,8 +614,10 @@ def simulate_ctmc(chain: ChainSpec, seed: int, jumps: int) -> dict:
     self-loops being rejected) spends all its time in its state; in a larger
     chain, reaching a state whose float exit rate is 0 (no outgoing
     transition, or rates that round to 0.0) raises :class:`ChainError`.
-    ``jumps`` below 1 raises ``ValueError``.
+    ``jumps`` below 1 or not a plain ``int`` raises ``ValueError``.
     """
+    if type(jumps) is not int:
+        raise ValueError(f"jumps must be an integer, got {jumps!r}")
     if jumps < 1:
         raise ValueError(f"jumps must be at least 1, got {jumps}")
     ns = len(chain.states)

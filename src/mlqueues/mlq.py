@@ -192,7 +192,7 @@ def count_queues(alpha: Sequence[int], n: int, kind: str) -> int:
     if not alpha:
         raise ValueError("a queue needs at least one row")
     total = 1
-    for a in alpha:
+    for a in _ints(alpha, "shape entries"):
         if a < 0:
             raise ValueError("shape entries must be nonnegative")
         if kind == "fermionic":

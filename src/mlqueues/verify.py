@@ -9,13 +9,13 @@ is a case generator plus its checks, run serially in case order: it exhausts
 the smallest nontrivial parameter box first, then samples larger instances
 from a seeded generator, so every report is deterministic given (bounds, seed).
 
-Two suites meet the same input many times: twists map the swept queue
-families onto each other, and many queues share a (row, fresh label, word)
-step of the particlewise replay.  Each call of ``suite_r_invariance`` and
-``suite_phi_equals_ctm`` therefore keeps one table (a dict) of the
-projections or default-order replays it has made, and drops it when the call
-returns; no table is kept between calls.  The registered checks, and so
-:func:`replay_witness`, start from an empty table on every case.
+Checks meet the same input many times: twists map the swept queue families
+onto each other, many queues share a (row, fresh label, word) step of the
+particlewise replay, and ringing maps queues onto each other.  So a check also
+takes a table, a dict of the projections, replays or search it has made.  Each
+suite call makes one table, shares it with every check it runs and drops it
+when it returns; no table is kept between calls.  :func:`replay_witness` runs
+its check on an empty table.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -44,13 +44,12 @@ from .markov import (
 from .mlq import MLQ, QUEUE_CLASSES, enumerate_queues, twist
 from .projection import (
     apply_row_particlewise,
-    canonical_order,
     ctm_components,
     ferrari_martin,
     label_trace,
     project,
 )
-from .words import WORD_CLASSES, Word, _wrap
+from .words import WORD_CLASSES, Word, _ints, _wrap
 
 
 def worker_count() -> int:
@@ -97,10 +96,12 @@ class SuiteReport:
 
 @dataclass(frozen=True)
 class Check:
-    """``run(case)`` returns the witnesses found on one case; ``fields`` maps each
-    case field to its witness parser; ``units(case)`` counts the report cases."""
+    """``run(case, table)`` returns the witnesses found on one case, reading and
+    filling ``table``, the one dict its suite call shares among every check it
+    runs (empty on a replay); ``fields`` maps each case field to its witness
+    parser; ``units(case)`` counts the report cases."""
 
-    run: Callable[[dict], list]
+    run: Callable[[dict, dict], list]
     fields: dict
     units: Callable[[dict], int]
 
@@ -176,17 +177,17 @@ def replay_witness(witness) -> bool:
     if missing:
         raise ValueError(f"{kind} witness lacks the fields {missing}")
     case = {name: parse(name, witness[name]) for name, parse in check.fields.items()}
-    return witness in json.loads(json.dumps(check.run(case)))
+    return witness in json.loads(json.dumps(check.run(case, {})))
 
 
-def _run(suite: str, parameters: dict, parts: Iterable[tuple[Check, Iterable[dict]]]) -> SuiteReport:
-    """Run each check over its cases, serially and in order."""
+def _run(suite: str, parameters: dict, parts: Iterable[tuple[Check, Iterable[dict]]], table: dict) -> SuiteReport:
+    """Run each check over its cases, serially and in order, all on one ``table``."""
     start = time.perf_counter()
     failures: list = []
     cases = 0
     for check, batch in parts:
         for case in batch:
-            failures.extend(check.run(case))
+            failures.extend(check.run(case, table))
             cases += check.units(case)
     return SuiteReport(suite, parameters, cases, failures, time.perf_counter() - start)
 
@@ -268,30 +269,34 @@ def _sweep_queues(bounds: dict, seed: int) -> list[MLQ]:
 # ---------------------------------------------------------------------------
 
 
-def _projected(q: MLQ, projections: dict) -> Word:
-    """``project(q)``, read from ``projections`` (queue -> word) once computed."""
-    if (word := projections.get(q)) is None:
-        word = projections[q] = project(q)
+def _projected(q: MLQ, table: dict) -> Word:
+    """``project(q)``, read from ``table`` (queue -> word) once computed."""
+    if (word := table.get(q)) is None:
+        word = table[q] = project(q)
     return word
 
 
-def _twist_invariance(case: dict, projections: dict) -> list:
+@_check("twist-invariance", fields={"queue": _ANY_QUEUE})
+def check_twist_invariance(case: dict, table: dict) -> list:
+    """Projection is unchanged by every row twist; reports the first twist that changes it."""
     q = case["queue"]
-    base = _projected(q, projections)
+    base = _projected(q, table)
     for i in range(1, q.k):
-        other = _projected(twist(q, i), projections)
+        other = _projected(twist(q, i), table)
         if other != base:
             return [_witness("twist-invariance", case, i=i, expected=base, got=other)]
     return []
 
 
-@_check("twist-invariance", fields={"queue": _ANY_QUEUE})
-def check_twist_invariance(case: dict) -> list:
-    """Projection is unchanged by every row twist; reports the first twist that changes it."""
-    return _twist_invariance(case, {})
-
-
-def _projection_routes(case: dict, replays: dict) -> list:
+@_check(
+    "fold-vs-ctm", "content-law", "fold-vs-label-passing", "component-swap", "particlewise",
+    fields={"queue": _ANY_QUEUE, "all_orders": _FLAG, "order_seed": _INT},
+)
+def check_projection_routes(case: dict, table: dict) -> list:
+    """Fold, corner transfer, label passing (straight queues) and particlewise
+    replay (every priority order if ``all_orders``, sampled from ``order_seed``
+    when too many) agree, with the content law and the component swap under
+    twists.  Reports the first disagreement."""
     q = case["queue"]
     trace = label_trace(q)
     w = trace[0]
@@ -313,45 +318,37 @@ def _projection_routes(case: dict, replays: dict) -> list:
         perm[i - 1], perm[i] = perm[i], perm[i - 1]
         if after != [before[p] for p in perm]:
             return [_witness("component-swap", case, i=i)]
-    if _particlewise_mismatch(q, trace, case["all_orders"], case["order_seed"], replays):
+    if _particlewise_mismatch(q, trace, case["all_orders"], case["order_seed"], table):
         return [_witness("particlewise", case)]
     return []
 
 
-@_check(
-    "fold-vs-ctm", "content-law", "fold-vs-label-passing", "component-swap", "particlewise",
-    fields={"queue": _ANY_QUEUE, "all_orders": _FLAG, "order_seed": _INT},
-)
-def check_projection_routes(case: dict) -> list:
-    """Fold, corner transfer, label passing (straight queues) and particlewise
-    replay (every priority order if ``all_orders``, sampled from ``order_seed``
-    when too many) agree, with the content law and the component swap under
-    twists.  Reports the first disagreement."""
-    return _projection_routes(case, {})
+def _label_classes(word) -> list:
+    """The word's particles grouped by label, labels descending, sites ascending in a group."""
+    by_label: dict = {}
+    for p in word.particles():
+        by_label.setdefault(p[1], []).append(p)
+    return [by_label[a] for a in sorted(by_label, reverse=True)]
 
 
 def _priority_orders(word):
     """Every order of the word's particles that takes larger labels first."""
-    by_label: dict = {}
-    for p in word.particles():
-        by_label.setdefault(p[1], []).append(p)
-    classes = [by_label[a] for a in sorted(by_label, reverse=True)]
-    for perms in itertools.product(*[itertools.permutations(c) for c in classes]):
+    for perms in itertools.product(*[itertools.permutations(c) for c in _label_classes(word)]):
         yield tuple(p for block in perms for p in block)
 
 
-def _particlewise_mismatch(q: MLQ, trace: list, all_orders: bool, order_seed: int, replays: dict) -> bool:
+def _particlewise_mismatch(q: MLQ, trace: list, all_orders: bool, order_seed: int, table: dict) -> bool:
     """Replay the projection fold, ``trace`` = ``label_trace(q)``, with the
     queueing formulation of the row op.  The default-order replays are read
-    from ``replays`` ((row, fresh label, word) -> word) once computed; the
+    from ``table`` ((row, fresh label, word) -> word) once computed; the
     other orders are replayed every time.  The rows whose orders are sampled
     share one ``random.Random(order_seed)``, built when the first needs it."""
     word = WORD_CLASSES[q.kind].from_particles(q.n, ())
     rng = None
     for j in range(q.k, 0, -1):
         row, expected = q.rows[j - 1], trace[j - 1]
-        if (got := replays.get((row, j, word))) is None:
-            got = replays[row, j, word] = apply_row_particlewise(row, j, word)
+        if (got := table.get((row, j, word))) is None:
+            got = table[row, j, word] = apply_row_particlewise(row, j, word)
         if got != expected:
             return True
         if all_orders:
@@ -369,46 +366,38 @@ def _particlewise_mismatch(q: MLQ, trace: list, all_orders: bool, order_seed: in
 
 
 def _random_orders(word, rng: random.Random, count: int):
-    base = canonical_order(word)
+    """``count`` priority orders, each shuffling a copy of every label class in turn."""
+    classes = _label_classes(word)
     for _ in range(count):
-        order = list(base)
-        # shuffle within equal-label runs
-        start = 0
-        for end in range(1, len(order) + 1):
-            if end == len(order) or order[end][1] != order[start][1]:
-                chunk = order[start:end]
-                rng.shuffle(chunk)
-                order[start:end] = chunk
-                start = end
+        order = []
+        for c in classes:
+            c = list(c)
+            rng.shuffle(c)
+            order += c
         yield tuple(order)
 
 
 def suite_r_invariance(bounds: dict | None = None, seed: int = 0) -> SuiteReport:
     """Projection is unchanged by every row twist.  Twists map the swept
     families onto each other, so each distinct queue is projected once per
-    call, through a table that lives only as long as the call."""
+    call."""
     b = _bounds(bounds)
-    projections: dict = {}
-    check = replace(check_twist_invariance, run=lambda case: _twist_invariance(case, projections))
     cases = ({"queue": q} for q in _sweep_queues(b, seed))
-    return _run("r-invariance", {"bounds": b, "seed": seed}, [(check, cases)])
+    return _run("r-invariance", {"bounds": b, "seed": seed}, [(check_twist_invariance, cases)], {})
 
 
 def suite_phi_equals_ctm(bounds: dict | None = None, seed: int = 0) -> SuiteReport:
     """All projection routes agree (:func:`check_projection_routes`); 60 seeded
     cases replay the particles in every priority order.  Each distinct
-    default-order replay is made once per call, through a table that lives
-    only as long as the call."""
+    default-order replay is made once per call."""
     b = _bounds(bounds)
     queues = _sweep_queues(b, seed)
     order_sample = set(random.Random(seed + 1).sample(range(len(queues)), min(len(queues), 60)))
-    replays: dict = {}
-    check = replace(check_projection_routes, run=lambda case: _projection_routes(case, replays))
     cases = (
         {"queue": q, "all_orders": idx in order_sample, "order_seed": (seed + 1) * 1_000_003 + idx}
         for idx, q in enumerate(queues)
     )
-    return _run("projection-consistency", {"bounds": b, "seed": seed}, [(check, cases)])
+    return _run("projection-consistency", {"bounds": b, "seed": seed}, [(check_projection_routes, cases)], {})
 
 
 @_check(
@@ -416,7 +405,7 @@ def suite_phi_equals_ctm(bounds: dict | None = None, seed: int = 0) -> SuiteRepo
     fields={"model": _MODEL, "lambda": _PARTS, "n": _INT, "x": _RATES_OR_NONE},
     units=lambda case: model_size(case["model"], case["lambda"], case["n"]),
 )
-def check_stationary_law(case: dict) -> list:
+def check_stationary_law(case: dict, table: dict) -> list:
     """The exact stationary law of the model's chain is the law its queues
     give; the case holds the ``mlq stationary`` arguments of the model."""
     model, lam, n, x = case["model"], case["lambda"], case["n"], case["x"]
@@ -436,7 +425,7 @@ def check_stationary_law(case: dict) -> list:
 def _law_suite(model: str, grid, parameters: dict) -> SuiteReport:
     """``model`` on each (queue shape, n, x) of ``grid``, on content conj(shape)."""
     cases = [{"model": model, "lambda": conjugate(shape), "n": n, "x": x} for shape, n, x in grid]
-    return _run(f"stationary-{model}", parameters, [(check_stationary_law, cases)])
+    return _run(f"stationary-{model}", parameters, [(check_stationary_law, cases)], {})
 
 
 TASEP_GRID = [((2, 1), 3), ((2, 1), 4), ((2, 1), 5), ((2, 2), 3), ((2, 2), 4), ((2, 2), 5),
@@ -460,7 +449,7 @@ def _suite_tazrp_grid(bounds: dict | None, seed: int) -> SuiteReport:
 
 
 @_check("ring-inverse", "ring-weight", fields={"queue": _ANY_QUEUE, "site": _INT})
-def check_ring_inverse(case: dict) -> list:
+def check_ring_inverse(case: dict, table: dict) -> list:
     """Forward and reverse ringing at a site are mutual inverses; on a bosonic
     queue, ringing moves one unit of weight from the entry site to the site
     after the exit."""
@@ -479,19 +468,19 @@ def check_ring_inverse(case: dict) -> list:
 
 
 @_check("chain-projection", fields={"queue": _ANY_QUEUE, "x": _RATES_OR_NONE})
-def check_chain_projection(case: dict) -> list:
+def check_chain_projection(case: dict, table: dict) -> list:
     """The ringing moves out of a queue that change its projection carry, summed
     per image word, the rates of the exclusion moves (fermionic, no ``x``) or the
     zero-range moves at ``x`` (bosonic) out of that projection."""
     q, x = case["queue"], case["x"]
-    tau = project(q)
+    tau = _projected(q, table)
     zr_rates: dict = {}
     for target, rate in tasep_transitions(tau) if q.kind == "fermionic" else tazrp_transitions(tau, x):
         zr_rates[target] = zr_rates.get(target, Fraction(0)) + rate
     mlq_rates: dict = {}
     for site in range(1, q.n + 1):
         img, _, rate = ring(q, site, x)
-        if img != q and (w := project(img)) != tau:
+        if img != q and (w := _projected(img, table)) != tau:
             mlq_rates[w] = mlq_rates.get(w, Fraction(0)) + rate
     if zr_rates != mlq_rates:
         zr, mlq = ({str(k): str(v) for k, v in rates.items()} for rates in (zr_rates, mlq_rates))
@@ -500,7 +489,7 @@ def check_chain_projection(case: dict) -> list:
 
 
 @_check("twist-forward-commute", "twist-reverse-commute", fields={"queue": _BOSONIC, "m": _INT, "site": _INT})
-def check_twist_commute(case: dict) -> list:
+def check_twist_commute(case: dict, table: dict) -> list:
     """Twisting rows m, m+1 commutes with forward and with reverse ringing."""
     d, m, i = case["queue"], case["m"], case["site"]
     td = twist(d, m)
@@ -515,36 +504,43 @@ def check_twist_commute(case: dict) -> list:
 def find_ringing_counterexample(max_n: int = 4, max_k: int = 4) -> dict | None:
     """The ``chain-projection`` witness of the first twisted fermionic queue
     whose ringing does not lump onto the exclusion process, or None."""
+    _ints((max_n, max_k), "the search box bounds")
+    table: dict = {}  # one table for the whole search
     for n in range(2, max_n + 1):
         for k in range(2, max_k + 1):
             for alpha in itertools.product(range(n + 1), repeat=k):
                 if all(a >= b for a, b in zip(alpha, alpha[1:])):
                     continue  # straight shapes project; skip
                 for q in enumerate_queues(alpha, n, "fermionic"):
-                    found = check_chain_projection.run({"queue": q, "x": None})
+                    found = check_chain_projection.run({"queue": q, "x": None}, table)
                     if found:
                         return found[0]
     return None
 
 
-def _search_witnesses(case: dict, counterexample: dict | None) -> list:
-    if counterexample is None:
-        return [_witness("ringing-counterexample", case, detail="no witness found in the search box")]
-    return []
+def _searched(case: dict, table: dict) -> dict | None:
+    """The search of the case's box, made once per table, keyed apart from every queue and replay."""
+    key = ("ringing-counterexample", case["max_n"], case["max_k"])
+    if key not in table:
+        table[key] = find_ringing_counterexample(case["max_n"], case["max_k"])
+    return table[key]
 
 
 @_check("ringing-counterexample", fields={"max_n": _INT, "max_k": _INT})
-def check_ringing_search(case: dict) -> list:
+def check_ringing_search(case: dict, table: dict) -> list:
     """The counterexample search finds a witness within ``max_n`` sites and ``max_k`` rows."""
-    return _search_witnesses(case, find_ringing_counterexample(case["max_n"], case["max_k"]))
+    if _searched(case, table) is None:
+        return [_witness("ringing-counterexample", case, detail="no witness found in the search box")]
+    return []
 
 
 def suite_ringing(bounds: dict | None = None, seed: int = 0) -> SuiteReport:
     """Ringing-path identities: inverses and weights, stationarity, projection,
     twist commutation, and the twisted-fermionic counterexample search."""
     _bounds(bounds)
+    table: dict = {}
     search = {"max_n": 4, "max_k": 4}
-    counterexample = find_ringing_counterexample(**search)  # one search serves the check and the parameters
+    counterexample = _searched(search, table)  # one search serves the check and the parameters
     rng = random.Random(seed)
     x = RateParams((Fraction(1), Fraction(2), Fraction(3)))
     fermionic = ((q, n) for lam in ((1,), (2, 1), (2, 2, 1)) for n in range(max(2, lam[0]), 5)
@@ -558,9 +554,9 @@ def suite_ringing(bounds: dict | None = None, seed: int = 0) -> SuiteReport:
                                   for d in enumerate_queues(alpha, 3, "bosonic"))),
         (check_twist_commute, ({"queue": d, "m": m, "site": i} for d in _exhaustive_queues("bosonic", 3, 3, 2)
                                for m in range(1, d.k) for i in range(1, d.n + 1))),
-        (replace(check_ringing_search, run=lambda case: _search_witnesses(case, counterexample)), [search]),
+        (check_ringing_search, [search]),
     ]
-    return _run("ringing", {"seed": seed, "counterexample": counterexample}, parts)
+    return _run("ringing", {"seed": seed, "counterexample": counterexample}, parts, table)
 
 
 # name -> suite(bounds, seed), in the order suite_all runs them

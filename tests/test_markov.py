@@ -115,6 +115,12 @@ class TestStateSpaces:
         assert conjugate((2, 1, 1)) == (3, 1)
         assert conjugate(()) == ()
 
+    @pytest.mark.parametrize("lam", [(True,), (1.5,)], ids=["bool", "float"])
+    def test_conjugate_rejects_non_integer_parts(self, lam):
+        # (True,) used to give (1,), (1.5,) a TypeError
+        with pytest.raises(ValueError, match="^partition parts must be integers$"):
+            conjugate(lam)
+
 
 class TestTransitions:
     def test_tasep_rule(self):
@@ -609,6 +615,12 @@ class TestSimulation:
         chain = ChainSpec(("a", "b"), ((0, 1, rates[0]), (1, 0, rates[1])))
         with pytest.raises(ChainError, match="absorbing state reached: " + repr("ab"[start])):
             simulate_ctmc(chain, seed=0, jumps=100)
+
+    @pytest.mark.parametrize("jumps", [True, 2.5, 3.0], ids=["bool", "2.5", "3.0"])
+    def test_non_integer_jumps_rejected(self, jumps):
+        # True used to run one jump, 2.5 to die with TypeError in range
+        with pytest.raises(ValueError, match="^jumps must be an integer"):
+            simulate_ctmc(model_chain("tasep", (2, 1), 3), seed=0, jumps=jumps)
 
     def test_symmetric_two_state(self):
         chain = ChainSpec(("a", "b"), ((0, 1, Fraction(1)), (1, 0, Fraction(1))))

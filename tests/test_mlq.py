@@ -168,6 +168,14 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(enumerate_queues((5,), 4, "fermionic"))
 
+    @pytest.mark.parametrize("alpha", [(True,), (1.5,), (2, 1.0)], ids=["bool", "1.5", "float-entry"])
+    def test_non_integer_shape_entries_rejected(self, alpha):
+        # (True,) used to count and enumerate as (1,); a float died with TypeError in math.comb
+        with pytest.raises(ValueError, match="^shape entries must be integers$"):
+            count_queues(alpha, 3, "fermionic")
+        with pytest.raises(ValueError, match="^shape entries must be integers$"):
+            enumerate_queues(alpha, 3, "bosonic")
+
     def test_shape_checked_on_the_call(self):
         for alpha, n, kind in (((5,), 4, "fermionic"), ((), 3, "fermionic"), ((1,), 3, "mixed"), ((1,), 0, "bosonic")):
             with pytest.raises(ValueError):

@@ -565,7 +565,8 @@ class TestFiberLaw:
     @pytest.mark.parametrize(
         "shape, n, kind, x",
         [((2, 1), 3, "fermionic", (1, 2)), ((4,), 3, "fermionic", None), ((), 3, "fermionic", None),
-         ((2, -1), 3, "bosonic", None), ((2, 1), 0, "bosonic", None), ((2, 1), 3, "other", None)],
+         ((2, -1), 3, "bosonic", None), ((2, 1), 0, "bosonic", None), ((2, 1), 3, "other", None),
+         ((True,), 2, "fermionic", None), ((1.0,), 2, "fermionic", None)],
     )
     def test_bad_family_rejected(self, shape, n, kind, x):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import inspect
 import json
 from fractions import Fraction
 
@@ -139,6 +140,12 @@ class TestWitnesses:
             "mlq": {"1 0 2": "1"},
         }
 
+    @pytest.mark.parametrize("box", [(2.5, 3), (True, 4), (4, 4.0)], ids=["float", "bool", "float-k"])
+    def test_counterexample_search_box_must_be_ints(self, box):
+        # (2.5, 3) used to die with TypeError in range, (True, 4) to search nothing and return None
+        with pytest.raises(ValueError, match="^the search box bounds must be integers$"):
+            find_ringing_counterexample(*box)
+
     def test_fabricated_witness_does_not_reproduce(self):
         fake = {
             "check": "twist-invariance",
@@ -159,12 +166,12 @@ class TestChainProjection:
     @pytest.mark.parametrize("alpha, n", [((2, 1), 3), ((2, 1), 4), ((2, 2, 1), 4), ((3, 2, 1), 4)])
     def test_straight_fermionic_ringing_lumps_onto_the_exclusion_process(self, alpha, n):
         for q in enumerate_queues(alpha, n, "fermionic"):
-            assert verify.check_chain_projection.run({"queue": q, "x": None}) == []
+            assert verify.check_chain_projection.run({"queue": q, "x": None}, {}) == []
 
     def test_fermionic_queue_takes_no_rates(self):
         q = FermionicMLQ(3, ((1,), (2,)))
         with pytest.raises(ValueError, match="fermionic ringing takes no site rates"):
-            verify.check_chain_projection.run({"queue": q, "x": RateParams.ones(3)})
+            verify.check_chain_projection.run({"queue": q, "x": RateParams.ones(3)}, {})
 
 
 def _rates(*xs):
@@ -189,12 +196,12 @@ class TestStationaryLaw:
 
     @pytest.mark.parametrize("model, lam, n, x", CASES)
     def test_queue_law_is_the_stationary_law(self, model, lam, n, x):
-        assert verify.check_stationary_law.run({"model": model, "lambda": lam, "n": n, "x": x}) == []
+        assert verify.check_stationary_law.run({"model": model, "lambda": lam, "n": n, "x": x}, {}) == []
 
     def test_ktazrp_disagreement_is_reported_and_replays(self, tmp_path, capsys):
         # the block-hopping chain is not the process the unit-weight bosonic fibers describe
         case = {"model": "ktazrp", "lambda": (2, 2, 1), "n": 4, "x": None}
-        witnesses = verify.check_stationary_law.run(case)
+        witnesses = verify.check_stationary_law.run(case, {})
         assert verify.check_stationary_law.units(case) == count_states((2, 2, 1), 4, "bosonic") == 40
         assert [w["check"] for w in witnesses] == ["law-mismatch"] * 32
         for witness in witnesses:
@@ -216,7 +223,7 @@ class TestStationaryLaw:
     )
     def test_rates_must_fit_the_model(self, model, lam, n, x):
         with pytest.raises(ValueError):
-            verify.check_stationary_law.run({"model": model, "lambda": lam, "n": n, "x": x})
+            verify.check_stationary_law.run({"model": model, "lambda": lam, "n": n, "x": x}, {})
 
 
 def test_suite_all_smoke():
@@ -343,6 +350,9 @@ def test_every_witness_kind_is_registered():
     assert set(verify.CHECKS) == set(FAULTS)
     assert len(verify.CHECKS) == 14
     assert len({check.run for check in verify.CHECKS.values()}) == 7
+    # one way to run a check: every registered body takes the case and its suite call's table
+    for check in verify.CHECKS.values():
+        assert list(inspect.signature(check.run).parameters) == ["case", "table"]
 
 
 @pytest.mark.parametrize("case", sorted(FAULT_CASES))
@@ -374,30 +384,31 @@ def test_counterexample_witness_replays_under_its_fault_only(monkeypatch, tmp_pa
 
 
 # ---------------------------------------------------------------------------
-# the per-call tables of the r-invariance and projection suites
+# the per-call tables of the suites
 # ---------------------------------------------------------------------------
 
-# suite -> (suite function, witness kind whose registered check the suite runs)
+# suite -> (suite function, witness kind of a check the suite runs on its table)
 TABLED_SUITES = {
     "r-invariance": (suite_r_invariance, "twist-invariance"),
     "projection": (suite_phi_equals_ctm, "particlewise"),
+    "ringing": (suite_ringing, "chain-projection"),
 }
 
 
 def _recorded_cases(patch):
-    """Record the cases each suite run hands to ``verify._run``."""
+    """Record the (check, case) pairs each suite run hands to ``verify._run``."""
     cases, real = [], verify._run
 
-    def recording(suite, parameters, parts):
+    def recording(suite, parameters, parts, table):
         parts = [(check, list(batch)) for check, batch in parts]
-        cases.extend(case for _, batch in parts for case in batch)
-        return real(suite, parameters, parts)
+        cases.extend((check, case) for check, batch in parts for case in batch)
+        return real(suite, parameters, parts, table)
 
     patch.setattr(verify, "_run", recording)
     return cases
 
 
-@pytest.mark.parametrize("fault", [None, "twist-invariance", "particlewise"])
+@pytest.mark.parametrize("fault", [None, "twist-invariance", "particlewise", "chain-projection"])
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("suite", sorted(TABLED_SUITES))
 def test_tabled_suite_reports_what_its_check_finds_case_by_case(suite, seed, fault, monkeypatch):
@@ -407,8 +418,8 @@ def test_tabled_suite_reports_what_its_check_finds_case_by_case(suite, seed, fau
             patch.setattr(verify, name, make(getattr(verify, name)))
         cases = _recorded_cases(patch)
         report = run_suite(SMALL, seed)
-        table_free = [w for case in cases for w in verify.CHECKS[kind].run(case)]
-    assert report.cases == len(cases)
+        table_free = [w for check, case in cases for w in check.run(case, {})]
+    assert report.cases == sum(check.units(case) for check, case in cases)
     assert report.failures == table_free
     if fault == kind:
         assert report.failures  # the fault shows in the suite it targets
@@ -434,11 +445,25 @@ def test_r_invariance_projects_each_distinct_queue_once_per_call(seed, monkeypat
             _counted(patch, "project", calls)
             cases = _recorded_cases(patch)
             suite_r_invariance(SMALL, seed)
-        queues = {(case["queue"],) for case in cases}
+        queues = {(case["queue"],) for _, case in cases}
         queues |= {(verify.twist(q, i),) for (q,) in set(queues) for i in range(1, q.k)}
         assert len(calls) == len(set(calls)) == len(queues) and set(calls) == queues
         runs.append(len(calls))
-    assert runs[0] == runs[1] < sum(case["queue"].k for case in cases)
+    assert runs[0] == runs[1] < sum(case["queue"].k for _, case in cases)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_ringing_projects_each_distinct_queue_once_per_call(seed, monkeypatch):
+    # the chain-projection checks of the suite share its table, and the search keeps its own
+    runs = []
+    for _ in range(2):
+        with monkeypatch.context() as patch:
+            calls = []
+            _counted(patch, "project", calls)
+            suite_ringing(None, seed)
+        assert len(calls) == len(set(calls))
+        runs.append(len(calls))
+    assert runs == [375, 375]
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -452,10 +477,10 @@ def test_projection_replays_each_distinct_step_once_per_call(seed, monkeypatch):
             suite_phi_equals_ctm(SMALL, seed)
         calls = [args for args in calls if len(args) == 3]  # every other priority order is replayed each time
         steps = set()
-        for case in cases:
+        for _, case in cases:
             q = case["queue"]
             inputs = verify.label_trace(q)[1:] + [verify.WORD_CLASSES[q.kind].from_particles(q.n, ())]
             steps |= {(q.rows[j - 1], j, inputs[j - 1]) for j in range(1, q.k + 1)}
         assert len(calls) == len(set(calls)) == len(steps) and set(calls) == steps
         runs.append(len(calls))
-    assert runs[0] == runs[1] < sum(case["queue"].k for case in cases)
+    assert runs[0] == runs[1] < sum(case["queue"].k for _, case in cases)
