@@ -1,8 +1,9 @@
-"""Command-line interface.
+"""Command-line interface: each command reads its arguments, runs the library
+and prints what :mod:`documents` lays out (the law of ``mlq stationary`` too).
 
 Exit codes: 0 success, 2 input error (a failed write to stdout, or an input
 too large for memory, too), 3 model error (reducible chain, absorbing state,
-bad shape), 4 verification failure.
+bad shape, an exit rate past the float range of ``--method mc``), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import documents, verify
 from .errors import ChainError, ShapeError
@@ -93,34 +93,18 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_stationary(args) -> int:
-    model = MODELS[args.model]
-    if args.x is not None and not model.rates:
+    rates = MODELS[args.model].rates
+    if args.x is not None and not rates:
         raise ValueError(f"--x does not apply to {args.model}, whose rates are all 1")
-    lam = _parse_int_list(args.lam)
-    n = args.n
-    x = _parse_x(args.x, n) if model.rates else None
-
+    lam, n = _parse_int_list(args.lam), args.n
+    x = _parse_x(args.x, n) if rates else None
     if args.method == "mlq":
-        probs = queue_law(args.model, lam, n, x)
+        law = queue_law(args.model, lam, n, x)
+    elif args.method == "exact":
+        law = stationary_exact(model_chain(args.model, lam, n, x)).probs
     else:
-        chain = model_chain(args.model, lam, n, x)
-        if args.method == "exact":
-            dist = stationary_exact(chain)
-            probs = {s: dist[s] for s in chain.states}
-        else:
-            # estimates: each frequency prints as the float nearest its exact share of their sum
-            freqs = simulate_ctmc(chain, args.seed, args.jumps)
-            total = sum(map(Fraction, freqs.values()))
-            probs = {s: float(Fraction(v) / total) for s, v in freqs.items()}
-
-    if model.ringing:  # queue states in state order, with their weights
-        entries = [(s, p, s.weight()) for s, p in probs.items()]
-    else:
-        entries = [(s, p, None) for s, p in sorted(probs.items(), key=lambda kv: str(kv[0]))]
-    doc = documents.emit_distribution(args.model, lam, n, x, entries)
-    if args.method == "mc":
-        doc["estimate"] = True
-    _emit(doc)
+        law = simulate_ctmc(model_chain(args.model, lam, n, x), args.seed, args.jumps)
+    _emit(documents.emit_distribution(args.model, lam, n, x, law))
     return 0
 
 

@@ -4,7 +4,8 @@ Queues and words round-trip losslessly through small JSON objects; rationals
 serialize as "p/q" strings in lowest terms (a bare integer or decimal is
 accepted on input, exponent notation is not).  Diagrams print the top row
 first; bosonic multiplicities appear as digit counts, and a diagram holds at
-most ``MAX_DIAGRAM_CELLS`` cells (lines times sites).
+most ``MAX_DIAGRAM_CELLS`` cells (lines times sites).  The law document of
+``mlq stationary`` has one writer, :func:`emit_distribution`, given the law.
 """
 
 from __future__ import annotations
@@ -72,25 +73,36 @@ def parse_word(doc: dict) -> Word:
     return cls(value)
 
 
-def emit_distribution(model: str, lam, n: int, x, entries) -> dict:
-    """entries: iterable of (state word or queue, probability, weight exponents
-    or None); an exact probability prints as "p/q", a float estimate as is."""
-    out_entries = []
-    for state, prob, weight in entries:
+def emit_distribution(model: str, lam, n: int, x, law: dict) -> dict:
+    """The ``mlq stationary`` document of ``law``, a {state: probability} dict.
+    Queue states keep the law's order and carry their ``weight()`` exponents;
+    word states are sorted by printed form.  Exact probabilities print as
+    "p/q"; float frequencies (an estimate) as the float nearest their exact
+    share of the sum, on a document marked ``"estimate": true``."""
+    first = next(iter(law), None)
+    queues = isinstance(first, MLQ)
+    items = law.items() if queues else sorted(law.items(), key=lambda kv: str(kv[0]))
+    estimate = type(law.get(first)) is float
+    total = sum(map(Fraction, law.values())) if estimate else None
+    entries = []
+    for state, prob in items:
         e = {
-            "state": emit_queue(state) if isinstance(state, MLQ) else emit_word(state),
-            "prob": prob if type(prob) is float else format_fraction(prob),
+            "state": emit_queue(state) if queues else emit_word(state),
+            "prob": float(Fraction(prob) / total) if estimate else format_fraction(prob),
         }
-        if weight is not None:
-            e["weight"] = list(weight)
-        out_entries.append(e)
-    return {
+        if queues:
+            e["weight"] = list(state.weight())
+        entries.append(e)
+    doc = {
         "model": model,
         "lambda": list(lam),
         "n": n,
         "x": None if x is None else [format_fraction(v) for v in x],
-        "entries": out_entries,
+        "entries": entries,
     }
+    if estimate:
+        doc["estimate"] = True
+    return doc
 
 
 # ---------------------------------------------------------------------------

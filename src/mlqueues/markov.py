@@ -33,7 +33,7 @@ from typing import Callable, Hashable, Sequence
 from .errors import ChainError, ShapeError
 from .mlq import MLQ, BosonicMLQ, FermionicMLQ, RateParams, _site_values, count_queues, enumerate_queues
 from .projection import fiber_law
-from .words import BosonicWord, FermionicWord, Word, _built, _ints, _ring_size, _site_counts, _wrap, indicator_multiset
+from .words import BosonicWord, FermionicWord, Word, _built, _ints, _ring_size, _wrap
 
 _ONE = Fraction(1)
 
@@ -260,8 +260,8 @@ def certify_stationary(chain: ChainSpec, probs: Sequence) -> bool:
     """Whether ``probs`` (indexed like ``chain.states``) is strictly positive,
     sums to exactly 1 and balances the flux out of and into every state.  On an
     irreducible chain, whose stationary law is unique, a vector that passes
-    *is* that law."""
-    if any(p <= 0 for p in probs) or sum(probs) != 1:
+    *is* that law; a vector of any other length than the states fails."""
+    if len(probs) != len(chain.states) or any(p <= 0 for p in probs) or sum(probs) != 1:
         return False
     out_flux, in_flux = chain.flux(probs)
     return out_flux == in_flux
@@ -398,6 +398,13 @@ def _ring_site(q: MLQ, kind: str, i: int) -> None:
         raise IndexError(f"site {i} outside 1..{q.n}")
 
 
+def _hop(row: tuple[int, ...], src: int, dst: int) -> tuple[int, ...]:
+    """The ascending site tuple ``row`` with one particle moved from site
+    ``src`` to site ``dst``: the one particle move of every ringing map."""
+    k = row.index(src)
+    return tuple(sorted(row[:k] + (dst,) + row[k + 1 :]))
+
+
 def ring_forward(q: FermionicMLQ, i: int) -> tuple[FermionicMLQ, int]:
     """Forward ringing transition of a fermionic queue at site i, rate 1.
 
@@ -413,7 +420,7 @@ def ring_forward(q: FermionicMLQ, i: int) -> tuple[FermionicMLQ, int]:
         if a not in row:
             a = _wrap(a + 1, n)
         elif (left := _wrap(a - 1, n)) not in row:
-            row = tuple(sorted(left if s == a else s for s in row))
+            row = _hop(row, a, left)
         new_rows.append(row)
     return _built(FermionicMLQ, n=n, rows=tuple(new_rows)), a
 
@@ -430,20 +437,12 @@ def ring_reverse(q: FermionicMLQ, i: int) -> tuple[FermionicMLQ, int]:
         if left not in row:
             c = left
         elif c not in row:
-            new_rows[j] = tuple(sorted(c if s == left else s for s in row))
+            new_rows[j] = _hop(row, left, c)
     return _built(FermionicMLQ, n=n, rows=tuple(new_rows)), c
 
 
 def _column_empty(q: BosonicMLQ, i: int) -> bool:
     return all(i not in row for row in q.rows)
-
-
-def _hop(row: tuple[int, ...], src: int, dst: int, n: int) -> tuple[int, ...]:
-    """``row`` with one particle moved from site ``src`` to site ``dst``."""
-    counts = _site_counts(row, n, False)
-    counts[src - 1] -= 1
-    counts[dst - 1] += 1
-    return indicator_multiset(counts)
 
 
 def ring_forward_bosonic(d: BosonicMLQ, i: int, x: RateParams | None = None) -> tuple[BosonicMLQ, int, Fraction]:
@@ -461,7 +460,7 @@ def ring_forward_bosonic(d: BosonicMLQ, i: int, x: RateParams | None = None) -> 
     new_rows = []
     for row in d.rows:
         if a in row:
-            row = _hop(row, a, _wrap(a + 1, n), n)
+            row = _hop(row, a, _wrap(a + 1, n))
             a = _wrap(a + 1, n)
         new_rows.append(row)
     rate = _ONE if x is None or _column_empty(d, i) else _ONE / x[i]
@@ -486,7 +485,7 @@ def ring_reverse_bosonic(d: BosonicMLQ, i: int, x: RateParams | None = None) -> 
     new_rows = []
     for row, dst in zip(d.rows, b[1:]):
         src = _wrap(dst + 1, n)
-        new_rows.append(_hop(row, src, dst, n) if src in row else row)
+        new_rows.append(_hop(row, src, dst) if src in row else row)
     nxt = _wrap(i + 1, n)
     rate = _ONE if x is None or _column_empty(d, nxt) else _ONE / x[nxt]
     return _built(BosonicMLQ, n=n, rows=tuple(new_rows)), _wrap(b[0] + 1, n), rate
@@ -613,7 +612,10 @@ def simulate_ctmc(chain: ChainSpec, seed: int, jumps: int) -> dict:
     reproducible for a fixed seed.  A one-state chain (it has no transitions,
     self-loops being rejected) spends all its time in its state; in a larger
     chain, reaching a state whose float exit rate is 0 (no outgoing
-    transition, or rates that round to 0.0) raises :class:`ChainError`.
+    transition, or rates that round to 0.0) raises :class:`ChainError`, and
+    so does any state whose float exit rate overflows (a rate, or their sum,
+    past about 1.8e308), before the first jump.  An empty chain raises
+    :class:`ChainError`.
     ``jumps`` below 1 or not a plain ``int`` raises ``ValueError``.
     """
     if type(jumps) is not int:
@@ -628,13 +630,19 @@ def simulate_ctmc(chain: ChainSpec, seed: int, jumps: int) -> dict:
     rates: list[list[float]] = [[] for _ in range(ns)]
     targets: list[list[int]] = [[] for _ in range(ns)]
     for src, dst, rate in chain.transitions:
-        rates[src].append(float(rate))
+        try:
+            rates[src].append(float(rate))
+        except OverflowError:  # past the float range: refused with its exit rate below
+            rates[src].append(math.inf)
         targets[src].append(dst)
     # per state: the exit rate, the running totals and the targets.  The exit
     # rate comes from sum(), which may round differently from the running
     # total (compensated on newer Pythons); a draw past the running total
     # lands on the last target, repeated once at the end
     moves = [(sum(r), list(itertools.accumulate(r)), t + t[-1:]) for r, t in zip(rates, targets)]
+    for s, (total, _, _) in zip(chain.states, moves):
+        if total == math.inf:  # its holding time would read 0
+            raise ChainError(f"exit rate beyond the float range: {s!r}")
     draw = random.Random(seed).random
     log = math.log
     occupation = [0.0] * ns

@@ -28,6 +28,11 @@ SIX_QUEUE_DOC = {
 }
 
 
+# 10^-401 and 10^-308 as plain decimals: the rates 1/x are past, and at, the float range
+TINY_401 = "0." + "0" * 400 + "1"
+TINY_308 = "0." + "0" * 307 + "1"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -81,6 +86,21 @@ class TestProjectCommand:
         assert code == 0
         assert json.loads(out)["letters"] == [0, 1, 0]
 
+    def test_routes_that_disagree_exit_4(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "ctm_project", lambda q: fw("000000"))
+        code, out, err = run(capsys, "project", "--in", write_doc(tmp_path, EX_QUEUE_DOC))
+        assert (code, err) == (4, "projection routes disagree\n")
+        doc = json.loads(out)
+        assert doc["label"]["letters"] == [3, 3, 0, 4, 2, 0]
+        assert doc["ctm"]["letters"] == [0] * 6
+
+
+def _row_swap(q, i):
+    """Rows i and i+1 of ``q`` exchanged as they stand: an involution that keeps the braid relation."""
+    rows = list(q.rows)
+    rows[i - 1], rows[i] = rows[i], rows[i - 1]
+    return type(q)(q.n, tuple(rows))
+
 
 class TestSigmaCommand:
     def test_example(self, tmp_path, capsys):
@@ -103,6 +123,20 @@ class TestSigmaCommand:
         doc = {"kind": "fermionic", "n": 3, "rows": [[1]]}
         code, _, err = run(capsys, "sigma", "--in", write_doc(tmp_path, doc), "--i", "1")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "fake_twist, message",
+        [
+            (lambda q, i: fq(6, (1,), (2,), (3,)), "twist is not an involution here"),
+            (lambda q, i: q if i == 1 else _row_swap(q, i), "braid relation failed here"),
+        ],
+        ids=["involution", "braid"],
+    )
+    def test_failed_relation_exits_4(self, tmp_path, capsys, monkeypatch, fake_twist, message):
+        doc = {"kind": "fermionic", "n": 6, "rows": [[1, 2, 4], [1, 3, 5, 6], [2, 3]]}
+        monkeypatch.setattr(cli, "twist", fake_twist)
+        code, out, err = run(capsys, "sigma", "--in", write_doc(tmp_path, doc), "--i", "1", "--check-braid")
+        assert (code, out, err) == (4, "", message + "\n")
 
 
 class TestStationaryCommand:
@@ -162,6 +196,24 @@ class TestStationaryCommand:
             assert (code, err) == (0, "")
             laws[method] = [(e["state"], Fraction(e["prob"])) for e in json.loads(out)["entries"]]
         assert laws["mc"] == laws["exact"] == [(laws["exact"][0][0], 1)]
+
+    @pytest.mark.parametrize(
+        "model, lam, n, x",
+        [
+            ("tazrp", "2,1", "3", [TINY_401, "1", "1"]),  # 1/x_1 has no float: used to be an OverflowError traceback
+            ("tazrp", "1,1", "2", [TINY_308, TINY_308]),  # 1e308 + 1e308 is inf: used to print 0.0038, 0.0, 0.9962
+            ("mlq-bosonic", "2,1", "3", [TINY_401, "1", "1"]),
+            ("mlq-bosonic", "1,1", "2", [TINY_308, TINY_308]),  # used to print 1.0, 0.0, 0.0, 0.0 for a uniform law
+        ],
+        ids=["tazrp-rate", "tazrp-sum", "mlq-bosonic-rate", "mlq-bosonic-sum"],
+    )
+    def test_mc_exit_rate_past_the_float_range_is_model_error(self, capsys, model, lam, n, x):
+        argv = ("stationary", "--model", model, "--lambda", lam, "--n", n, "--x", ",".join(x))
+        code, out, err = run(capsys, *argv, "--method", "mc", "--jumps", "1000")
+        assert (code, out) == (3, "")
+        assert err.startswith("model error: exit rate beyond the float range: ")
+        code, out, _ = run(capsys, *argv, "--method", "mlq")  # the queue law needs no float
+        assert code == 0 and out
 
     def test_mc_zero_jumps_is_input_error(self, capsys):
         code, out, err = run(
@@ -891,3 +943,35 @@ class TestDocuments:
         for text in ("1e3", "2E-1", "1.5e2", 1e300):
             with pytest.raises(ValueError, match="bad rational"):
                 documents.parse_fraction(text)
+
+    def test_distribution_of_words_sorts_by_printed_form(self):
+        law = {fw("210"): Fraction(1, 3), fw("021"): Fraction(1, 6), fw("102"): Fraction(1, 2)}
+        doc = documents.emit_distribution("tasep", (2, 1), 3, None, law)
+        assert doc == {
+            "model": "tasep", "lambda": [2, 1], "n": 3, "x": None,
+            "entries": [
+                {"state": documents.emit_word(fw("021")), "prob": "1/6"},
+                {"state": documents.emit_word(fw("102")), "prob": "1/2"},
+                {"state": documents.emit_word(fw("210")), "prob": "1/3"},
+            ],
+        }
+
+    def test_distribution_of_queues_keeps_the_law_order_and_weights(self):
+        law = {bq(2, (2,), (2,)): Fraction(3, 4), bq(2, (1,), (1,)): Fraction(1, 4)}
+        doc = documents.emit_distribution("mlq-bosonic", [1, 1], 2, (Fraction(1, 3), Fraction(2)), law)
+        assert doc["x"] == ["1/3", "2/1"]
+        assert doc["entries"] == [
+            {"state": documents.emit_queue(bq(2, (2,), (2,))), "prob": "3/4", "weight": [0, 2]},
+            {"state": documents.emit_queue(bq(2, (1,), (1,))), "prob": "1/4", "weight": [2, 0]},
+        ]
+        assert "estimate" not in doc
+
+    def test_distribution_of_frequencies_is_an_estimate_of_their_exact_shares(self):
+        # 0.1 + 0.2 is not 0.3 in floats; each entry prints the float nearest its exact share
+        law = {fw("01"): 0.1, fw("10"): 0.2}
+        doc = documents.emit_distribution("tasep", (1,), 2, None, law)
+        assert doc["estimate"] is True
+        assert [e["prob"] for e in doc["entries"]] == [
+            float(Fraction(0.1) / (Fraction(0.1) + Fraction(0.2))), float(Fraction(0.2) / (Fraction(0.1) + Fraction(0.2)))
+        ]
+        assert list(doc) == ["model", "lambda", "n", "x", "entries", "estimate"]

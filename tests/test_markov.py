@@ -234,6 +234,10 @@ class TestStationaryExact:
         assert sum(moved) == 1 and not certify_stationary(chain, moved)
         assert not certify_stationary(chain, [Fraction(0), Fraction(1, 2), Fraction(1, 2)])
         assert not certify_stationary(chain, [2 * p for p in law])
+        # a vector of another length: an extra entry used to be left out of the flux tally, and a
+        # short vector raised IndexError
+        assert not certify_stationary(chain, [p / 2 for p in law] + [Fraction(1, 2)])
+        assert not certify_stationary(chain, [Fraction(1)])
 
     def test_certificate_accepts_a_large_fiber_law(self):
         # 3024 states: the push-forward and the balance check, no solve
@@ -615,6 +619,19 @@ class TestSimulation:
         chain = ChainSpec(("a", "b"), ((0, 1, rates[0]), (1, 0, rates[1])))
         with pytest.raises(ChainError, match="absorbing state reached: " + repr("ab"[start])):
             simulate_ctmc(chain, seed=0, jumps=100)
+
+    @pytest.mark.parametrize(
+        "rates",
+        [(Fraction(10**401),), (Fraction(10**308), Fraction(10**308))],
+        ids=["rate-past-float", "sum-past-float"],
+    )
+    def test_exit_rate_past_the_float_range_is_refused_before_any_jump(self, rates):
+        # state c is never reached from a, yet its exit rate is refused while the tables are built:
+        # float(10**401) raises OverflowError, and 1e308 + 1e308 is inf, a holding time of 0
+        transitions = ((0, 1, Fraction(1)), (1, 0, Fraction(1))) + tuple((2, 0, r) for r in rates)
+        chain = ChainSpec(("a", "b", "c"), transitions)
+        with pytest.raises(ChainError, match="^exit rate beyond the float range: 'c'$"):
+            simulate_ctmc(chain, seed=0, jumps=1)
 
     @pytest.mark.parametrize("jumps", [True, 2.5, 3.0], ids=["bool", "2.5", "3.0"])
     def test_non_integer_jumps_rejected(self, jumps):

@@ -1,5 +1,6 @@
 """The README "Library quick tour" and "CLI" blocks run as written and give
-the results their comments state."""
+the results their comments state, and its example law documents are what
+the commands named beside them print."""
 
 import ast
 import json
@@ -75,3 +76,18 @@ def test_cli_block_runs_and_its_stated_results_hold(tmp_path, monkeypatch, capsy
             continue
         checked += 1
     assert (ran, checked) == (11, 3)
+
+
+def test_law_documents_in_file_formats_are_what_the_commands_print(capsys):
+    body = README.read_text(encoding="utf-8").split("## File formats", 1)[1]
+    block = body.split("`documents.emit_distribution", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    docs = json.loads("[" + block.replace("}\n{", "},\n{") + "]")  # one document after another
+    argvs = (
+        ["stationary", "--model", "mlq-bosonic", "--lambda", "1", "--n", "2", "--x", "1/3,2"],
+        ["stationary", "--model", "tasep", "--lambda", "1", "--n", "2", "--method", "mc", "--jumps", "1000"],
+    )
+    printed = []
+    for argv in argvs:
+        assert cli.main(argv) == 0
+        printed.append(json.loads(capsys.readouterr().out))
+    assert docs == printed

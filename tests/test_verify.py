@@ -7,7 +7,8 @@ import pytest
 from mlqueues import markov, verify
 from mlqueues.cli import main
 from mlqueues.markov import MODELS, RateParams, count_states
-from mlqueues.mlq import FermionicMLQ, enumerate_queues
+from mlqueues.mlq import BosonicMLQ, FermionicMLQ, enumerate_queues
+from mlqueues.projection import canonical_order
 from mlqueues.words import BosonicWord, FermionicWord
 from mlqueues.verify import (
     SuiteReport,
@@ -484,3 +485,54 @@ def test_projection_replays_each_distinct_step_once_per_call(seed, monkeypatch):
         assert len(calls) == len(set(calls)) == len(steps) and set(calls) == steps
         runs.append(len(calls))
     assert runs[0] == runs[1] < sum(case["queue"].k for _, case in cases)
+
+
+# ---------------------------------------------------------------------------
+# sampled priority orders, for words of more than 6 particles
+# ---------------------------------------------------------------------------
+
+# row 2 hands a 7-particle word to row 1, whose replay samples its orders
+SEVEN_BELOW = BosonicMLQ(3, ((1, 1, 2, 2, 3, 3, 3), (1, 2, 2, 3, 3, 3, 3)))
+
+
+def _sampled_orders(patch) -> list:
+    """Record the word of every call of ``verify._random_orders``."""
+    words, real = [], verify._random_orders
+
+    def recording(word, rng, count):
+        words.append(word)
+        return real(word, rng, count)
+
+    patch.setattr(verify, "_random_orders", recording)
+    return words
+
+
+def _caller_orders_dropped(real):
+    """A replay that ignores every caller-given order other than the canonical one."""
+    def replay(row, label, word, order=None):
+        if order is not None and tuple(order) != canonical_order(word):
+            return word
+        return real(row, label, word, order)
+
+    return replay
+
+
+def test_sampled_orders_replay_a_large_word(monkeypatch):
+    case = {"queue": SEVEN_BELOW, "all_orders": True, "order_seed": 11}
+    with monkeypatch.context() as patch:
+        words = _sampled_orders(patch)
+        assert verify.check_projection_routes.run(case, {}) == []
+    assert [len(w.particles()) for w in words] == [7]
+
+
+def test_sampled_order_witness_replays_under_its_fault_only(monkeypatch):
+    case = {"queue": SEVEN_BELOW, "all_orders": True, "order_seed": 11}
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "apply_row_particlewise", _caller_orders_dropped(verify.apply_row_particlewise))
+        words = _sampled_orders(patch)
+        (witness,) = verify.check_projection_routes.run(case, {})
+        assert witness["check"] == "particlewise"
+        assert [len(w.particles()) for w in words] == [7]  # only the sampled orders met the fault
+        witness = json.loads(json.dumps(witness))
+        assert replay_witness(witness)
+    assert not replay_witness(witness)
