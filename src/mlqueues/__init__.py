@@ -23,10 +23,6 @@ from .markov import (
     mlq_chain,
     model_chain,
     ring,
-    ring_forward,
-    ring_forward_bosonic,
-    ring_reverse,
-    ring_reverse_bosonic,
     simulate_ctmc,
     stationary_exact,
     tasep_transitions,

@@ -406,12 +406,10 @@ def _hop(row: tuple[int, ...], src: int, dst: int) -> tuple[int, ...]:
 
 
 def ring_forward(q: FermionicMLQ, i: int) -> tuple[FermionicMLQ, int]:
-    """Forward ringing transition of a fermionic queue at site i, rate 1.
-
-    The path enters each row, stays put on a particle and steps right past a
-    hole; every particle the path lands on hops one site left when its left
-    neighbour is free.
-    """
+    """Forward ringing dynamics of a fermionic queue at site i: the new queue
+    and the exit site.  The path enters each row, stays put on a particle and
+    steps right past a hole; every particle the path lands on hops one site
+    left when its left neighbour is free.  :func:`ring` is the API."""
     _ring_site(q, "fermionic", i)
     n = q.n
     a = i
@@ -441,21 +439,13 @@ def ring_reverse(q: FermionicMLQ, i: int) -> tuple[FermionicMLQ, int]:
     return _built(FermionicMLQ, n=n, rows=tuple(new_rows)), c
 
 
-def _column_empty(q: BosonicMLQ, i: int) -> bool:
-    return all(i not in row for row in q.rows)
-
-
-def ring_forward_bosonic(d: BosonicMLQ, i: int, x: RateParams | None = None) -> tuple[BosonicMLQ, int, Fraction]:
-    """Forward ringing transition of a bosonic queue at site i.
-
-    One particle hops right out of every occupied site the path visits; the
-    path steps right exactly when it leaves an occupied site.  Returns the new
-    queue, the exit site, and the rate (1 on an empty column or without ``x``,
-    else 1/x_i).
-    """
+def ring_forward_bosonic(d: BosonicMLQ, i: int) -> tuple[BosonicMLQ, int]:
+    """Forward ringing dynamics of a bosonic queue at site i: the new queue
+    and the exit site.  One particle hops right out of every occupied site
+    the path visits; the path steps right exactly when it leaves an occupied
+    site.  :func:`ring` is the API and gives the rate."""
     _ring_site(d, "bosonic", i)
     n = d.n
-    x = _site_values(x, n)
     a = i
     new_rows = []
     for row in d.rows:
@@ -463,41 +453,38 @@ def ring_forward_bosonic(d: BosonicMLQ, i: int, x: RateParams | None = None) -> 
             row = _hop(row, a, _wrap(a + 1, n))
             a = _wrap(a + 1, n)
         new_rows.append(row)
-    rate = _ONE if x is None or _column_empty(d, i) else _ONE / x[i]
-    return _built(BosonicMLQ, n=n, rows=tuple(new_rows)), _wrap(a - 1, n), rate
+    return _built(BosonicMLQ, n=n, rows=tuple(new_rows)), _wrap(a - 1, n)
 
 
-def ring_reverse_bosonic(d: BosonicMLQ, i: int, x: RateParams | None = None) -> tuple[BosonicMLQ, int, Fraction]:
-    """Inverse of :func:`ring_forward_bosonic`.
-
-    The rate mirrors the forward rule through the time reversal: 1 when
-    column i+1 is empty or ``x`` is None, else 1/x_{i+1}.
-    """
+def ring_reverse_bosonic(d: BosonicMLQ, i: int) -> tuple[BosonicMLQ, int]:
+    """Inverse of :func:`ring_forward_bosonic`: descends the rows, and where
+    site c+1 of a row is occupied, one particle hops from c+1 to c and the
+    path steps left."""
     _ring_site(d, "bosonic", i)
     n = d.n
-    x = _site_values(x, n)
-    # path values b_L..b_0; b_j depends on row j+1
-    b = [0] * (d.k + 1)
-    b[d.k] = i
+    c = i
+    new_rows = list(d.rows)
     for j in range(d.k - 1, -1, -1):
-        above = d.rows[j]  # row j+1
-        b[j] = _wrap(b[j + 1] - 1, n) if _wrap(b[j + 1] + 1, n) in above else b[j + 1]
-    new_rows = []
-    for row, dst in zip(d.rows, b[1:]):
-        src = _wrap(dst + 1, n)
-        new_rows.append(_hop(row, src, dst) if src in row else row)
-    nxt = _wrap(i + 1, n)
-    rate = _ONE if x is None or _column_empty(d, nxt) else _ONE / x[nxt]
-    return _built(BosonicMLQ, n=n, rows=tuple(new_rows)), _wrap(b[0] + 1, n), rate
+        if (src := _wrap(c + 1, n)) in d.rows[j]:
+            new_rows[j] = _hop(d.rows[j], src, c)
+            c = _wrap(c - 1, n)
+    return _built(BosonicMLQ, n=n, rows=tuple(new_rows)), _wrap(c + 1, n)
 
 
 def ring(q: MLQ, i: int, x: RateParams | None = None, reverse: bool = False) -> tuple[MLQ, int, Fraction]:
-    """One ringing step of ``q`` at site i, forward or (``reverse``) back:
-    the new queue, the exit site and the rate.  A fermionic queue rings by
-    :func:`ring_forward` or :func:`ring_reverse` at rate 1 and takes no ``x``;
-    a bosonic one by :func:`ring_forward_bosonic` or :func:`ring_reverse_bosonic`."""
+    """One ringing step of ``q`` at site i, forward or (``reverse``) back: the
+    new queue, the exit site and the rate, which only this function sets.  A
+    fermionic queue rings at rate 1 and takes no ``x``; a bosonic one at 1/x_c,
+    c = i forward and i+1 (cyclically) back, or at 1 when ``x`` is None or
+    column c of ``q`` is empty.  It looks the per-kind maps up by name when
+    it runs, so a rebound map runs."""
     if q.kind == "bosonic":
-        return (ring_reverse_bosonic if reverse else ring_forward_bosonic)(q, i, x)
+        img, exit_site = (ring_reverse_bosonic if reverse else ring_forward_bosonic)(q, i)
+        x = _site_values(x, q.n)
+        c = _wrap(i + 1, q.n) if reverse else i
+        if x is None or all(c not in row for row in q.rows):
+            return img, exit_site, _ONE
+        return img, exit_site, _ONE / x[c]
     if x is not None:
         raise ValueError("fermionic ringing takes no site rates x: its rates are all 1")
     return *(ring_reverse if reverse else ring_forward)(q, i), _ONE
@@ -611,10 +598,10 @@ def simulate_ctmc(chain: ChainSpec, seed: int, jumps: int) -> dict:
     ``u * total``.  The trajectory and the returned table are bitwise
     reproducible for a fixed seed.  A one-state chain (it has no transitions,
     self-loops being rejected) spends all its time in its state; in a larger
-    chain, reaching a state whose float exit rate is 0 (no outgoing
-    transition, or rates that round to 0.0) raises :class:`ChainError`, and
-    so does any state whose float exit rate overflows (a rate, or their sum,
-    past about 1.8e308), before the first jump.  An empty chain raises
+    chain, any state with transitions whose float exit rate leaves the float
+    range (a rate, or their sum, past about 1.8e308, or rates that all round
+    to 0.0) raises :class:`ChainError` before the first jump, and reaching a
+    state with no transition raises it too.  An empty chain raises
     :class:`ChainError`.
     ``jumps`` below 1 or not a plain ``int`` raises ``ValueError``.
     """
@@ -640,8 +627,8 @@ def simulate_ctmc(chain: ChainSpec, seed: int, jumps: int) -> dict:
     # total (compensated on newer Pythons); a draw past the running total
     # lands on the last target, repeated once at the end
     moves = [(sum(r), list(itertools.accumulate(r)), t + t[-1:]) for r, t in zip(rates, targets)]
-    for s, (total, _, _) in zip(chain.states, moves):
-        if total == math.inf:  # its holding time would read 0
+    for s, (total, _, dsts) in zip(chain.states, moves):
+        if dsts and not 0.0 < total < math.inf:  # its holding time would read 0 or inf
             raise ChainError(f"exit rate beyond the float range: {s!r}")
     draw = random.Random(seed).random
     log = math.log

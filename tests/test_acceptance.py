@@ -22,8 +22,7 @@ from mlqueues import (
     label_trace,
     model_chain,
     project,
-    ring_forward_bosonic,
-    ring_reverse_bosonic,
+    ring,
     simulate_ctmc,
     stationary_exact,
     twist,
@@ -153,12 +152,12 @@ class TestCriterion1:
         }
         exits = {1: 3, 2: 3, 3: 3, 4: 2}
         for i in (1, 2, 3, 4):
-            img, exit_site, rate = ring_forward_bosonic(d, i, x)
+            img, exit_site, rate = ring(d, i, x)
             assert img.rows == expected[i]
             assert exit_site == exits[i]
             assert rate == Fraction(1) / x[i]
-        img4, _, _ = ring_forward_bosonic(d, 4, x)
-        back, back_exit, _ = ring_reverse_bosonic(img4, 2, x)
+        img4, _, _ = ring(d, 4, x)
+        back, back_exit, _ = ring(img4, 2, x, reverse=True)
         assert (back, back_exit) == (d, 4)
 
 

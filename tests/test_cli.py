@@ -31,6 +31,7 @@ SIX_QUEUE_DOC = {
 # 10^-401 and 10^-308 as plain decimals: the rates 1/x are past, and at, the float range
 TINY_401 = "0." + "0" * 400 + "1"
 TINY_308 = "0." + "0" * 307 + "1"
+HUGE_600 = "1" + "0" * 600  # 10^600: the rate 1/x rounds to 0.0
 
 
 def run(capsys, *argv):
@@ -187,14 +188,20 @@ class TestStationaryCommand:
             "55a636e01de6b425a296148a22b29925f2a76276fa27340ced0c4974c9a56624"
         )
 
-    @pytest.mark.parametrize("model, lam, n", [("tasep", "1", "1"), ("mlq-bosonic", "0", "2")])
+    @pytest.mark.parametrize(
+        "model, lam, n",
+        [("tasep", "1", "1"), ("mlq-bosonic", "0", "2"), ("tazrp", "1", "1"), ("ktazrp", "1", "1"), ("mlq-fermionic", "1", "1")],
+    )
     def test_mc_on_a_one_state_chain(self, capsys, model, lam, n):
         # a one-state chain has no transitions; mc used to call its state absorbing (exit 3)
         laws = {}
         for method in ("exact", "mc"):
             code, out, err = run(capsys, "stationary", "--model", model, "--lambda", lam, "--n", n, "--method", method)
             assert (code, err) == (0, "")
-            laws[method] = [(e["state"], Fraction(e["prob"])) for e in json.loads(out)["entries"]]
+            doc = json.loads(out)
+            # without --x, x is null on a model that takes none, and all ones on one that does
+            assert doc["x"] == (["1/1"] * int(n) if model in ("tazrp", "mlq-bosonic") else None)
+            laws[method] = [(e["state"], Fraction(e["prob"])) for e in doc["entries"]]
         assert laws["mc"] == laws["exact"] == [(laws["exact"][0][0], 1)]
 
     @pytest.mark.parametrize(
@@ -204,8 +211,9 @@ class TestStationaryCommand:
             ("tazrp", "1,1", "2", [TINY_308, TINY_308]),  # 1e308 + 1e308 is inf: used to print 0.0038, 0.0, 0.9962
             ("mlq-bosonic", "2,1", "3", [TINY_401, "1", "1"]),
             ("mlq-bosonic", "1,1", "2", [TINY_308, TINY_308]),  # used to print 1.0, 0.0, 0.0, 0.0 for a uniform law
+            ("tazrp", "2,1", "3", [HUGE_600, "1", "1"]),  # 1/x_1 rounds to 0.0: used to exit 3 as "absorbing state"
         ],
-        ids=["tazrp-rate", "tazrp-sum", "mlq-bosonic-rate", "mlq-bosonic-sum"],
+        ids=["tazrp-rate", "tazrp-sum", "mlq-bosonic-rate", "mlq-bosonic-sum", "tazrp-underflow"],
     )
     def test_mc_exit_rate_past_the_float_range_is_model_error(self, capsys, model, lam, n, x):
         argv = ("stationary", "--model", model, "--lambda", lam, "--n", n, "--x", ",".join(x))
@@ -679,14 +687,15 @@ class TestProjectSigmaVerifyFuzz:
 
 class TestVerifyCommand:
     def test_small_suite(self, capsys):
-        code, out, err = run(
-            capsys, "verify", "--suite", "r-invariance", "--seed", "1",
-            "--bounds", "fermionic_max_n=3,fermionic_max_k=2,bosonic_max_n=2,random_cases=20",
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["pass"] is True
-        assert "PASS" in err
+        for suite, bounds in (
+            ("r-invariance", "fermionic_max_n=3,fermionic_max_k=2,bosonic_max_n=2,random_cases=20"),
+            ("stationary-tazrp", ""),  # an empty --bounds runs the default bounds
+        ):
+            code, out, err = run(capsys, "verify", "--suite", suite, "--seed", "1", "--bounds", bounds)
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["pass"] is True
+            assert "PASS" in err
 
     @pytest.mark.parametrize("suite", ["stationary-tasep", "stationary-tazrp", "ringing"])
     def test_unknown_bound_key_is_input_error(self, capsys, suite):

@@ -26,17 +26,13 @@ from mlqueues import (
     ktazrp_transitions,
     project,
     ring,
-    ring_forward,
-    ring_forward_bosonic,
-    ring_reverse,
-    ring_reverse_bosonic,
     simulate_ctmc,
     stationary_exact,
     tasep_transitions,
     tazrp_transitions,
 )
 from mlqueues import markov
-from mlqueues.markov import model_size, queue_law
+from mlqueues.markov import model_size, queue_law, ring_forward, ring_forward_bosonic, ring_reverse, ring_reverse_bosonic
 from mlqueues.projection import fiber_law
 
 from conftest import bq, bw, fq, fw
@@ -342,9 +338,9 @@ class TestRateParams:
         with pytest.raises(ValueError):
             mlq_chain("bosonic", (2, 1), 4, X123)
         with pytest.raises(ValueError):
-            ring_forward_bosonic(bq(4, (1,)), 1, X123)
+            ring(bq(4, (1,)), 1, X123)
         with pytest.raises(ValueError):
-            ring_reverse_bosonic(bq(4, (1,)), 1, X123)
+            ring(bq(4, (1,)), 1, X123, reverse=True)
 
 
 class TestModelArguments:
@@ -390,16 +386,16 @@ class TestDistribution:
 
 class TestFermionicRinging:
     def test_single_row_hop(self):
-        assert ring_forward(fq(3, (2,)), 2) == (fq(3, (1,)), 2)
+        assert ring(fq(3, (2,)), 2) == (fq(3, (1,)), 2, 1)
 
     def test_inverse_of_single_row_hop(self):
-        assert ring_reverse(fq(3, (1,)), 2) == (fq(3, (2,)), 2)
+        assert ring(fq(3, (1,)), 2, reverse=True) == (fq(3, (2,)), 2, 1)
 
     def test_empty_queue_fixed(self):
         q = fq(3, (), ())
-        img, _ = ring_forward(q, 1)
+        img, _, _ = ring(q, 1)
         assert img == q
-        img, _ = ring_reverse(q, 1)
+        img, _, _ = ring(q, 1, reverse=True)
         assert img == q
 
     def test_mutual_inverses_exhaustive(self):
@@ -407,17 +403,19 @@ class TestFermionicRinging:
             for n in range(max(2, lam[0]), 5):
                 for q in enumerate_queues(lam, n, "fermionic"):
                     for i in range(1, n + 1):
-                        assert ring_reverse(*ring_forward(q, i)) == (q, i)
-                        assert ring_forward(*ring_reverse(q, i)) == (q, i)
+                        img, exit_site, _ = ring(q, i)
+                        assert ring(img, exit_site, reverse=True) == (q, i, 1)
+                        img, exit_site, _ = ring(q, i, reverse=True)
+                        assert ring(img, exit_site) == (q, i, 1)
 
     def test_three_row_roundtrip(self):
         q = fq(5, (1, 3, 4, 5), (2, 3, 4), (3, 5))
-        img, exit_site = ring_forward(q, 3)
-        assert ring_reverse(img, exit_site) == (q, 3)
+        img, exit_site, _ = ring(q, 3)
+        assert ring(img, exit_site, reverse=True) == (q, 3, 1)
 
     def test_site_out_of_range(self):
         with pytest.raises(IndexError):
-            ring_forward(fq(3, (1,)), 4)
+            ring(fq(3, (1,)), 4)
 
     def test_queue_of_the_other_kind_rejected(self):
         for fn in (ring_forward, ring_reverse):
@@ -441,22 +439,22 @@ class TestBosonicRinging:
             4: (((1, 1, 1, 2, 4), (2, 2, 2, 2), (1, 1, 1), (3, 3)), 2, Fraction(1, 5)),
         }
         for i, (rows, exit_site, rate) in expect.items():
-            img, got_exit, got_rate = ring_forward_bosonic(SIX_D, i, SIX_X)
+            img, got_exit, got_rate = ring(SIX_D, i, SIX_X)
             assert img.rows == rows
             assert got_exit == exit_site
             assert got_rate == rate
 
     def test_reverse_roundtrip_at_site_two(self):
-        img, exit_site, _ = ring_forward_bosonic(SIX_D, 4, SIX_X)
+        img, exit_site, _ = ring(SIX_D, 4, SIX_X)
         assert exit_site == 2
-        back, back_exit, _ = ring_reverse_bosonic(img, 2, SIX_X)
+        back, back_exit, _ = ring(img, 2, SIX_X, reverse=True)
         assert (back, back_exit) == (SIX_D, 4)
 
     def test_empty_queue_fixed(self):
         d = bq(3, (), ())
-        img, _, rate = ring_forward_bosonic(d, 2)
+        img, _, rate = ring(d, 2)
         assert img == d and rate == 1
-        img, _, rate = ring_reverse_bosonic(d, 2)
+        img, _, rate = ring(d, 2, reverse=True)
         assert img == d and rate == 1
 
     def test_mutual_inverses_random(self):
@@ -466,10 +464,10 @@ class TestBosonicRinging:
             rows = tuple(tuple(sorted(rng.choices(range(1, n + 1), k=rng.randint(0, 3)))) for _ in range(rng.randint(1, 4)))
             d = BosonicMLQ(n, rows)
             i = rng.randint(1, n)
-            img, exit_site, _ = ring_forward_bosonic(d, i)
-            assert ring_reverse_bosonic(img, exit_site)[:2] == (d, i)
-            rimg, rexit, _ = ring_reverse_bosonic(d, i)
-            assert ring_forward_bosonic(rimg, rexit)[:2] == (d, i)
+            img, exit_site, _ = ring(d, i)
+            assert ring(img, exit_site, reverse=True)[:2] == (d, i)
+            rimg, rexit, _ = ring(d, i, reverse=True)
+            assert ring(rimg, rexit)[:2] == (d, i)
 
     def test_weight_identity_random(self):
         rng = random.Random(52)
@@ -478,7 +476,7 @@ class TestBosonicRinging:
             rows = tuple(tuple(sorted(rng.choices(range(1, n + 1), k=rng.randint(0, 3)))) for _ in range(rng.randint(1, 4)))
             d = BosonicMLQ(n, rows)
             i = rng.randint(1, n)
-            img, exit_site, _ = ring_forward_bosonic(d, i)
+            img, exit_site, _ = ring(d, i)
             want = list(d.weight())
             want[exit_site % n] += 1  # site exit+1, cyclically
             want[i - 1] -= 1
@@ -486,7 +484,7 @@ class TestBosonicRinging:
 
 
 class TestRing:
-    """``ring`` is the per-kind ringing map of the queue's kind, with its rate."""
+    """``ring`` runs the ringing map of the queue's kind and is the one owner of the rate."""
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_fermionic_is_the_unit_rate_map(self, reverse):
@@ -503,7 +501,18 @@ class TestRing:
         for alpha in ((2, 1), (1, 2), (2, 0, 1)):
             for q in enumerate_queues(alpha, 3, "bosonic"):
                 for i in range(1, 4):
-                    assert ring(q, i, x, reverse) == fn(q, i, x)
+                    assert ring(q, i, x, reverse)[:2] == fn(q, i)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(1, 5), st.integers(1, 4), st.booleans(), st.booleans())
+    def test_bosonic_rate_reads_the_ringing_column(self, data, n, k, reverse, with_x):
+        row = st.lists(st.integers(1, n), max_size=4).map(lambda r: tuple(sorted(r)))
+        q = BosonicMLQ(n, tuple(data.draw(st.lists(row, min_size=k, max_size=k))))
+        x = RateParams(tuple(data.draw(st.lists(st.fractions(min_value=Fraction(1, 9), max_value=9), min_size=n, max_size=n))))
+        i = data.draw(st.integers(1, n))
+        c = i % n + 1 if reverse else i
+        want = Fraction(1) / x[c] if with_x and any(c in r for r in q.rows) else 1
+        assert ring(q, i, x if with_x else None, reverse)[2] == want
 
     @pytest.mark.parametrize("x", [X123, RateParams.ones(3), RateParams((Fraction(1), Fraction(2))), (1, 1, 1)])
     @pytest.mark.parametrize("reverse", [False, True])
@@ -557,7 +566,7 @@ class TestMlqChains:
                     zr[target] = zr.get(target, Fraction(0)) + rate
                 got = {}
                 for site in range(1, 4):
-                    img, _, rate = ring_forward_bosonic(d, site, X123)
+                    img, _, rate = ring(d, site, X123)
                     if img == d:
                         continue
                     w = project(img)
@@ -612,12 +621,13 @@ class TestSimulation:
                 assert list(got.items()) == list(_reference_simulate(chain, seed, jumps).items())
 
     @pytest.mark.parametrize("start", (0, 1))
-    def test_exit_rate_that_rounds_to_zero_is_absorbing(self, start):
-        # float(Fraction(1, 10**400)) is 0.0: the division by the exit rate fails
+    def test_exit_rate_that_rounds_to_zero_is_refused_before_any_jump(self, start):
+        # float(Fraction(1, 10**400)) is 0.0: the chain is irreducible, and the state used
+        # to be reported as absorbing once the walk reached it
         tiny, one = Fraction(1, 10**400), Fraction(1)
         rates = (tiny, one) if start == 0 else (one, tiny)
         chain = ChainSpec(("a", "b"), ((0, 1, rates[0]), (1, 0, rates[1])))
-        with pytest.raises(ChainError, match="absorbing state reached: " + repr("ab"[start])):
+        with pytest.raises(ChainError, match="^exit rate beyond the float range: " + repr("ab"[start]) + "$"):
             simulate_ctmc(chain, seed=0, jumps=100)
 
     @pytest.mark.parametrize(

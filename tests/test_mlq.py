@@ -19,10 +19,7 @@ from mlqueues import (
     count_queues,
     enumerate_queues,
     label_trace,
-    ring_forward,
-    ring_forward_bosonic,
-    ring_reverse,
-    ring_reverse_bosonic,
+    ring,
     straighten,
     twist,
 )
@@ -285,13 +282,9 @@ class TestDerivedQueues:
         for i in range(1, q.k):
             assert_matches_validated_rebuild(twist(q, i))
         site = data.draw(st.integers(1, q.n))
-        if isinstance(q, FermionicMLQ):
-            images = [ring_forward(q, site)[0], ring_reverse(q, site)[0]]
-        else:
-            x = data.draw(st.none() | st.just(RateParams(tuple(range(1, q.n + 1)))))
-            images = [ring_forward_bosonic(q, site, x)[0], ring_reverse_bosonic(q, site, x)[0]]
-        for img in images:
-            assert_matches_validated_rebuild(img)
+        x = None if isinstance(q, FermionicMLQ) else data.draw(st.none() | st.just(RateParams(tuple(range(1, q.n + 1)))))
+        for reverse in (False, True):
+            assert_matches_validated_rebuild(ring(q, site, x, reverse)[0])
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(("fermionic", "bosonic")), st.integers(1, 4), st.lists(st.integers(0, 3), min_size=1, max_size=3))
