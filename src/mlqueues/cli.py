@@ -4,6 +4,9 @@ and prints what :mod:`documents` lays out (the law of ``mlq stationary`` too).
 Exit codes: 0 success, 2 input error (a failed write to stdout, or an input
 too large for memory, too), 3 model error (reducible chain, absorbing state,
 bad shape, an exit rate past the float range of ``--method mc``), 4 verification failure.
+
+``mlq verify`` imports :mod:`verify` when it runs, so every other command
+neither compiles nor executes it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import json
 import os
 import sys
 
-from . import documents, verify
+from . import documents
 from .errors import ChainError, ShapeError
 from .markov import (
     MODELS,
@@ -156,6 +159,8 @@ def _parse_bounds(text: str | None) -> dict | None:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     if args.witness:
         witness = _load_json(args.witness)
         ok = verify.replay_witness(witness)

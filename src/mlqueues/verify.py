@@ -397,7 +397,7 @@ def suite_phi_equals_ctm(bounds: dict | None = None, seed: int = 0) -> SuiteRepo
         {"queue": q, "all_orders": idx in order_sample, "order_seed": (seed + 1) * 1_000_003 + idx}
         for idx, q in enumerate(queues)
     )
-    return _run("projection-consistency", {"bounds": b, "seed": seed}, [(check_projection_routes, cases)], {})
+    return _run("projection", {"bounds": b, "seed": seed}, [(check_projection_routes, cases)], {})
 
 
 @_check(

@@ -30,9 +30,14 @@ def _raised(tree: ast.AST) -> set[str]:
     return names
 
 
+# the package's lazy attribute lookup raises AttributeError, as PEP 562 asks; no ``mlq`` input reaches it
+UNMAPPED = {"__init__": {"AttributeError"}}
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_every_raise_has_an_exit_code(path):
-    assert _raised(ast.parse(path.read_text(encoding="utf-8"))) - MAPPED - {"AssertionError"} == set()
+    allowed = MAPPED | {"AssertionError"} | UNMAPPED.get(path.stem, set())
+    assert _raised(ast.parse(path.read_text(encoding="utf-8"))) - allowed == set()
 
 
 def test_main_maps_every_raised_type():

@@ -232,6 +232,8 @@ def test_suite_all_smoke():
     assert report.passed
     assert report.suite == "all"
     assert report.cases > 0
+    # each suite reports the name it is run under
+    assert [suite for entry in report.parameters["suites"] for suite in entry] == list(verify.SUITES)
 
 
 def test_worker_cap_env_var(monkeypatch):
