@@ -31,9 +31,9 @@ from fractions import Fraction
 from typing import Callable, Hashable, Sequence
 
 from .errors import ChainError, ShapeError
-from .mlq import MLQ, BosonicMLQ, FermionicMLQ, RateParams, _site_values, count_queues, enumerate_queues
+from .mlq import MLQ, BosonicMLQ, FermionicMLQ, RateParams, _queue, _site_values, count_queues, enumerate_queues
 from .projection import fiber_law
-from .words import BosonicWord, FermionicWord, Word, _built, _ints, _ring_size, _wrap
+from .words import BosonicWord, FermionicWord, Word, _ints, _ring_size, _wrap
 
 _ONE = Fraction(1)
 
@@ -170,12 +170,19 @@ def _multiset_permutations(letters: Sequence[int]):
 # ---------------------------------------------------------------------------
 
 
+def _word_kind(w: Word, kind: str) -> None:
+    """The guard of every transition rule: ``w`` is a word of ``kind``."""
+    if w.kind != kind:
+        raise ValueError(f"expected a {kind} word, got a {w.kind} one")
+
+
 def tasep_transitions(w: FermionicWord) -> list[tuple[FermionicWord, Fraction]]:
     """Adjacent swaps (b, a) -> (a, b) for a > b at every cyclic position, rate 1.
 
     Larger labels travel toward smaller site indices; the empty site counts as
     the letter 0.
     """
+    _word_kind(w, "fermionic")
     out = []
     n = w.n
     for i in range(n):
@@ -191,6 +198,7 @@ def _block_hops(w: BosonicWord, top_only: bool) -> list[tuple[BosonicWord, int]]
     """Each hop of a top block of a site one site right, with the site j it
     leaves: the top particle alone when ``top_only``, else every nonempty
     suffix of the site (stored ascending)."""
+    _word_kind(w, "bosonic")
     out = []
     for j, site in enumerate(w.sites, 1):
         for take in range(1, (min(len(site), 1) if top_only else len(site)) + 1):
@@ -420,7 +428,7 @@ def ring_forward(q: FermionicMLQ, i: int) -> tuple[FermionicMLQ, int]:
         elif (left := _wrap(a - 1, n)) not in row:
             row = _hop(row, a, left)
         new_rows.append(row)
-    return _built(FermionicMLQ, n=n, rows=tuple(new_rows)), a
+    return _queue(FermionicMLQ, n, tuple(new_rows)), a
 
 
 def ring_reverse(q: FermionicMLQ, i: int) -> tuple[FermionicMLQ, int]:
@@ -436,7 +444,7 @@ def ring_reverse(q: FermionicMLQ, i: int) -> tuple[FermionicMLQ, int]:
             c = left
         elif c not in row:
             new_rows[j] = _hop(row, left, c)
-    return _built(FermionicMLQ, n=n, rows=tuple(new_rows)), c
+    return _queue(FermionicMLQ, n, tuple(new_rows)), c
 
 
 def ring_forward_bosonic(d: BosonicMLQ, i: int) -> tuple[BosonicMLQ, int]:
@@ -453,7 +461,7 @@ def ring_forward_bosonic(d: BosonicMLQ, i: int) -> tuple[BosonicMLQ, int]:
             row = _hop(row, a, _wrap(a + 1, n))
             a = _wrap(a + 1, n)
         new_rows.append(row)
-    return _built(BosonicMLQ, n=n, rows=tuple(new_rows)), _wrap(a - 1, n)
+    return _queue(BosonicMLQ, n, tuple(new_rows)), _wrap(a - 1, n)
 
 
 def ring_reverse_bosonic(d: BosonicMLQ, i: int) -> tuple[BosonicMLQ, int]:
@@ -468,7 +476,7 @@ def ring_reverse_bosonic(d: BosonicMLQ, i: int) -> tuple[BosonicMLQ, int]:
         if (src := _wrap(c + 1, n)) in d.rows[j]:
             new_rows[j] = _hop(d.rows[j], src, c)
             c = _wrap(c - 1, n)
-    return _built(BosonicMLQ, n=n, rows=tuple(new_rows)), _wrap(c + 1, n)
+    return _queue(BosonicMLQ, n, tuple(new_rows)), _wrap(c + 1, n)
 
 
 def ring(q: MLQ, i: int, x: RateParams | None = None, reverse: bool = False) -> tuple[MLQ, int, Fraction]:

@@ -4,7 +4,7 @@ A multiline queue is a tuple of particle rows on the ring; ``rows[0]`` is the
 bottom row.  One type, :class:`MLQ`, serves both kinds: its ``kind`` says
 whether the rows are subsets of {1..n} (fermionic) or multisets (bosonic).
 Queues the package derives from validated ones (twists, ringing moves,
-enumeration) skip re-validation.
+enumeration) skip re-validation: ``_queue`` sets their slots directly.
 The twist ``twist(q, i)`` swaps the cylindrically unpaired particles between
 rows i and i+1; it realizes the combinatorial R matrix on adjacent tensor
 factors, so the braid and commutation relations hold for it (they are checked
@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import ClassVar, Iterator, Sequence
 
 from .pairing import _match
-from .words import _built, _ints, _ring_size, _site_counts, indicator_multiset, multiset_indicator
+from .words import _ints, _ring_size, _site_counts, indicator_multiset, multiset_indicator
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,16 @@ class BosonicMLQ(MLQ):
 
 
 QUEUE_CLASSES: dict[str, type[MLQ]] = {"fermionic": FermionicMLQ, "bosonic": BosonicMLQ}
+_SET_N, _SET_ROWS = MLQ.n.__set__, MLQ.rows.__set__
+
+
+def _queue(cls: type, n: int, rows: tuple) -> MLQ:
+    """The ``cls`` queue of ``n`` and ``rows`` (ascending tuples derived from
+    validated ones), set through the slots without ``__post_init__``."""
+    q = object.__new__(cls)
+    _SET_N(q, n)
+    _SET_ROWS(q, rows)
+    return q
 
 
 @functools.lru_cache(maxsize=4096)
@@ -148,7 +158,7 @@ def twist(q: MLQ, i: int) -> MLQ:
     if not 1 <= i < q.k:
         raise IndexError(f"twist index {i} outside 1..{q.k - 1}")
     rows = q.rows
-    return _built(type(q), n=q.n, rows=rows[: i - 1] + _exchange(rows[i - 1], rows[i], q.n, q.kind == "fermionic") + rows[i + 1 :])
+    return _queue(type(q), q.n, rows[: i - 1] + _exchange(rows[i - 1], rows[i], q.n, q.kind == "fermionic") + rows[i + 1 :])
 
 
 def apply_twists(q: MLQ, word: Sequence[int]) -> MLQ:
@@ -214,4 +224,4 @@ def enumerate_queues(alpha: Sequence[int], n: int, kind: str) -> Iterator[MLQ]:
     """
     count_queues(alpha, n, kind)
     cls = QUEUE_CLASSES[kind]
-    return (_built(cls, n=n, rows=q_rows) for q_rows in itertools.product(*[colex_rows(n, a, kind) for a in alpha]))
+    return (_queue(cls, n, q_rows) for q_rows in itertools.product(*[colex_rows(n, a, kind) for a in alpha]))

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .words import _site_counts, indicator_multiset
+from .words import _ring_size, _site_counts, indicator_multiset
 
 
 @dataclass(frozen=True)
@@ -116,6 +116,7 @@ def pair_weakly_right(lower: Iterable[int], upper: Iterable[int], n: int) -> Pai
     Both rows are subsets of {1..n}; a particle may pair straight down to its
     own site.
     """
+    _ring_size(n)
     return _result(_site_counts(lower, n, fermionic=True), _site_counts(upper, n, fermionic=True), True)
 
 
@@ -125,4 +126,5 @@ def pair_strictly_left(lower: Iterable[int], upper: Iterable[int], n: int) -> Pa
     Rows are multisets over {1..n}; same-site pairs cannot form, so a pairing
     line may wrap the full circle back to its own site.
     """
+    _ring_size(n)
     return _result(_site_counts(lower, n, fermionic=False), _site_counts(upper, n, fermionic=False), False)

@@ -28,7 +28,6 @@ not an assumption.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -184,36 +183,26 @@ def fiber_law(shape: Sequence[int], n: int, kind: str, x: RateParams | Sequence[
 def ferrari_martin(q: MLQ) -> Word:
     """Classic top-down label passing; defined only on straight queues.
 
-    Kept deliberately independent of the row operator :func:`_apply_row`:
-    labels are handed down one class at a time against a shrinking pool of
-    unclaimed particles, by the public pairing map of the queue's kind.
+    Kept deliberately independent of the row operator :func:`_row_layers`:
+    each label class, largest first, is paired as per-site counts onto the
+    row particles no larger class has claimed, by :func:`pairing._match`.
     """
     if not q.is_straight:
         raise ShapeError(f"label passing needs weakly decreasing row sizes, got {q.shape}")
-    pair = pair_weakly_right if q.kind == "fermionic" else pair_strictly_left
-    carry: Counter = Counter()  # (site, label) -> particles of row r holding a label from above
+    fermionic, classes = q.kind == "fermionic", []  # (label, per-site counts) handed down to row r, largest first
     for r in range(q.k, 0, -1):
-        labels, unclaimed = Counter(carry), Counter(q.rows[r - 1])
-        for (site, _), c in carry.items():
-            unclaimed[site] -= c
-        for site, c in unclaimed.items():
-            if c < 0:
-                raise AssertionError("more labels than particles at a site")
-            if c:
-                labels[site, r] = c
-        if r == 1:
-            return WORD_CLASSES[q.kind].from_particles(q.n, labels.elements())
-        by_label: dict[int, list[int]] = {}
-        for (site, lab), c in sorted(labels.items(), key=lambda p: -p[0][1]):
-            by_label.setdefault(lab, []).extend([site] * c)
-        pool, carry = q.rows[r - 2], Counter()
-        for lab, srcs in by_label.items():
-            res = pair(pool, srcs, q.n)
-            if res.unpaired_upper:
+        pool, carried = _site_counts(q.rows[r - 1], q.n, False), []  # pool: the particles no class has claimed
+        for label, counts in classes:
+            _, unclaimed, stranded = _match(pool, counts, fermionic)
+            if any(stranded):
                 raise AssertionError("straight queue left a label stranded")
-            carry.update((site, lab) for site in res.paired_lower)
-            pool = res.unpaired_lower  # the particles no higher class has claimed
-    raise AssertionError("unreachable")
+            carried.append((label, [p - u for p, u in zip(pool, unclaimed)]))
+            pool = unclaimed
+        if any(pool):  # row r's unclaimed particles take the label r
+            carried.append((r, pool))
+        classes = carried
+    particles = [(j, label) for label, counts in classes for j, c in enumerate(counts, 1) for _ in range(c)]
+    return WORD_CLASSES[q.kind].from_particles(q.n, particles)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +297,7 @@ def ctm_components(q: MLQ, j: int = 1) -> list[Indicator]:
         carry = q.rows[i - 1]
         for t in range(i - 1, j - 1, -1):
             carry = _exchange(q.rows[t - 1], carry, q.n, fermionic)[0]
-        comps.append(multiset_indicator(carry, q.n))
+        comps.append(tuple(_site_counts(carry, q.n, False)))
     ranked = sorted(comps, key=sum, reverse=True)
     for high, low in zip(ranked, ranked[1:]):
         if any(l > h for h, l in zip(high, low)):

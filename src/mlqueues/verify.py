@@ -304,11 +304,9 @@ def check_projection_routes(case: dict, table: dict) -> list:
     ctm = WORD_CLASSES[q.kind].from_layers(sorted(before, key=sum, reverse=True), q.n)
     if ctm != w:
         return [_witness("fold-vs-ctm", case, fold=w, ctm=ctm)]
-    lam = tuple(sorted(q.shape, reverse=True))
-    sizes = [sum(layer) for layer in w.layers()[: q.k]]
-    sizes += [0] * (q.k - len(sizes))  # the layers above the largest label are empty
-    for j, (size, part) in enumerate(zip(sizes, lam), 1):
-        if size != part:
+    content = w.content()
+    for j, part in enumerate(sorted(q.shape, reverse=True), 1):
+        if sum([a >= j for a in content]) != part:  # layer j holds the labels >= j
             return [_witness("content-law", case, layer=j)]
     if q.is_straight and ferrari_martin(q) != w:
         return [_witness("fold-vs-label-passing", case)]

@@ -7,8 +7,9 @@ of indicator vectors (the "layers"): layer m marks, per site, how many
 particles of label >= m sit there.  Both also read as their ``(site, label)``
 particles; the base class :class:`Word` computes everything else from them.
 A row of sites becomes per-site counts through one validated builder,
-``_site_counts``.  Sites are 1-indexed everywhere in the public interface;
-tuples are 0-indexed internally.
+``_site_counts``; ``_word`` sets the slot of a word derived from validated
+values.  Sites are 1-indexed everywhere in the public interface; tuples are
+0-indexed internally.
 """
 
 from __future__ import annotations
@@ -23,15 +24,6 @@ Indicator = tuple[int, ...]
 def _wrap(site: int, n: int) -> int:
     """The ring site 1..n that ``site`` denotes (sites count modulo n)."""
     return (site - 1) % n + 1
-
-
-def _built(cls: type, **fields):
-    """A ``cls`` with ``fields`` set, built without ``__post_init__``: only for
-    values derived from validated ones, already in the form it would give them."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 def _ints(values: Iterable, what: str) -> tuple[int, ...]:
@@ -79,7 +71,7 @@ def _site_counts(sites: Iterable[int], n: int, fermionic: bool) -> list[int]:
 
 def multiset_indicator(elements: Iterable[int], n: int) -> Indicator:
     """Per-site multiplicity vector of a multiset over {1..n}."""
-    return tuple(_site_counts(elements, n, False))
+    return tuple(_site_counts(elements, _ring_size(n), False))
 
 
 def indicator_multiset(counts: Sequence[int]) -> tuple[int, ...]:
@@ -89,22 +81,30 @@ def indicator_multiset(counts: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _word(cls: type, value: tuple):
+    """The ``cls`` word storing ``value`` (its ``letters`` or ``sites``, derived from
+    validated values in constructor form), set through the slot without ``__post_init__``."""
+    word = object.__new__(cls)
+    _STORE[cls.kind](word, value)
+    return word
+
+
 def _stacked(cls: type, layers: Sequence[Sequence[int]], n: int):
     """The ``cls`` word on n sites with the nested layer stack ``layers``, built
     unchecked: site j holds L_m[j] - L_{m+1}[j] particles of label m."""
     cols = zip(*layers) if layers else [(0,)] * n  # per site j: L_1[j] >= L_2[j] >= ...
     if cls.kind == "fermionic":
-        return _built(cls, letters=tuple(map(sum, cols)))
+        return _word(cls, tuple(map(sum, cols)))
     # ascending, the labels at site j count the layers with L_m[j] >= t, for t = L_1[j], ..., 1
-    return _built(cls, sites=tuple([tuple([sum([c >= t for c in col]) for t in range(col[0], 0, -1)]) for col in cols]))
+    return _word(cls, tuple([tuple([sum([c >= t for c in col]) for t in range(col[0], 0, -1)]) for col in cols]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     """A word on the ring, read through its ``(site, label)`` particles.  Build
     one through :class:`FermionicWord` (per-site labels) or :class:`BosonicWord`
     (per-site multisets), which store it and provide ``n``, ``particles`` and
-    ``from_particles``; different kinds never compare equal.
+    ``from_particles``; different kinds never compare equal, and no word keeps a ``__dict__``.
     """
 
     kind: ClassVar[str]
@@ -161,7 +161,7 @@ class Word:
         return self.from_particles(self.n, [(site, a + j) for site, a in self.particles()])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FermionicWord(Word):
     """Per-site labels; 0 means empty.  Immutable and hashable."""
 
@@ -193,13 +193,13 @@ class FermionicWord(Word):
         sites = _site_labels(n, particles)
         if max(map(len, sites)) > 1:
             raise ValueError("a fermionic site holds at most one particle")
-        return _built(cls, letters=tuple([s[0] if s else 0 for s in sites]))
+        return _word(cls, tuple([s[0] if s else 0 for s in sites]))
 
     def __str__(self) -> str:
         return " ".join(str(a) for a in self.letters)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BosonicWord(Word):
     """Per-site multisets of positive labels, each stored sorted ascending."""
 
@@ -225,10 +225,11 @@ class BosonicWord(Word):
     @classmethod
     def from_particles(cls, n: int, particles: Iterable[tuple[int, int]]) -> "BosonicWord":
         """The word on n sites holding ``particles``; inverse of :meth:`particles`."""
-        return _built(cls, sites=tuple(tuple(sorted(s)) for s in _site_labels(n, particles)))
+        return _word(cls, tuple([tuple(sorted(s)) for s in _site_labels(n, particles)]))
 
     def __str__(self) -> str:
         return "(" + ",".join("".join(map(str, s)) if s else "-" for s in self.sites) + ")"
 
 
 WORD_CLASSES: dict[str, type[Word]] = {"fermionic": FermionicWord, "bosonic": BosonicWord}
+_STORE = {"fermionic": FermionicWord.letters.__set__, "bosonic": BosonicWord.sites.__set__}  # slot setters, by kind

@@ -150,6 +150,20 @@ class TestTransitions:
         assert len(ktazrp_transitions(bw("22,-"))) == 2
         assert len(ktazrp_transitions(bw("3,-"))) == 1
 
+    # each rule refuses a word of the other kind; it used to end in an AttributeError
+    OTHER_KIND = {
+        "tasep": (lambda: tasep_transitions(bw("1,-")), "expected a fermionic word, got a bosonic one"),
+        "tazrp": (lambda: tazrp_transitions(fw("10"), None), "expected a bosonic word, got a fermionic one"),
+        "tazrp-with-rates": (lambda: tazrp_transitions(fw("10"), RateParams.ones(2)), "expected a bosonic word, got a fermionic one"),
+        "ktazrp": (lambda: ktazrp_transitions(fw("10")), "expected a bosonic word, got a fermionic one"),
+    }
+
+    @pytest.mark.parametrize("rule", sorted(OTHER_KIND))
+    def test_rule_refuses_the_other_word_kind(self, rule):
+        call, message = self.OTHER_KIND[rule]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
 
 class TestStationaryExact:
     def test_two_identical_particles_uniform(self):

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 import random
 import sys
 import threading
@@ -19,13 +21,14 @@ from mlqueues import (
     count_queues,
     enumerate_queues,
     label_trace,
+    project,
     ring,
     straighten,
     twist,
 )
 from mlqueues.mlq import _exchange, colex_rows
 
-from conftest import bq, fq
+from conftest import bq, bw, fq, fw
 
 
 def small_queues(kind, max_n=4, max_k=3, max_part=2):
@@ -257,9 +260,18 @@ def validated_queues(draw):
     return cls(n, tuple(tuple(r) for r in rows))
 
 
+def assert_like_validated(derived, rebuilt):
+    """A derived value equals, hashes, prints and pickles like its validated
+    rebuild, and keeps no ``__dict__``."""
+    assert type(derived) is type(rebuilt) and derived == rebuilt
+    assert hash(derived) == hash(rebuilt) and repr(derived) == repr(rebuilt)
+    back = pickle.loads(pickle.dumps(derived))
+    assert type(back) is type(rebuilt) and back == rebuilt and hash(back) == hash(rebuilt)
+    assert not hasattr(derived, "__dict__")
+
+
 def assert_matches_validated_rebuild(q):
-    rebuilt = type(q)(q.n, q.rows)
-    assert q == rebuilt and hash(q) == hash(rebuilt)
+    assert_like_validated(q, type(q)(q.n, q.rows))
     assert type(q.rows) is tuple and all(type(r) is tuple for r in q.rows)
 
 
@@ -270,7 +282,7 @@ def assert_word_matches_validated_rebuild(w):
     else:
         rebuilt = BosonicWord(w.sites)
         assert type(w.sites) is tuple and all(type(s) is tuple for s in w.sites)
-    assert w == rebuilt and hash(w) == hash(rebuilt)
+    assert_like_validated(w, rebuilt)
 
 
 class TestDerivedQueues:
@@ -301,7 +313,9 @@ class TestDerivedQueues:
     @settings(max_examples=300, deadline=None)
     @given(validated_queues(), st.data())
     def test_row_operator_words(self, q, data):
-        for w in label_trace(q):
+        words = [project(q), *label_trace(q)]
+        words += [type(w).from_particles(w.n, w.particles()) for w in words] + [type(w).from_layers(w.layers(), w.n) for w in words]
+        for w in words:
             assert_word_matches_validated_rebuild(w)
         fresh = data.draw(st.integers(1, 3))
         label = st.integers(max(fresh, 2), fresh + 3)
@@ -312,6 +326,23 @@ class TestDerivedQueues:
             sites = data.draw(st.lists(st.lists(label, max_size=3), min_size=q.n, max_size=q.n))
             out = apply_row_bosonic(q.rows[0], fresh, BosonicWord(tuple(map(tuple, sites))))
         assert_word_matches_validated_rebuild(out)
+
+
+SLOTTED = {
+    "FermionicWord": lambda: fw("102"),
+    "BosonicWord": lambda: bw("12,-,3"),
+    "FermionicMLQ": lambda: fq(3, (1, 2), (3,)),
+    "BosonicMLQ": lambda: bq(3, (1, 1), (3,)),
+}
+
+
+@pytest.mark.parametrize("make", SLOTTED.values(), ids=SLOTTED)
+def test_value_types_are_slotted_and_frozen(make):
+    value = make()
+    assert not hasattr(value, "__dict__")
+    for field in dataclasses.fields(value):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field.name, getattr(value, field.name))
 
 
 def all_rows(n, kind, max_size):

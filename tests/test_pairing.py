@@ -17,6 +17,12 @@ def bracket_rows(pattern: str):
     return lower, upper
 
 
+def pair_brackets(pattern: str):
+    """Weakly-right pairing of a bracket string on a ring of its length; the
+    empty string is the one empty site, as a ring has at least one site."""
+    return pair_weakly_right(*bracket_rows(pattern), max(len(pattern), 1))
+
+
 def oracle_unmatched(pattern: str):
     """Recursive elimination of cyclically adjacent open/close pairs.
 
@@ -76,7 +82,7 @@ class TestCyclicMatch:
         ],
     )
     def test_bracket_strings(self, pattern, unmatched_positions):
-        res = pair_weakly_right(*bracket_rows(pattern), len(pattern))
+        res = pair_brackets(pattern)
         assert tuple(sorted(res.unpaired_lower + res.unpaired_upper)) == unmatched_positions
         assert 2 * len(res.pairs) + len(unmatched_positions) == len(pattern)
 
@@ -84,14 +90,14 @@ class TestCyclicMatch:
         rng = random.Random(3)
         for _ in range(300):
             pattern = "".join(rng.choice("()") for _ in range(rng.randint(0, 12)))
-            res = pair_weakly_right(*bracket_rows(pattern), len(pattern))
+            res = pair_brackets(pattern)
             assert not (res.unpaired_lower and res.unpaired_upper)
 
     def test_no_unmatched_token_inside_any_pair(self):
         rng = random.Random(4)
         for _ in range(200):
             pattern = "".join(rng.choice("()") for _ in range(rng.randint(1, 12)))
-            res = pair_weakly_right(*bracket_rows(pattern), len(pattern))
+            res = pair_brackets(pattern)
             loose = set(res.unpaired_lower + res.unpaired_upper)
             for open_site, close_site in res.pairs:
                 inside = set()
@@ -106,7 +112,7 @@ class TestCyclicMatch:
         patterns = ["".join(rng.choice("()") for _ in range(rng.randint(0, 12))) for _ in range(150)]
         patterns += ["())()((", "))(())", ")))(((", "((()))"]
         for pattern in patterns:
-            res = pair_weakly_right(*bracket_rows(pattern), len(pattern))
+            res = pair_brackets(pattern)
             got = frozenset(j - 1 for j in res.unpaired_lower + res.unpaired_upper)
             assert got == oracle_survivors(pattern), pattern
 

@@ -197,12 +197,21 @@ class TestFerrariMartin:
             ferrari_martin(fq(3, (1,), (2, 3)))
 
     def test_agrees_with_fold_on_straight_sweep(self):
-        for alpha in ((2, 1), (2, 2), (3, 1, 1)):
-            for q in enumerate_queues(alpha, 4, "fermionic"):
-                assert ferrari_martin(q) == project(q)
-        for alpha in ((2, 1), (2, 2, 1)):
-            for d in enumerate_queues(alpha, 3, "bosonic"):
-                assert ferrari_martin(d) == project(d)
+        # every queue of fermionic n <= 5, k <= 3 and bosonic n <= 4, k <= 3 (rows of
+        # at most 3): label passing equals the fold when straight and refuses a twisted queue
+        for kind, max_n, max_part in (("fermionic", 5, None), ("bosonic", 4, 3)):
+            straight = twisted = 0
+            for n in range(1, max_n + 1):
+                for alpha in (a for k in (1, 2, 3) for a in itertools.product(range((max_part or n) + 1), repeat=k)):
+                    for q in enumerate_queues(alpha, n, kind):
+                        if q.is_straight:
+                            assert ferrari_martin(q) == project(q), q
+                            straight += 1
+                        else:
+                            with pytest.raises(ShapeError):
+                                ferrari_martin(q)
+                            twisted += 1
+            assert (straight, twisted) == {"fermionic": (12735, 26139), "bosonic": (24081, 29668)}[kind]
 
 
 class TestParticlewise:

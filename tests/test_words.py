@@ -15,6 +15,8 @@ from mlqueues import (
     enumerate_states,
     indicator_multiset,
     multiset_indicator,
+    pair_strictly_left,
+    pair_weakly_right,
 )
 
 from mlqueues.documents import emit_queue, emit_word, parse_queue, parse_word
@@ -227,9 +229,12 @@ class TestValidation:
         "from_particles": lambda n: FermionicWord.from_particles(n, ()),
         "parse_queue": lambda n: parse_queue({"kind": "fermionic", "n": n, "rows": [[1]]}),
         "parse_word": lambda n: parse_word({"kind": "fermionic_word", "n": n, "letters": [1]}),
+        "pair_weakly_right": lambda n: pair_weakly_right([], [], n),
+        "pair_strictly_left": lambda n: pair_strictly_left([], [], n),
+        "multiset_indicator": lambda n: multiset_indicator([], n),
     }
 
-    @pytest.mark.parametrize("n", (True, 2.5, 0))
+    @pytest.mark.parametrize("n", (True, 2.5, 2.0, 0, -1))
     @pytest.mark.parametrize("entry", RING_SIZE_ENTRY_POINTS.values(), ids=RING_SIZE_ENTRY_POINTS)
     def test_ring_size_must_be_a_positive_int(self, entry, n):
         # a bool or float is no ring size, even where it compares as a positive number
