@@ -12,7 +12,7 @@ _EXPORTS = {
     name: module
     for module, names in {
         "errors": ("ChainError", "ShapeError"),
-        "mlq": ("BosonicMLQ", "FermionicMLQ", "RateParams", "apply_twists", "count_queues", "enumerate_queues",
+        "mlq": ("BosonicMLQ", "FermionicMLQ", "apply_twists", "count_queues", "enumerate_queues",
                 "straighten", "twist"),
         "markov": ("MODELS", "ChainSpec", "RationalDistribution", "certify_stationary", "conjugate", "count_states",
                    "enumerate_states", "ktazrp_transitions", "mlq_chain", "model_chain", "ring", "simulate_ctmc",

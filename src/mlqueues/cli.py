@@ -17,12 +17,12 @@ import functools
 import json
 import os
 import sys
+from fractions import Fraction
 
 from . import documents
 from .errors import ChainError, ShapeError
 from .markov import (
     MODELS,
-    RateParams,
     model_chain,
     queue_law,
     ring,
@@ -50,12 +50,12 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad integer list {text!r}") from exc
 
 
-def _parse_x(text: str | None, n: int) -> RateParams:
+def _parse_x(text: str | None, n: int) -> tuple[Fraction, ...]:
     """The ``--x`` site values, unit on all ``n`` sites when absent; the
-    library function that takes them checks their count against its n."""
+    library function that takes them checks them against its n."""
     if text is None:
-        return RateParams.ones(n)
-    return RateParams(tuple(documents.parse_fraction(p) for p in text.split(",")))
+        return (Fraction(1),) * n
+    return tuple(documents.parse_fraction(p) for p in text.split(","))
 
 
 def _emit(obj) -> None:

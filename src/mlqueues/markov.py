@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Callable, Hashable, Sequence
 
 from .errors import ChainError, ShapeError
-from .mlq import MLQ, BosonicMLQ, FermionicMLQ, RateParams, _queue, _site_values, count_queues, enumerate_queues
+from .mlq import MLQ, BosonicMLQ, FermionicMLQ, _queue, _site_values, count_queues, enumerate_queues
 from .projection import fiber_law
 from .words import BosonicWord, FermionicWord, Word, _ints, _ring_size, _wrap
 
@@ -54,12 +54,14 @@ class ChainSpec:
         if len(set(self.states)) != len(self.states):
             raise ValueError("duplicate state keys")
         for src, dst, rate in self.transitions:
+            if type(src) is not int or type(dst) is not int:
+                raise ValueError(f"transition endpoints must be integers, got {src!r} and {dst!r}")
             if src == dst:
                 raise ValueError("self-loop transitions are not allowed")
             if not 0 <= src < len(self.states) or not 0 <= dst < len(self.states):
                 raise ValueError("transition endpoint out of range")
-            if rate <= 0:
-                raise ValueError("rates must be positive")
+            if not (type(rate) is int or isinstance(rate, Fraction)) or rate <= 0:
+                raise ValueError(f"rates must be positive integers or Fractions, got {rate!r}")
 
     def flux(self, weights: Sequence) -> tuple[list, list]:
         """Per-state total flux out and in under ``weights`` (indexed like
@@ -210,11 +212,11 @@ def _block_hops(w: BosonicWord, top_only: bool) -> list[tuple[BosonicWord, int]]
     return out
 
 
-def tazrp_transitions(w: BosonicWord, x: RateParams | None) -> list[tuple[BosonicWord, Fraction]]:
+def tazrp_transitions(w: BosonicWord, x: Sequence | None) -> list[tuple[BosonicWord, Fraction]]:
     """The top particle of each occupied site hops one site right, rate 1/x_j
     (1 when ``x`` is None)."""
     x = _site_values(x, w.n)
-    return [(target, _ONE if x is None else _ONE / x[j]) for target, j in _block_hops(w, True)]
+    return [(target, _ONE if x is None else _ONE / x[j - 1]) for target, j in _block_hops(w, True)]
 
 
 def ktazrp_transitions(w: BosonicWord) -> list[tuple[BosonicWord, Fraction]]:
@@ -226,7 +228,7 @@ def ktazrp_transitions(w: BosonicWord) -> list[tuple[BosonicWord, Fraction]]:
     return [(target, _ONE) for target, _ in _block_hops(w, False)]
 
 
-def _build_chain(states: list, moves: Callable, x: RateParams | None) -> ChainSpec:
+def _build_chain(states: list, moves: Callable, x: Sequence | None) -> ChainSpec:
     """The chain on ``states`` whose transitions out of a state are
     ``moves(state, x)``, as (target, rate) pairs; self-loops are dropped."""
     index = {s: i for i, s in enumerate(states)}
@@ -479,7 +481,7 @@ def ring_reverse_bosonic(d: BosonicMLQ, i: int) -> tuple[BosonicMLQ, int]:
     return _queue(BosonicMLQ, n, tuple(new_rows)), _wrap(c + 1, n)
 
 
-def ring(q: MLQ, i: int, x: RateParams | None = None, reverse: bool = False) -> tuple[MLQ, int, Fraction]:
+def ring(q: MLQ, i: int, x: Sequence | None = None, reverse: bool = False) -> tuple[MLQ, int, Fraction]:
     """One ringing step of ``q`` at site i, forward or (``reverse``) back: the
     new queue, the exit site and the rate, which only this function sets.  A
     fermionic queue rings at rate 1 and takes no ``x``; a bosonic one at 1/x_c,
@@ -492,18 +494,18 @@ def ring(q: MLQ, i: int, x: RateParams | None = None, reverse: bool = False) -> 
         c = _wrap(i + 1, q.n) if reverse else i
         if x is None or all(c not in row for row in q.rows):
             return img, exit_site, _ONE
-        return img, exit_site, _ONE / x[c]
+        return img, exit_site, _ONE / x[c - 1]
     if x is not None:
         raise ValueError("fermionic ringing takes no site rates x: its rates are all 1")
     return *(ring_reverse if reverse else ring_forward)(q, i), _ONE
 
 
-def _ringing_moves(q: MLQ, x: RateParams | None) -> list[tuple[MLQ, Fraction]]:
+def _ringing_moves(q: MLQ, x: Sequence | None) -> list[tuple[MLQ, Fraction]]:
     """One :func:`ring` of ``q`` at each site: the new queue and the rate."""
     return [(img, rate) for img, _, rate in (ring(q, i, x) for i in range(1, q.n + 1))]
 
 
-def mlq_chain(kind: str, alpha: Sequence[int], n: int, x: RateParams | None = None) -> ChainSpec:
+def mlq_chain(kind: str, alpha: Sequence[int], n: int, x: Sequence | None = None) -> ChainSpec:
     """The chain of ``mlq-{kind}`` on shape ``alpha``; ``ring`` reads ``x``, and refuses it on a fermionic queue."""
     m, alpha, _ = _model(f"mlq-{kind}", alpha, n)
     return _build_chain(_states(m, alpha, n), _ringing_moves, x)
@@ -527,7 +529,7 @@ class Model:
     kind: str
     ringing: bool
     rates: bool
-    moves: Callable[[Hashable, RateParams | None], list[tuple[Hashable, Fraction]]]
+    moves: Callable[[Hashable, Sequence | None], list[tuple[Hashable, Fraction]]]
 
 
 # each rule looks its transitions up by name when it runs, so a rebound function runs
@@ -540,7 +542,7 @@ MODELS: dict[str, Model] = {
 }
 
 
-def _model(model: str, lam: Sequence[int], n: int, x: RateParams | None = None) -> tuple[Model, tuple[int, ...], RateParams | None]:
+def _model(model: str, lam: Sequence[int], n: int, x: Sequence | None = None) -> tuple[Model, tuple[int, ...], tuple[Fraction, ...] | None]:
     """The one reader of a model's arguments: its entry, lambda and rates,
     once each is valid.  Fermionic ringing needs a straight shape: twisted,
     it does not project to the exclusion process."""
@@ -563,7 +565,7 @@ def _states(m: Model, lam: tuple[int, ...], n: int) -> list:
     return list((enumerate_queues if m.ringing else enumerate_states)(lam, n, m.kind))
 
 
-def model_chain(model: str, lam: Sequence[int], n: int, x: RateParams | None = None) -> ChainSpec:
+def model_chain(model: str, lam: Sequence[int], n: int, x: Sequence | None = None) -> ChainSpec:
     """The chain of ``model`` on ``n`` sites, at rates ``x`` (unit when None)."""
     m, lam, x = _model(model, lam, n, x)
     return _build_chain(_states(m, lam, n), m.moves, x)
@@ -575,7 +577,7 @@ def model_size(model: str, lam: Sequence[int], n: int) -> int:
     return (count_queues if m.ringing else count_states)(lam, n, m.kind)
 
 
-def queue_law(model: str, lam: Sequence[int], n: int, x: RateParams | None = None) -> dict:
+def queue_law(model: str, lam: Sequence[int], n: int, x: Sequence | None = None) -> dict:
     """The stationary law the queues give for ``model``, without its chain:
     state -> probability, with the weights taken at ``x`` (unit when None)."""
     m, lam, x = _model(model, lam, n, x)

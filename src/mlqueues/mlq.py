@@ -24,44 +24,20 @@ from .pairing import _match
 from .words import _ints, _ring_size, _site_counts, indicator_multiset, multiset_indicator
 
 
-@dataclass(frozen=True)
-class RateParams:
-    """Positive site values x_1..x_n: the rates of the site-dependent chains
-    and the variables the queue weights are evaluated at.  Where a function
-    takes x, None stands for unit values on every site."""
-
-    x: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(Fraction(v) for v in self.x))
-        if any(v <= 0 for v in self.x):
-            raise ValueError("rate parameters must be positive")
-
-    @classmethod
-    def ones(cls, n: int) -> "RateParams":
-        return cls((Fraction(1),) * n)
-
-    def __getitem__(self, site: int) -> Fraction:
-        if not 1 <= site <= len(self.x):
-            raise IndexError(f"rate site {site} outside 1..{len(self.x)}")
-        return self.x[site - 1]
-
-    def __iter__(self) -> Iterator[Fraction]:
-        """x_1..x_n; spelled out, since the 1-based ``__getitem__`` would end
-        iteration at index 0."""
-        return iter(self.x)
-
-
-def _site_values(x: RateParams | Sequence | None, n: int) -> RateParams | None:
-    """``x`` as the values of sites 1..n: None (unit values) and a
-    :class:`RateParams` pass unchanged, any other sequence is read into one,
-    and a length other than ``n`` raises ``ValueError``."""
+def _site_values(x: Sequence | None, n: int) -> tuple[Fraction, ...] | None:
+    """The one reader of site values: ``x`` as the tuple x_1..x_n (``x[j - 1]``
+    is x_j) of ``n`` positive ``int``s (no ``bool``) or ``Fraction``s, or None
+    (unit values).  Anything else, a float or text too, raises ``ValueError``."""
     if x is None:
         return None
-    if not isinstance(x, RateParams):
-        x = RateParams(tuple(x))
-    if len(x.x) != n:
-        raise ValueError(f"expected {n} site values, got {len(x.x)}")
+    x = tuple(Fraction(v) if type(v) is int else v for v in x)
+    for v in x:
+        if not isinstance(v, Fraction):
+            raise ValueError(f"site values must be integers or Fractions, got {v!r}")
+        if v <= 0:
+            raise ValueError("rate parameters must be positive")
+    if len(x) != n:
+        raise ValueError(f"expected {n} site values, got {len(x)}")
     return x
 
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ShapeError
-from .mlq import MLQ, RateParams, _exchange, _site_values, colex_rows, count_queues
+from .mlq import MLQ, _exchange, _site_values, colex_rows, count_queues
 from .pairing import _match, pair_strictly_left, pair_weakly_right
 from .words import (
     WORD_CLASSES,
@@ -140,7 +140,7 @@ def label_trace(q: MLQ) -> list[Word]:
     return [_stacked(WORD_CLASSES[q.kind], layers, q.n) for layers in _fold(q)][::-1]
 
 
-def fiber_law(shape: Sequence[int], n: int, kind: str, x: RateParams | Sequence[Fraction] | None = None) -> dict:
+def fiber_law(shape: Sequence[int], n: int, kind: str, x: Sequence | None = None) -> dict:
     """Law of ``project(q)`` over the queues of ``shape`` on ``n`` sites, each
     weighing 1, or its weight x^D at the site values ``x`` if given (n
     positive values).
@@ -160,7 +160,7 @@ def fiber_law(shape: Sequence[int], n: int, kind: str, x: RateParams | Sequence[
     for j in range(len(shape), 0, -1):
         rows = []  # (per-site counts, weight) of each row of size shape[j-1]
         for r in colex_rows(n, shape[j - 1], kind):
-            weight = 1 if x is None else math.prod([x[s] for s in r], start=Fraction(1))
+            weight = 1 if x is None else math.prod([x[s - 1] for s in r], start=Fraction(1))
             rows.append((tuple(_site_counts(r, n, fermionic)), weight))
         pairings: dict = {}  # (row, layer) -> _match of the row against the layer
 

@@ -31,7 +31,6 @@ from typing import Callable, Iterable
 from . import documents
 from .markov import (
     MODELS,
-    RateParams,
     conjugate,
     model_chain,
     model_size,
@@ -135,8 +134,8 @@ def _queue_kind(*kinds: str):
                   lambda v: documents.parse_queue(v))
 
 
-def _read_rates(value) -> RateParams | None:
-    return None if value is None else RateParams(tuple(documents.parse_fraction(v) for v in value))
+def _read_rates(value) -> tuple[Fraction, ...] | None:
+    return None if value is None else tuple(documents.parse_fraction(v) for v in value)
 
 
 _ANY_QUEUE, _BOSONIC = _queue_kind("fermionic", "bosonic"), _queue_kind("bosonic")
@@ -153,9 +152,9 @@ def _json(value):
         return documents.emit_queue(value)
     if isinstance(value, Word):
         return documents.emit_word(value)
-    if isinstance(value, RateParams):
-        return [documents.format_fraction(v) for v in value]
-    return list(value) if isinstance(value, tuple) else value
+    if isinstance(value, Fraction):
+        return documents.format_fraction(value)
+    return [_json(v) for v in value] if isinstance(value, tuple) else value
 
 
 def _witness(kind: str, case: dict, **found) -> dict:
@@ -442,7 +441,7 @@ def _suite_tasep_grid(bounds: dict | None, seed: int) -> SuiteReport:
 def _suite_tazrp_grid(bounds: dict | None, seed: int) -> SuiteReport:
     """``TAZRP_GRID`` with each rate vector of ``TAZRP_X`` cut to n sites."""
     _bounds(bounds)
-    grid = [(lam, n, RateParams(tuple(Fraction(v) for v in xs[:n]))) for lam, n in TAZRP_GRID for xs in TAZRP_X]
+    grid = [(lam, n, tuple(map(Fraction, xs[:n]))) for lam, n in TAZRP_GRID for xs in TAZRP_X]
     return _law_suite("tazrp", grid, {"grid": [[list(lam), n] for lam, n in TAZRP_GRID], "x": TAZRP_X})
 
 
@@ -540,7 +539,7 @@ def suite_ringing(bounds: dict | None = None, seed: int = 0) -> SuiteReport:
     search = {"max_n": 4, "max_k": 4}
     counterexample = _searched(search, table)  # one search serves the check and the parameters
     rng = random.Random(seed)
-    x = RateParams((Fraction(1), Fraction(2), Fraction(3)))
+    x = (Fraction(1), Fraction(2), Fraction(3))
     fermionic = ((q, n) for lam in ((1,), (2, 1), (2, 2, 1)) for n in range(max(2, lam[0]), 5)
                  for q in enumerate_queues(lam, n, "fermionic"))
     bosonic = (_random_queue(rng, "bosonic", 5, 4, 3) for _ in range(500))  # lazy: each queue, then its site

@@ -75,8 +75,11 @@ def multiset_indicator(elements: Iterable[int], n: int) -> Indicator:
 
 
 def indicator_multiset(counts: Sequence[int]) -> tuple[int, ...]:
+    """The ascending multiset holding site j ``counts[j - 1]`` times (nonnegative plain ``int``s)."""
     out: list[int] = []
     for j, c in enumerate(counts):
+        if type(c) is not int or c < 0:
+            raise ValueError(f"counts must be nonnegative integers, got {c!r}")
         out.extend([j + 1] * c)
     return tuple(out)
 

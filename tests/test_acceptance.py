@@ -11,7 +11,6 @@ from fractions import Fraction
 import pytest
 
 from mlqueues import (
-    RateParams,
     apply_row_bosonic,
     apply_row_fermionic,
     apply_row_particlewise,
@@ -142,7 +141,7 @@ class TestCriterion1:
         assert out == bw("12344,-,44,-,1234")
 
     def test_criterion_1_ringing_example(self):
-        x = RateParams((Fraction(2), Fraction(3), Fraction(5), Fraction(7)))
+        x = (Fraction(2), Fraction(3), Fraction(5), Fraction(7))
         d = bq(4, (1, 1, 2, 4, 4), (1, 2, 2, 2), (1, 1, 1), (2, 3))
         expected = {
             1: ((1, 2, 2, 4, 4), (1, 2, 2, 3), (1, 1, 1), (2, 4)),
@@ -155,7 +154,7 @@ class TestCriterion1:
             img, exit_site, rate = ring(d, i, x)
             assert img.rows == expected[i]
             assert exit_site == exits[i]
-            assert rate == Fraction(1) / x[i]
+            assert rate == Fraction(1) / x[i - 1]
         img4, _, _ = ring(d, 4, x)
         back, back_exit, _ = ring(img4, 2, x, reverse=True)
         assert (back, back_exit) == (d, 4)

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports (``__init__`` re-exports),
-and every private module-level name is read somewhere in the package.  The
+"""Every module of the package uses each name it imports (``__init__`` re-exports)
+and takes it from the module that defines it, and every private module-level
+name is read somewhere in the package.  The
 package exports the names below, and each entry point loads only the modules
 it runs."""
 
@@ -44,14 +45,20 @@ def test_every_imported_name_is_used(path):
     assert _imported(tree) - _used(tree) == set()
 
 
-def _private_definitions(tree: ast.Module) -> set[str]:
+def _definitions(tree: ast.Module) -> set[str]:
+    """The names a module defines at its top level: functions, classes and assigned names."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.add(node.name)
-        elif isinstance(node, ast.Assign):
-            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
-    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    return {n for n in _definitions(tree) if n.startswith("_") and not n.startswith("__")}
 
 
 def _read(tree: ast.Module) -> set[str]:
@@ -75,10 +82,25 @@ def test_every_private_module_name_is_read_in_the_package():
     assert unread == set()
 
 
+def test_every_name_is_imported_from_its_defining_module():
+    # a name taken from a module that only imports it ties the importer to that module's imports
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in Path(mlqueues.__file__).parent.glob("*.py")}
+    defined = {stem: _definitions(tree) for stem, tree in trees.items()}
+    relayed = {
+        (stem, node.module, a.name)
+        for stem, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for a in node.names
+        if a.name not in defined[node.module]
+    }
+    assert relayed == set()
+
+
 # the package's exports, by the module that defines each
 EXPORTS = {
     "errors": ("ChainError", "ShapeError"),
-    "mlq": ("BosonicMLQ", "FermionicMLQ", "RateParams", "apply_twists", "count_queues", "enumerate_queues",
+    "mlq": ("BosonicMLQ", "FermionicMLQ", "apply_twists", "count_queues", "enumerate_queues",
             "straighten", "twist"),
     "markov": ("MODELS", "ChainSpec", "RationalDistribution", "certify_stationary", "conjugate", "count_states",
                "enumerate_states", "ktazrp_transitions", "mlq_chain", "model_chain", "ring", "simulate_ctmc",

@@ -12,7 +12,6 @@ from mlqueues import (
     BosonicMLQ,
     ChainError,
     ChainSpec,
-    RateParams,
     RationalDistribution,
     ShapeError,
     certify_stationary,
@@ -37,7 +36,7 @@ from mlqueues.projection import fiber_law
 
 from conftest import bq, bw, fq, fw
 
-X123 = RateParams((Fraction(1), Fraction(2), Fraction(3)))
+X123 = (Fraction(1), Fraction(2), Fraction(3))
 
 
 class TestStateSpaces:
@@ -130,7 +129,7 @@ class TestTransitions:
 
     def test_tazrp_example(self):
         w = bw("233,-,2235,25")
-        got = {(t.sites, r) for t, r in tazrp_transitions(w, RateParams((Fraction(1), Fraction(2), Fraction(3), Fraction(4))))}
+        got = {(t.sites, r) for t, r in tazrp_transitions(w, (Fraction(1), Fraction(2), Fraction(3), Fraction(4)))}
         assert got == {
             (((2, 3), (3,), (2, 2, 3, 5), (2, 5)), Fraction(1, 1)),
             (((2, 3, 3), (), (2, 2, 3), (2, 5, 5)), Fraction(1, 3)),
@@ -138,10 +137,10 @@ class TestTransitions:
         }
 
     def test_tazrp_empty_word(self):
-        assert tazrp_transitions(bw("-,-"), RateParams.ones(2)) == []
+        assert tazrp_transitions(bw("-,-"), (Fraction(1),) * 2) == []
 
     def test_tazrp_single_particle(self):
-        assert [(t.sites, r) for t, r in tazrp_transitions(bw("1,-"), RateParams.ones(2))] == [
+        assert [(t.sites, r) for t, r in tazrp_transitions(bw("1,-"), (Fraction(1),) * 2)] == [
             (((), (1,)), Fraction(1))
         ]
 
@@ -154,7 +153,7 @@ class TestTransitions:
     OTHER_KIND = {
         "tasep": (lambda: tasep_transitions(bw("1,-")), "expected a fermionic word, got a bosonic one"),
         "tazrp": (lambda: tazrp_transitions(fw("10"), None), "expected a bosonic word, got a fermionic one"),
-        "tazrp-with-rates": (lambda: tazrp_transitions(fw("10"), RateParams.ones(2)), "expected a bosonic word, got a fermionic one"),
+        "tazrp-with-rates": (lambda: tazrp_transitions(fw("10"), (Fraction(1),) * 2), "expected a bosonic word, got a fermionic one"),
         "ktazrp": (lambda: ktazrp_transitions(fw("10")), "expected a bosonic word, got a fermionic one"),
     }
 
@@ -186,7 +185,7 @@ class TestStationaryExact:
         z = Fraction(0)
         for d in enumerate_queues((2, 1), 3, "bosonic"):
             w = project(d)
-            wt = math.prod([xj**e for xj, e in zip(X123.x, d.weight())], start=Fraction(1))
+            wt = math.prod([xj**e for xj, e in zip(X123, d.weight())], start=Fraction(1))
             weights[w] = weights.get(w, Fraction(0)) + wt
             z += wt
         assert all(dist[w] == v / z for w, v in weights.items())
@@ -281,7 +280,7 @@ class TestModularSolve:
         assert attempts == [(101, False), (2**61 - 1, True)]
 
     def test_prime_dividing_a_rate_denominator_is_retried(self, monkeypatch):
-        chain = model_chain("tazrp", (2, 1), 3, RateParams((Fraction(1), Fraction(2), Fraction(7))))
+        chain = model_chain("tazrp", (2, 1), 3, (Fraction(1), Fraction(2), Fraction(7)))
         law = stationary_exact(chain)
         monkeypatch.setattr(markov, "_MODULI", (7, 2**61 - 1))
         attempts = _recorded_attempts(monkeypatch)
@@ -298,7 +297,7 @@ class TestModularSolve:
         assert attempts == [(7, False), (2**61 - 1, True)]
 
     def test_exhausted_ladder_raises(self, monkeypatch):
-        chain = model_chain("tazrp", (2, 1), 3, RateParams((Fraction(1), Fraction(2), Fraction(7))))
+        chain = model_chain("tazrp", (2, 1), 3, (Fraction(1), Fraction(2), Fraction(7)))
         monkeypatch.setattr(markov, "_MODULI", (7, 101))
         with pytest.raises(ChainError):
             stationary_exact(chain)
@@ -317,26 +316,48 @@ class TestModularSolve:
         assert fiber_law((4, 3, 2, 1), 8, "fermionic") == dist.probs
 
 
-class TestRateParams:
-    def test_index_outside_sites_rejected(self):
-        assert X123[3] == 3
-        for site in (0, 4):
-            with pytest.raises(IndexError):
-                X123[site]
+# each entry point that reads site values x, on 3 sites
+X_READERS = {
+    "tazrp_transitions": lambda x: tazrp_transitions(bw("12,-,2"), x),
+    "ring": lambda x: ring(bq(3, (1, 3), (2,)), 1, x),
+    "model_chain": lambda x: model_chain("tazrp", (2, 1), 3, x),
+    "queue_law": lambda x: queue_law("mlq-bosonic", (2, 1), 3, x),
+    "fiber_law": lambda x: fiber_law((2, 1), 3, "bosonic", x),
+}
+# bad x -> the message of every reader; a bool, a float, infinity and text used to be read
+BAD_X = {
+    "bool": ((True, 2, 3), "site values must be integers or Fractions, got True"),
+    "float": ((0.1, 2, 3), "site values must be integers or Fractions, got 0.1"),
+    "infinity": ((float("inf"), 2, 3), "site values must be integers or Fractions, got inf"),
+    "text": (("1/2", 2, 3), "site values must be integers or Fractions, got '1/2'"),
+    "exponent": (("1e3", 2, 3), "site values must be integers or Fractions, got '1e3'"),
+    "zero": ((0, 2, 3), "rate parameters must be positive"),
+    "length": ((1, 2), "expected 3 site values, got 2"),
+}
 
-    def test_iteration_runs_over_the_sites(self):
-        # the 1-based __getitem__ raises at index 0, which used to end iteration at once
-        assert list(RateParams((1, 2, 3))) == [1, 2, 3]
-        assert tuple(X123) == X123.x
-        assert RateParams(())  # no __len__, so an empty one is still true
+
+class TestRateParams:
+    """Site values x: a sequence of n positive ints or Fractions, read by ``mlq._site_values``."""
+
+    @pytest.mark.parametrize("reader", sorted(X_READERS))
+    def test_ints_read_as_their_fractions(self, reader):
+        assert X_READERS[reader]([1, 2, 3]) == X_READERS[reader]((Fraction(1), Fraction(2), Fraction(3)))
+
+    @pytest.mark.parametrize("bad", sorted(BAD_X))
+    @pytest.mark.parametrize("reader", sorted(X_READERS))
+    def test_bad_values_raise_one_message_everywhere(self, reader, bad):
+        x, message = BAD_X[bad]
+        with pytest.raises(ValueError) as info:
+            X_READERS[reader](x)
+        assert str(info.value) == message
 
     def test_none_is_unit_rates(self):
         w = bw("12,-,2")
-        assert tazrp_transitions(w, None) == tazrp_transitions(w, RateParams.ones(3))
-        assert model_chain("tazrp", (2, 1), 3) == model_chain("tazrp", (2, 1), 3, RateParams.ones(3))
+        assert tazrp_transitions(w, None) == tazrp_transitions(w, (Fraction(1),) * 3)
+        assert model_chain("tazrp", (2, 1), 3) == model_chain("tazrp", (2, 1), 3, (Fraction(1),) * 3)
         assert fiber_law((2, 1), 3, "bosonic") == fiber_law((2, 1), 3, "bosonic", (1, 1, 1))
 
-    @pytest.mark.parametrize("x", [X123, RateParams((Fraction(1), Fraction(2))), (1, 1, 1)])
+    @pytest.mark.parametrize("x", [X123, (Fraction(1), Fraction(2)), (1, 1, 1)])
     def test_fermionic_ringing_takes_no_rates(self, x):
         # fermionic ringing has unit rates; an x of any length used to be ignored
         with pytest.raises(ValueError, match="fermionic ringing takes no site rates"):
@@ -391,6 +412,17 @@ class TestChainSpecValidation:
         with pytest.raises(ValueError):
             ChainSpec(("a", "b"), ((0, 1, Fraction(0)),))
 
+    # each used to build: a float endpoint failed in the solver, a bool rate read as 1
+    @pytest.mark.parametrize("transition", [(0, 1.0, Fraction(1)), (0, 1, True), (0, 1, "1"), (0, 1, 1.0)],
+                             ids=["float-endpoint", "bool-rate", "str-rate", "float-rate"])
+    def test_malformed_transition_rejected(self, transition):
+        with pytest.raises(ValueError, match="must be (positive )?integers"):
+            ChainSpec(("a", "b"), (transition, (1, 0, Fraction(1))))
+
+    def test_int_rate_accepted(self):
+        assert stationary_exact(ChainSpec(("a", "b"), ((0, 1, 2), (1, 0, Fraction(1))))).probs == {
+            "a": Fraction(1, 3), "b": Fraction(2, 3)}
+
 
 class TestDistribution:
     def test_sum_must_be_one(self):
@@ -440,7 +472,7 @@ class TestFermionicRinging:
                 fn(fq(3, (1,), (2,)), 1)
 
 
-SIX_X = RateParams((Fraction(1), Fraction(2), Fraction(3), Fraction(5)))
+SIX_X = (Fraction(1), Fraction(2), Fraction(3), Fraction(5))
 SIX_D = bq(4, (1, 1, 2, 4, 4), (1, 2, 2, 2), (1, 1, 1), (2, 3))
 
 
@@ -522,13 +554,13 @@ class TestRing:
     def test_bosonic_rate_reads_the_ringing_column(self, data, n, k, reverse, with_x):
         row = st.lists(st.integers(1, n), max_size=4).map(lambda r: tuple(sorted(r)))
         q = BosonicMLQ(n, tuple(data.draw(st.lists(row, min_size=k, max_size=k))))
-        x = RateParams(tuple(data.draw(st.lists(st.fractions(min_value=Fraction(1, 9), max_value=9), min_size=n, max_size=n))))
+        x = tuple(data.draw(st.lists(st.fractions(min_value=Fraction(1, 9), max_value=9), min_size=n, max_size=n)))
         i = data.draw(st.integers(1, n))
         c = i % n + 1 if reverse else i
-        want = Fraction(1) / x[c] if with_x and any(c in r for r in q.rows) else 1
+        want = Fraction(1) / x[c - 1] if with_x and any(c in r for r in q.rows) else 1
         assert ring(q, i, x if with_x else None, reverse)[2] == want
 
-    @pytest.mark.parametrize("x", [X123, RateParams.ones(3), RateParams((Fraction(1), Fraction(2))), (1, 1, 1)])
+    @pytest.mark.parametrize("x", [X123, (Fraction(1),) * 3, (Fraction(1), Fraction(2)), (1, 1, 1)])
     @pytest.mark.parametrize("reverse", [False, True])
     def test_fermionic_takes_no_rates(self, x, reverse):
         with pytest.raises(ValueError, match="fermionic ringing takes no site rates"):
@@ -559,7 +591,7 @@ class TestMlqChains:
         chain = model_chain("mlq-bosonic", (2, 1), 3, X123)
         assert len(chain.states) == 18
         dist = stationary_exact(chain)
-        weights = {s: math.prod([xj**e for xj, e in zip(X123.x, s.weight())], start=Fraction(1)) for s in chain.states}
+        weights = {s: math.prod([xj**e for xj, e in zip(X123, s.weight())], start=Fraction(1)) for s in chain.states}
         z = sum(weights.values())
         assert all(dist[s] == weights[s] / z for s in chain.states)
 

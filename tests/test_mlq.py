@@ -14,7 +14,6 @@ from mlqueues import (
     BosonicWord,
     FermionicMLQ,
     FermionicWord,
-    RateParams,
     apply_row_bosonic,
     apply_row_fermionic,
     apply_twists,
@@ -294,7 +293,7 @@ class TestDerivedQueues:
         for i in range(1, q.k):
             assert_matches_validated_rebuild(twist(q, i))
         site = data.draw(st.integers(1, q.n))
-        x = None if isinstance(q, FermionicMLQ) else data.draw(st.none() | st.just(RateParams(tuple(range(1, q.n + 1)))))
+        x = None if isinstance(q, FermionicMLQ) else data.draw(st.none() | st.just(tuple(range(1, q.n + 1))))
         for reverse in (False, True):
             assert_matches_validated_rebuild(ring(q, site, x, reverse)[0])
 

@@ -581,7 +581,7 @@ class TestFiberLaw:
         with pytest.raises(ValueError):
             fiber_law(shape, n, kind, x)
 
-    @pytest.mark.parametrize("x", [(1, -2), (1, -1), (0, 1), ("-1/2", 1)])
+    @pytest.mark.parametrize("x", [(1, -2), (1, -1), (0, 1), (Fraction(-1, 2), 1)])
     def test_non_positive_site_value_rejected(self, x):
         # (1, -2) used to give a "law" with a negative mass, (1, -1) to divide by zero
         with pytest.raises(ValueError, match="positive"):

@@ -6,7 +6,7 @@ import pytest
 
 from mlqueues import markov, verify
 from mlqueues.cli import main
-from mlqueues.markov import MODELS, RateParams, count_states
+from mlqueues.markov import MODELS, count_states
 from mlqueues.mlq import BosonicMLQ, FermionicMLQ, enumerate_queues
 from mlqueues.projection import canonical_order
 from mlqueues.words import BosonicWord, FermionicWord
@@ -172,11 +172,11 @@ class TestChainProjection:
     def test_fermionic_queue_takes_no_rates(self):
         q = FermionicMLQ(3, ((1,), (2,)))
         with pytest.raises(ValueError, match="fermionic ringing takes no site rates"):
-            verify.check_chain_projection.run({"queue": q, "x": RateParams.ones(3)}, {})
+            verify.check_chain_projection.run({"queue": q, "x": (Fraction(1),) * 3}, {})
 
 
 def _rates(*xs):
-    return RateParams(tuple(Fraction(v) for v in xs))
+    return tuple(Fraction(v) for v in xs)
 
 
 class TestStationaryLaw:

@@ -65,6 +65,12 @@ class TestIndicators:
             ms = tuple(sorted(rng.choices(range(1, 7), k=rng.randint(0, 8))))
             assert indicator_multiset(multiset_indicator(ms, 6)) == ms
 
+    # [-1, 2] used to give (2, 2); [1.5] and [True, 1.0] ended in a TypeError
+    @pytest.mark.parametrize("counts", [[-1, 2], [1.5], [True, 1.0]])
+    def test_bad_counts_rejected(self, counts):
+        with pytest.raises(ValueError, match="counts must be nonnegative integers"):
+            indicator_multiset(counts)
+
 
 class TestLayers:
     def test_fermionic_layer_examples(self):
