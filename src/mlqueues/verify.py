@@ -5,24 +5,36 @@ kinds it emits.  A check takes one case, a dict of inputs (a queue, a site, a
 shape, rates, a seed), and returns the witnesses it found there.  Each witness
 records every case field next to what was found, so :func:`replay_witness`
 rebuilds the case from the witness alone and re-runs the same check.  A suite
-is a case generator plus its checks, run serially in case order: it exhausts
-the smallest nontrivial parameter box first, then samples larger instances
-from a seeded generator, so every report is deterministic given (bounds, seed).
+is a case generator plus its checks: it exhausts the smallest nontrivial
+parameter box first, then samples larger instances from a seeded generator.
+
+A suite call splits its cases into W shares, W = :func:`worker_count`: case i,
+counted from 0 over all its checks in order, is in share i mod W.  It forks
+one process per share after the first and runs share 0 itself; each process
+walks its own copy of the same lazy case stream and runs only its share.  The
+calling process merges the witnesses in case order, so every report equals
+the serial run's (W = 1, no fork) and is deterministic given (bounds, seed).
+W is 1 while the process runs more than one thread, as a fork copies only the
+thread that calls it.  The caller raises the exception of the first case that
+raises, as a serial run would: a case that raised in a worker is re-run in
+the caller, after every worker is reaped.
 
 Checks meet the same input many times: twists map the swept queue families
 onto each other, many queues share a (row, fresh label, word) step of the
 particlewise replay, and ringing maps queues onto each other.  So a check also
 takes a table, a dict of the projections, replays or search it has made.  Each
-suite call makes one table, shares it with every check it runs and drops it
-when it returns; no table is kept between calls.  :func:`replay_witness` runs
-its check on an empty table.
+suite call makes one table and drops it when it returns; each process of the
+call has its own copy, shared by every check of its share.  No table is kept
+between calls.  :func:`replay_witness` runs its check on an empty table.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
+import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,8 +64,13 @@ from .words import WORD_CLASSES, Word, _ints, _wrap
 
 
 def worker_count() -> int:
-    """Number of threads the suites run on: always 1, cases run serially."""
-    return 1
+    """Number of processes a suite call splits its cases over: the CPUs this
+    process may run on, or 1 where processes cannot be forked."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass
@@ -175,20 +192,157 @@ def replay_witness(witness) -> bool:
     missing = [name for name in check.fields if name not in witness]
     if missing:
         raise ValueError(f"{kind} witness lacks the fields {missing}")
-    case = {name: parse(name, witness[name]) for name, parse in check.fields.items()}
-    return witness in json.loads(json.dumps(check.run(case, {})))
+    return witness in json.loads(json.dumps(check.run(_case(check, witness), {})))
+
+
+def _case(check: Check, record: dict) -> dict:
+    """The case whose fields ``record`` holds as witness JSON."""
+    return {name: parse(name, record[name]) for name, parse in check.fields.items()}
 
 
 def _run(suite: str, parameters: dict, parts: Iterable[tuple[Check, Iterable[dict]]], table: dict) -> SuiteReport:
-    """Run each check over its cases, serially and in order, all on one ``table``."""
+    """Run each check over its cases in ``worker_count()`` shares (see
+    :class:`_Shares`) and merge their witnesses in case order."""
     start = time.perf_counter()
-    failures: list = []
-    cases = 0
-    for check, batch in parts:
-        for case in batch:
-            failures.extend(check.run(case, table))
-            cases += check.units(case)
-    return SuiteReport(suite, parameters, cases, failures, time.perf_counter() - start)
+    workers = worker_count() if threading.active_count() == 1 else 1  # fork no process that has threads
+    with _Shares(list(parts), table, workers) as shares:
+        shares.walk()
+    failures = [w for _, witnesses in sorted(shares.found, key=lambda f: f[0]) for w in witnesses]
+    return SuiteReport(suite, parameters, shares.units, failures, time.perf_counter() - start)
+
+
+class _Shares:
+    """The cases of one suite call, split by case index: case i, counted from 0
+    over all parts in order, is in share i mod ``workers``.  Entering forks a
+    worker process for each share after the first (this process runs share 0
+    and the shares it cannot fork); each process walks its own copy of the
+    lazy case stream and of ``table`` and runs only its share.  Leaving hears
+    every worker: its units and witnesses join this process's, and the first
+    case that raised in a worker, if no case raised earlier here, is re-run
+    here so that its exception surfaces as in a serial run.  An interrupt
+    stops every worker."""
+
+    def __init__(self, parts: list, table: dict, workers: int):
+        self.parts, self.table = parts, table
+        self.stream = ((check, case) for check, batch in parts for case in batch)
+        self.own = [True] + [False] * (workers - 1)  # the shares this process runs
+        self.units, self.found = 0, []  # units run, and (case index, witnesses) of each case with witnesses
+        self.position, self.case = 0, None  # see walk
+        self.pids: list[int] = []  # the workers not yet reaped
+        self.reads: list[int] = []  # the read end of each worker's report pipe
+
+    def __enter__(self) -> "_Shares":
+        for share in range(1, len(self.own)):
+            try:
+                pid, read = self._fork(share)
+            except OSError:  # out of processes or files: this process runs the shares left
+                self.own[share:] = [True] * (len(self.own) - share)
+                break
+            self.pids.append(pid)
+            self.reads.append(read)
+        return self
+
+    def _fork(self, share: int) -> tuple[int, int]:
+        """Fork the worker of ``share``: its pid and the read end of its report pipe."""
+        read, write = os.pipe()
+        pid = None
+        try:
+            if (pid := os.fork()) == 0:
+                self._serve(share, write)
+        finally:
+            os.close(write)
+            if pid is None:
+                os.close(read)
+        return pid, read
+
+    def walk(self) -> None:
+        """Run this process's shares.  ``position`` is 2i while case i is made
+        and 2i + 1 while its check runs, and None once every case has run;
+        ``case`` is the (check, case) run last."""
+        own, table, workers = self.own, self.table, len(self.own)
+        units, found, position, check, case = 0, self.found, 0, None, None
+        try:
+            for i, (check, case) in enumerate(self.stream):
+                if own[i % workers]:
+                    position = 2 * i + 1
+                    witnesses = check.run(case, table)
+                    units += check.units(case)
+                    if witnesses:
+                        found.append((i, witnesses))
+                position = 2 * i + 2
+            position = None
+        finally:
+            self.units, self.position, self.case = units, position, (check, case)
+
+    def _serve(self, share: int, write: int):
+        """In a forked worker: run share ``share``, write the report as JSON to
+        ``write`` and exit.  The report is ``[units, found]`` (exit code 0), or
+        ``[position, index of the part, case as witness JSON]`` when a check
+        raised, for the caller to re-run; it is null when making a case raised,
+        as it does in the caller too."""
+        code = 1
+        try:
+            self.own = [s == share for s in range(len(self.own))]
+            try:
+                self.walk()
+            except Exception:
+                pass  # reported by its position
+            report = None
+            if self.position is None:
+                report = [self.units, self.found]
+            elif self.position % 2:
+                check, case = self.case
+                part = [c for c, _ in self.parts].index(check)
+                report = [self.position, part, {name: _json(case[name]) for name in check.fields}]
+            with open(write, "w", closefd=False) as pipe:
+                json.dump(report, pipe)
+            code = 0 if self.position is None else 1
+        finally:
+            os._exit(code)
+
+    def __exit__(self, kind, exc, tb) -> bool:
+        try:
+            if kind is None or issubclass(kind, Exception):
+                self._hear(None if kind is None else self.position)
+        finally:
+            for read in self.reads:
+                os.close(read)
+            if self.pids:  # interrupted: stop the workers not yet heard
+                import signal
+
+                for pid in self.pids:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+        return False
+
+    def _hear(self, stopped: int | None) -> None:
+        """Read and reap each worker in turn and merge its report; ``stopped``
+        is this process's position when a case raised here, else None."""
+        first = None  # (position, part, case) of the first case that raised in a worker
+        for read in self.reads:
+            with open(read, "rb", closefd=False) as pipe:
+                report = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(self.pids[0], 0)[1])
+            del self.pids[0]
+            if code == 0:
+                units, found = json.loads(report)
+                self.units += units
+                self.found += found
+                continue
+            try:
+                position, part, record = json.loads(report)
+            except (ValueError, TypeError):  # no case to re-run: the worker died, or making a case raised
+                if stopped is None:
+                    raise AssertionError(f"a verify worker process exited with code {code}")
+                continue
+            if first is None or position < first[0]:
+                first = position, part, record
+        if first and (stopped is None or first[0] < stopped):
+            check = self.parts[first[1]][0]
+            case = _case(check, first[2])
+            check.run(case, self.table)
+            check.units(case)
+            raise AssertionError(f"case {first[0] // 2} raised in a verify worker process only")
 
 
 # ---------------------------------------------------------------------------

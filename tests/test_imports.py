@@ -134,9 +134,9 @@ def test_star_import_binds_every_export():
     assert set(mlqueues.__all__) <= namespace.keys()
 
 
-def _loaded_after(*statements: str) -> list[set[str]]:
-    """Run ``statements`` in a fresh interpreter; the ``mlqueues.*`` modules it holds after each."""
-    probe = "print('loaded:', *(m for m in sys.modules if m.startswith('mlqueues.')))"
+def _loaded_after(*statements: str, prefixes=("mlqueues.",)) -> list[set[str]]:
+    """Run ``statements`` in a fresh interpreter; the modules named with one of ``prefixes`` it holds after each."""
+    probe = f"print('loaded:', *(m for m in sys.modules if m.startswith({prefixes!r})))"
     script = "\n".join(["import sys", *(line for statement in statements for line in (statement, probe))])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(Path(mlqueues.__file__).parents[1]), env.get("PYTHONPATH"))))
@@ -159,3 +159,12 @@ def test_cli_loads_verify_only_for_mlq_verify():
         "from mlqueues import cli", "assert cli.main(['verify', '--suite', 'stationary-tazrp']) == 0")
     assert "mlqueues.verify" not in with_cli
     assert "mlqueues.verify" in after_verify
+
+
+def test_verify_loads_no_process_pool():
+    # the suites fork their workers with os.fork and report over pipes in JSON
+    loaded = _loaded_after(
+        "import mlqueues.verify",
+        "from mlqueues import cli; assert cli.main(['verify', '--suite', 'r-invariance', '--bounds', 'random_cases=20']) == 0",
+        prefixes=("pickle", "multiprocessing", "concurrent"))
+    assert loaded == [set(), set()]

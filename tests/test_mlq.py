@@ -382,7 +382,7 @@ class TestExchange:
         assert _exchange.cache_info().currsize == _exchange.cache_info().maxsize == 4096
 
     def test_memo_shared_by_threads(self):
-        # verify runs its cases on a thread pool, so threads share the one memo
+        # verify forks processes, not threads, but library callers may share the one memo between threads
         rows = all_rows(5, "bosonic", 2)
         expected = {(l, u): _exchange.__wrapped__(l, u, 5, False) for l, u in itertools.product(rows, repeat=2)}
         wrong = []

@@ -1,5 +1,6 @@
 import inspect
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,7 @@ class TestSuites:
         assert report.parameters["counterexample"] is not None
 
     def test_stationary_grids_enumerate_each_chain_once(self, monkeypatch):
+        _serial(monkeypatch)
         real = markov.enumerate_states
         calls = []
 
@@ -237,9 +239,15 @@ def test_suite_all_smoke():
 
 
 def test_worker_cap_env_var(monkeypatch):
-    # suites run serially; MLQ_THREADS is no longer read
+    # one process per CPU this process may run on; MLQ_THREADS is not read
     monkeypatch.setenv("MLQ_THREADS", "3")
-    assert verify.worker_count() == 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    assert verify.worker_count() == (cpus if hasattr(os, "fork") else 1)
+
+
+def _serial(patch):
+    """Run every share of a suite call in this process, where a test counts its calls."""
+    patch.setattr(verify, "worker_count", lambda: 1)
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +449,7 @@ def _counted(patch, name, calls):
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_r_invariance_projects_each_distinct_queue_once_per_call(seed, monkeypatch):
+    _serial(monkeypatch)
     runs = []
     for _ in range(2):
         with monkeypatch.context() as patch:
@@ -458,6 +467,7 @@ def test_r_invariance_projects_each_distinct_queue_once_per_call(seed, monkeypat
 @pytest.mark.parametrize("seed", [0, 7])
 def test_ringing_projects_each_distinct_queue_once_per_call(seed, monkeypatch):
     # the chain-projection checks of the suite share its table, and the search keeps its own
+    _serial(monkeypatch)
     runs = []
     for _ in range(2):
         with monkeypatch.context() as patch:
@@ -471,6 +481,7 @@ def test_ringing_projects_each_distinct_queue_once_per_call(seed, monkeypatch):
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_projection_replays_each_distinct_step_once_per_call(seed, monkeypatch):
+    _serial(monkeypatch)
     runs = []
     for _ in range(2):
         with monkeypatch.context() as patch:
@@ -487,6 +498,146 @@ def test_projection_replays_each_distinct_step_once_per_call(seed, monkeypatch):
         assert len(calls) == len(set(calls)) == len(steps) and set(calls) == steps
         runs.append(len(calls))
     assert runs[0] == runs[1] < sum(case["queue"].k for _, case in cases)
+
+
+# suite -> (suite function, verify function whose calls it counts, the calls counted)
+COUNTED_SUITES = {
+    "r-invariance": (suite_r_invariance, "project", lambda args: True),
+    "projection": (suite_phi_equals_ctm, "apply_row_particlewise", lambda args: len(args) == 3),
+    "ringing": (suite_ringing, "project", lambda args: True),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(COUNTED_SUITES))
+def test_each_share_makes_each_call_once(suite, monkeypatch):
+    # split over two processes, this process makes half the calls, each once, and the report is the serial one
+    run_suite, name, counted = COUNTED_SUITES[suite]
+    runs = {}
+    for workers in (1, 2):
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "worker_count", lambda: workers)
+            calls = []
+            _counted(patch, name, calls)
+            report = run_suite(SMALL, 1)
+        calls = [args for args in calls if counted(args)]
+        assert len(calls) == len(set(calls))
+        runs[workers] = (len(calls), report.cases, report.failures)
+    assert 0 < runs[2][0] < runs[1][0] and runs[2][1:] == runs[1][1:]
+
+
+# ---------------------------------------------------------------------------
+# one suite call, split over worker processes
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", sorted(FAULTS))
+def test_split_report_equals_the_serial_one(kind, monkeypatch):
+    run_suite, faults = FAULTS[kind]
+    for name, make in faults.items():
+        monkeypatch.setattr(verify, name, make(getattr(verify, name)))
+    reports = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(verify, "worker_count", lambda: workers)
+        reports.append(run_suite())
+    serial = reports[0]
+    assert any(w["check"] == kind for w in serial.failures)
+    for report in reports[1:]:
+        assert (report.failures, report.cases, report.parameters) == (serial.failures, serial.cases, serial.parameters)
+        assert all(replay_witness(w) for w in report.failures)
+
+
+def _raising_on(patch, indices):
+    """Make the twist-invariance check raise on the r-invariance cases ``indices`` of ``SMALL`` at seed 1."""
+    queues = verify._sweep_queues(verify._bounds(SMALL), 1)
+    targets = {queues[i]: i for i in sorted(indices, reverse=True)}  # a repeated queue raises as its first case
+    real = verify.check_twist_invariance
+
+    def run(case, table):
+        if case["queue"] in targets:
+            raise ValueError(f"raised on case {targets[case['queue']]}")
+        return real.run(case, table)
+
+    patch.setattr(verify, "check_twist_invariance", verify.Check(run, real.fields, real.units))
+
+
+# the cases that raise: in a worker's share, in this process's share, or in both, each share first
+RAISING = {"worker": (1,), "caller": (0,), "worker-first": (1, 0), "caller-first": (0, 1)}
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("where", sorted(RAISING))
+def test_a_raising_case_raises_as_in_the_serial_run(where, workers, monkeypatch):
+    # case i is in share i mod workers, and this process runs share 0
+    shares = RAISING[where]
+    indices = [workers * (1 + n) + share for n, share in enumerate(shares)]
+    _raising_on(monkeypatch, indices)
+    raised = []
+    for count in (1, workers):
+        monkeypatch.setattr(verify, "worker_count", lambda: count)
+        with pytest.raises(Exception) as info:
+            suite_r_invariance(SMALL, 1)
+        raised.append((type(info.value), str(info.value)))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # every worker was reaped
+    assert raised[0] == raised[1] == (ValueError, f"raised on case {indices[0]}")
+
+
+def test_shares_that_cannot_fork_run_in_the_caller(monkeypatch):
+    run_suite, faults = FAULTS["twist-invariance"]
+    for name, make in faults.items():
+        monkeypatch.setattr(verify, name, make(getattr(verify, name)))
+    monkeypatch.setattr(verify, "worker_count", lambda: 1)
+    serial = run_suite()
+    real, forks = os.fork, []
+
+    def fork():  # the second fork fails, as when the process limit is reached
+        forks.append(True)
+        if len(forks) == 2:
+            raise BlockingIOError("no more processes")
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(verify, "worker_count", lambda: 3)
+    report = run_suite()
+    assert len(forks) == 2 and serial.failures
+    assert (report.failures, report.cases, report.parameters) == (serial.failures, serial.cases, serial.parameters)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_interrupt_stops_every_worker(monkeypatch):
+    caller = os.getpid()
+    real = verify.check_twist_invariance
+
+    def run(case, table):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        return real.run(case, table)
+
+    monkeypatch.setattr(verify, "check_twist_invariance", verify.Check(run, real.fields, real.units))
+    monkeypatch.setattr(verify, "worker_count", lambda: 2)
+    with pytest.raises(KeyboardInterrupt):
+        suite_r_invariance(SMALL, 1)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_worker_that_dies_is_an_error(monkeypatch):
+    caller = os.getpid()
+    queue = verify._sweep_queues(verify._bounds(SMALL), 1)[1]  # case 1: the worker's share of two
+    real = verify.check_twist_invariance
+
+    def run(case, table):
+        if case["queue"] == queue and os.getpid() != caller:
+            os._exit(3)
+        return real.run(case, table)
+
+    monkeypatch.setattr(verify, "check_twist_invariance", verify.Check(run, real.fields, real.units))
+    monkeypatch.setattr(verify, "worker_count", lambda: 2)
+    with pytest.raises(AssertionError, match="^a verify worker process exited with code 3$"):
+        suite_r_invariance(SMALL, 1)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------------------
