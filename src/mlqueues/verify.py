@@ -14,10 +14,11 @@ one process per share after the first and runs share 0 itself; each process
 walks its own copy of the same lazy case stream and runs only its share.  The
 calling process merges the witnesses in case order, so every report equals
 the serial run's (W = 1, no fork) and is deterministic given (bounds, seed).
+If any share fails, because a fork fails or a case raises, the call reaps
+every worker and runs again serially, so it raises the serial run's first
+exception.  A worker that dies without reporting is an ``AssertionError``.
 W is 1 while the process runs more than one thread, as a fork copies only the
-thread that calls it.  The caller raises the exception of the first case that
-raises, as a serial run would: a case that raised in a worker is re-run in
-the caller, after every worker is reaped.
+thread that calls it.
 
 Checks meet the same input many times: twists map the swept queue families
 onto each other, many queues share a (row, fresh label, word) step of the
@@ -192,157 +193,89 @@ def replay_witness(witness) -> bool:
     missing = [name for name in check.fields if name not in witness]
     if missing:
         raise ValueError(f"{kind} witness lacks the fields {missing}")
-    return witness in json.loads(json.dumps(check.run(_case(check, witness), {})))
+    case = {name: parse(name, witness[name]) for name, parse in check.fields.items()}
+    return witness in json.loads(json.dumps(check.run(case, {})))
 
 
-def _case(check: Check, record: dict) -> dict:
-    """The case whose fields ``record`` holds as witness JSON."""
-    return {name: parse(name, record[name]) for name, parse in check.fields.items()}
-
-
-def _run(suite: str, parameters: dict, parts: Iterable[tuple[Check, Iterable[dict]]], table: dict) -> SuiteReport:
-    """Run each check over its cases in ``worker_count()`` shares (see
-    :class:`_Shares`) and merge their witnesses in case order."""
+def _run(suite: str, parameters: dict, parts: Callable[[], list], table: dict) -> SuiteReport:
+    """Run each check of ``parts()``, a list of (check, cases), over its cases
+    in ``worker_count()`` shares (see :func:`_split`), or serially, on
+    ``parts()`` made anew, once a share fails."""
     start = time.perf_counter()
     workers = worker_count() if threading.active_count() == 1 else 1  # fork no process that has threads
-    with _Shares(list(parts), table, workers) as shares:
-        shares.walk()
-    failures = [w for _, witnesses in sorted(shares.found, key=lambda f: f[0]) for w in witnesses]
-    return SuiteReport(suite, parameters, shares.units, failures, time.perf_counter() - start)
+    shares = _split(parts(), table, workers) if workers > 1 else None
+    units, found = shares or _share(parts(), table, 0, 1)
+    failures = [w for _, witnesses in found for w in witnesses]
+    return SuiteReport(suite, parameters, units, failures, time.perf_counter() - start)
 
 
-class _Shares:
-    """The cases of one suite call, split by case index: case i, counted from 0
-    over all parts in order, is in share i mod ``workers``.  Entering forks a
-    worker process for each share after the first (this process runs share 0
-    and the shares it cannot fork); each process walks its own copy of the
-    lazy case stream and of ``table`` and runs only its share.  Leaving hears
-    every worker: its units and witnesses join this process's, and the first
-    case that raised in a worker, if no case raised earlier here, is re-run
-    here so that its exception surfaces as in a serial run.  An interrupt
-    stops every worker."""
+def _share(parts: list, table: dict, share: int, workers: int) -> tuple[int, list]:
+    """Run share ``share`` of ``workers`` of the cases of ``parts``: case i,
+    counted from 0 over all parts in order, is in share i mod ``workers``.
+    Returns the units run and (case index, witnesses) of each case with
+    witnesses, in case order."""
+    units, found = 0, []
+    stream = ((check, case) for check, cases in parts for case in cases)
+    for i, (check, case) in itertools.islice(enumerate(stream), share, None, workers):
+        witnesses = check.run(case, table)
+        units += check.units(case)
+        if witnesses:
+            found.append((i, witnesses))
+    return units, found
 
-    def __init__(self, parts: list, table: dict, workers: int):
-        self.parts, self.table = parts, table
-        self.stream = ((check, case) for check, batch in parts for case in batch)
-        self.own = [True] + [False] * (workers - 1)  # the shares this process runs
-        self.units, self.found = 0, []  # units run, and (case index, witnesses) of each case with witnesses
-        self.position, self.case = 0, None  # see walk
-        self.pids: list[int] = []  # the workers not yet reaped
-        self.reads: list[int] = []  # the read end of each worker's report pipe
 
-    def __enter__(self) -> "_Shares":
-        for share in range(1, len(self.own)):
+def _split(parts: list, table: dict, workers: int) -> tuple[int, list] | None:
+    """Run share 0 of ``parts`` (see :func:`_share`) here and fork a worker
+    process for each other share; a worker walks its own copy of the lazy
+    case streams and of ``table`` and writes its result as JSON to a pipe.
+    Returns the units and witnesses of every share, in case order, or None
+    once a share fails: a fork fails, or a case raises here or in a worker.
+    A worker that exits without reporting is an ``AssertionError``.  Every
+    worker is reaped before this returns or raises."""
+    running, pipes = {}, []  # pid -> read end, of each worker not yet reaped; every pipe end opened
+    try:
+        for share in range(1, workers):
             try:
-                pid, read = self._fork(share)
-            except OSError:  # out of processes or files: this process runs the shares left
-                self.own[share:] = [True] * (len(self.own) - share)
-                break
-            self.pids.append(pid)
-            self.reads.append(read)
-        return self
-
-    def _fork(self, share: int) -> tuple[int, int]:
-        """Fork the worker of ``share``: its pid and the read end of its report pipe."""
-        read, write = os.pipe()
-        pid = None
+                read, write = (open(end, mode) for end, mode in zip(os.pipe(), "rw"))
+                pipes += read, write
+                pid = os.fork()
+            except OSError:  # out of processes or files
+                return None
+            if pid == 0:  # the worker: exit code 1 if a case raised
+                code = 1
+                try:
+                    with write:
+                        json.dump(_share(parts, table, share, workers), write)
+                    code = 0
+                finally:
+                    os._exit(code)
+            write.close()
+            running[pid] = read
         try:
-            if (pid := os.fork()) == 0:
-                self._serve(share, write)
-        finally:
-            os.close(write)
-            if pid is None:
-                os.close(read)
-        return pid, read
+            units, found = _share(parts, table, 0, workers)
+        except Exception:  # the serial run raises the first case's exception
+            return None
+        for pid, read in list(running.items()):
+            report = read.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del running[pid]
+            if code == 1:
+                return None
+            if code:
+                raise AssertionError(f"a verify worker process exited with code {code}")
+            more, theirs = json.loads(report)
+            units += more
+            found += theirs
+        return units, sorted(found, key=lambda f: f[0])
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        if running:  # interrupted, or a share failed: stop the workers not yet reaped
+            import signal
 
-    def walk(self) -> None:
-        """Run this process's shares.  ``position`` is 2i while case i is made
-        and 2i + 1 while its check runs, and None once every case has run;
-        ``case`` is the (check, case) run last."""
-        own, table, workers = self.own, self.table, len(self.own)
-        units, found, position, check, case = 0, self.found, 0, None, None
-        try:
-            for i, (check, case) in enumerate(self.stream):
-                if own[i % workers]:
-                    position = 2 * i + 1
-                    witnesses = check.run(case, table)
-                    units += check.units(case)
-                    if witnesses:
-                        found.append((i, witnesses))
-                position = 2 * i + 2
-            position = None
-        finally:
-            self.units, self.position, self.case = units, position, (check, case)
-
-    def _serve(self, share: int, write: int):
-        """In a forked worker: run share ``share``, write the report as JSON to
-        ``write`` and exit.  The report is ``[units, found]`` (exit code 0), or
-        ``[position, index of the part, case as witness JSON]`` when a check
-        raised, for the caller to re-run; it is null when making a case raised,
-        as it does in the caller too."""
-        code = 1
-        try:
-            self.own = [s == share for s in range(len(self.own))]
-            try:
-                self.walk()
-            except Exception:
-                pass  # reported by its position
-            report = None
-            if self.position is None:
-                report = [self.units, self.found]
-            elif self.position % 2:
-                check, case = self.case
-                part = [c for c, _ in self.parts].index(check)
-                report = [self.position, part, {name: _json(case[name]) for name in check.fields}]
-            with open(write, "w", closefd=False) as pipe:
-                json.dump(report, pipe)
-            code = 0 if self.position is None else 1
-        finally:
-            os._exit(code)
-
-    def __exit__(self, kind, exc, tb) -> bool:
-        try:
-            if kind is None or issubclass(kind, Exception):
-                self._hear(None if kind is None else self.position)
-        finally:
-            for read in self.reads:
-                os.close(read)
-            if self.pids:  # interrupted: stop the workers not yet heard
-                import signal
-
-                for pid in self.pids:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-        return False
-
-    def _hear(self, stopped: int | None) -> None:
-        """Read and reap each worker in turn and merge its report; ``stopped``
-        is this process's position when a case raised here, else None."""
-        first = None  # (position, part, case) of the first case that raised in a worker
-        for read in self.reads:
-            with open(read, "rb", closefd=False) as pipe:
-                report = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(self.pids[0], 0)[1])
-            del self.pids[0]
-            if code == 0:
-                units, found = json.loads(report)
-                self.units += units
-                self.found += found
-                continue
-            try:
-                position, part, record = json.loads(report)
-            except (ValueError, TypeError):  # no case to re-run: the worker died, or making a case raised
-                if stopped is None:
-                    raise AssertionError(f"a verify worker process exited with code {code}")
-                continue
-            if first is None or position < first[0]:
-                first = position, part, record
-        if first and (stopped is None or first[0] < stopped):
-            check = self.parts[first[1]][0]
-            case = _case(check, first[2])
-            check.run(case, self.table)
-            check.units(case)
-            raise AssertionError(f"case {first[0] // 2} raised in a verify worker process only")
+            for pid in running:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +466,9 @@ def suite_r_invariance(bounds: dict | None = None, seed: int = 0) -> SuiteReport
     families onto each other, so each distinct queue is projected once per
     call."""
     b = _bounds(bounds)
-    cases = ({"queue": q} for q in _sweep_queues(b, seed))
-    return _run("r-invariance", {"bounds": b, "seed": seed}, [(check_twist_invariance, cases)], {})
+    queues = _sweep_queues(b, seed)
+    return _run("r-invariance", {"bounds": b, "seed": seed},
+                lambda: [(check_twist_invariance, ({"queue": q} for q in queues))], {})
 
 
 def suite_phi_equals_ctm(bounds: dict | None = None, seed: int = 0) -> SuiteReport:
@@ -544,11 +478,10 @@ def suite_phi_equals_ctm(bounds: dict | None = None, seed: int = 0) -> SuiteRepo
     b = _bounds(bounds)
     queues = _sweep_queues(b, seed)
     order_sample = set(random.Random(seed + 1).sample(range(len(queues)), min(len(queues), 60)))
-    cases = (
+    return _run("projection", {"bounds": b, "seed": seed}, lambda: [(check_projection_routes, (
         {"queue": q, "all_orders": idx in order_sample, "order_seed": (seed + 1) * 1_000_003 + idx}
         for idx, q in enumerate(queues)
-    )
-    return _run("projection", {"bounds": b, "seed": seed}, [(check_projection_routes, cases)], {})
+    ))], {})
 
 
 @_check(
@@ -576,7 +509,7 @@ def check_stationary_law(case: dict, table: dict) -> list:
 def _law_suite(model: str, grid, parameters: dict) -> SuiteReport:
     """``model`` on each (queue shape, n, x) of ``grid``, on content conj(shape)."""
     cases = [{"model": model, "lambda": conjugate(shape), "n": n, "x": x} for shape, n, x in grid]
-    return _run(f"stationary-{model}", parameters, [(check_stationary_law, cases)], {})
+    return _run(f"stationary-{model}", parameters, lambda: [(check_stationary_law, cases)], {})
 
 
 TASEP_GRID = [((2, 1), 3), ((2, 1), 4), ((2, 1), 5), ((2, 2), 3), ((2, 2), 4), ((2, 2), 5),
@@ -692,21 +625,24 @@ def suite_ringing(bounds: dict | None = None, seed: int = 0) -> SuiteReport:
     table: dict = {}
     search = {"max_n": 4, "max_k": 4}
     counterexample = _searched(search, table)  # one search serves the check and the parameters
-    rng = random.Random(seed)
     x = (Fraction(1), Fraction(2), Fraction(3))
-    fermionic = ((q, n) for lam in ((1,), (2, 1), (2, 2, 1)) for n in range(max(2, lam[0]), 5)
-                 for q in enumerate_queues(lam, n, "fermionic"))
-    bosonic = (_random_queue(rng, "bosonic", 5, 4, 3) for _ in range(500))  # lazy: each queue, then its site
-    parts = [
-        (check_ring_inverse, ({"queue": q, "site": i} for q, n in fermionic for i in range(1, n + 1))),
-        (check_ring_inverse, ({"queue": d, "site": rng.randint(1, d.n)} for d in bosonic)),
-        (check_stationary_law, [{"model": "mlq-bosonic", "lambda": (2, 1), "n": 3, "x": x}]),
-        (check_chain_projection, ({"queue": d, "x": x} for alpha in ((2, 1), (1, 2))
-                                  for d in enumerate_queues(alpha, 3, "bosonic"))),
-        (check_twist_commute, ({"queue": d, "m": m, "site": i} for d in _exhaustive_queues("bosonic", 3, 3, 2)
-                               for m in range(1, d.k) for i in range(1, d.n + 1))),
-        (check_ringing_search, [search]),
-    ]
+
+    def parts() -> list:
+        rng = random.Random(seed)
+        fermionic = ((q, n) for lam in ((1,), (2, 1), (2, 2, 1)) for n in range(max(2, lam[0]), 5)
+                     for q in enumerate_queues(lam, n, "fermionic"))
+        bosonic = (_random_queue(rng, "bosonic", 5, 4, 3) for _ in range(500))  # lazy: each queue, then its site
+        return [
+            (check_ring_inverse, ({"queue": q, "site": i} for q, n in fermionic for i in range(1, n + 1))),
+            (check_ring_inverse, ({"queue": d, "site": rng.randint(1, d.n)} for d in bosonic)),
+            (check_stationary_law, [{"model": "mlq-bosonic", "lambda": (2, 1), "n": 3, "x": x}]),
+            (check_chain_projection, ({"queue": d, "x": x} for alpha in ((2, 1), (1, 2))
+                                      for d in enumerate_queues(alpha, 3, "bosonic"))),
+            (check_twist_commute, ({"queue": d, "m": m, "site": i} for d in _exhaustive_queues("bosonic", 3, 3, 2)
+                                   for m in range(1, d.k) for i in range(1, d.n + 1))),
+            (check_ringing_search, [search]),
+        ]
+
     return _run("ringing", {"seed": seed, "counterexample": counterexample}, parts, table)
 
 

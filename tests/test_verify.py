@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import threading
 from fractions import Fraction
 
 import pytest
@@ -411,9 +412,9 @@ def _recorded_cases(patch):
     cases, real = [], verify._run
 
     def recording(suite, parameters, parts, table):
-        parts = [(check, list(batch)) for check, batch in parts]
-        cases.extend((check, case) for check, batch in parts for case in batch)
-        return real(suite, parameters, parts, table)
+        made = [(check, list(batch)) for check, batch in parts()]
+        cases.extend((check, case) for check, batch in made for case in batch)
+        return real(suite, parameters, lambda: made, table)
 
     patch.setattr(verify, "_run", recording)
     return cases
@@ -546,40 +547,116 @@ def test_split_report_equals_the_serial_one(kind, monkeypatch):
         assert all(replay_witness(w) for w in report.failures)
 
 
-def _raising_on(patch, indices):
-    """Make the twist-invariance check raise on the r-invariance cases ``indices`` of ``SMALL`` at seed 1."""
-    queues = verify._sweep_queues(verify._bounds(SMALL), 1)
-    targets = {queues[i]: i for i in sorted(indices, reverse=True)}  # a repeated queue raises as its first case
-    real = verify.check_twist_invariance
+# suite -> (suite function, name of the check made to raise, the cases it may raise on)
+RAISING_CHECKS = {
+    "r-invariance": (suite_r_invariance, "check_twist_invariance", lambda case: True),
+    # the bosonic cases come after the fermionic ones, each drawn from the suite call's one rng
+    "ringing": (suite_ringing, "check_ring_inverse", lambda case: case["queue"].kind == "bosonic"),
+}
+
+
+def _raising_on(patch, suite, shares, workers):
+    """Make a check of ``suite`` on ``SMALL`` at seed 1 raise on one case of each
+    of ``shares`` of ``workers``, in that order, past the first case it may
+    raise on; returns the indices of those cases."""
+    run_suite, name, may = RAISING_CHECKS[suite]
+    real = getattr(verify, name)
+    with patch.context() as record:
+        cases = _recorded_cases(record)
+        run_suite(SMALL, 1)
+    first = next(i for i, (check, case) in enumerate(cases) if check is real and may(case))
+    base = -(-first // workers) * workers  # the first case of share 0 from there
+    indices = [base + workers * (1 + n) + share for n, share in enumerate(shares)]
+    assert all(cases[i][0] is real and may(cases[i][1]) for i in indices)
+    # a repeated case raises as its first
+    targets = {tuple(cases[i][1].values()): i for i in sorted(indices, reverse=True)}
 
     def run(case, table):
-        if case["queue"] in targets:
-            raise ValueError(f"raised on case {targets[case['queue']]}")
+        if (key := tuple(case.values())) in targets:
+            raise ValueError(f"raised on case {targets[key]}")
         return real.run(case, table)
 
-    patch.setattr(verify, "check_twist_invariance", verify.Check(run, real.fields, real.units))
+    patch.setattr(verify, name, verify.Check(run, real.fields, real.units))
+    return indices
 
 
-# the cases that raise: in a worker's share, in this process's share, or in both, each share first
-RAISING = {"worker": (1,), "caller": (0,), "worker-first": (1, 0), "caller-first": (0, 1)}
+# test id -> (suite, the shares of the cases that raise): a worker's, this process's, or both, each share first
+RAISING = {
+    "worker": ("r-invariance", (1,)),
+    "caller": ("r-invariance", (0,)),
+    "worker-first": ("r-invariance", (1, 0)),
+    "caller-first": ("r-invariance", (0, 1)),
+    "ringing-worker": ("ringing", (1,)),
+    "ringing-caller": ("ringing", (0,)),
+    "ringing-worker-first": ("ringing", (1, 0)),
+    "ringing-caller-first": ("ringing", (0, 1)),
+}
 
 
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("where", sorted(RAISING))
 def test_a_raising_case_raises_as_in_the_serial_run(where, workers, monkeypatch):
-    # case i is in share i mod workers, and this process runs share 0
-    shares = RAISING[where]
-    indices = [workers * (1 + n) + share for n, share in enumerate(shares)]
-    _raising_on(monkeypatch, indices)
+    # case i is in share i mod workers, and this process runs share 0; a serial
+    # run after a failed split makes the ringing suite's rng anew
+    suite, shares = RAISING[where]
+    indices = _raising_on(monkeypatch, suite, shares, workers)
     raised = []
     for count in (1, workers):
         monkeypatch.setattr(verify, "worker_count", lambda: count)
         with pytest.raises(Exception) as info:
-            suite_r_invariance(SMALL, 1)
+            RAISING_CHECKS[suite][0](SMALL, 1)
         raised.append((type(info.value), str(info.value)))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)  # every worker was reaped
     assert raised[0] == raised[1] == (ValueError, f"raised on case {indices[0]}")
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_case_that_raises_only_in_a_worker_gives_the_serial_report(workers, monkeypatch):
+    run_suite, faults = FAULTS["twist-invariance"]
+    for name, make in faults.items():
+        monkeypatch.setattr(verify, name, make(getattr(verify, name)))
+    _serial(monkeypatch)
+    serial = run_suite()
+    caller = os.getpid()
+    real = verify.check_twist_invariance
+
+    def run(case, table):
+        if os.getpid() != caller:
+            raise ValueError("raised in a worker process")
+        return real.run(case, table)
+
+    monkeypatch.setattr(verify, "check_twist_invariance", verify.Check(run, real.fields, real.units))
+    monkeypatch.setattr(verify, "worker_count", lambda: workers)
+    report = run_suite()
+    assert serial.failures
+    assert (report.failures, report.cases, report.parameters) == (serial.failures, serial.cases, serial.parameters)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_caller_that_runs_threads_forks_no_worker(monkeypatch):
+    run_suite, faults = FAULTS["twist-invariance"]
+    for name, make in faults.items():
+        monkeypatch.setattr(verify, name, make(getattr(verify, name)))
+    _serial(monkeypatch)
+    serial = run_suite()
+
+    def fork():
+        pytest.fail("a process that runs threads forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(verify, "worker_count", lambda: 2)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        report = run_suite()
+    finally:
+        stop.set()
+        thread.join(10)
+    assert not thread.is_alive() and serial.failures
+    assert (report.failures, report.cases, report.parameters) == (serial.failures, serial.cases, serial.parameters)
 
 
 def test_shares_that_cannot_fork_run_in_the_caller(monkeypatch):
