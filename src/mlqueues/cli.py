@@ -5,8 +5,10 @@ Exit codes: 0 success, 2 input error (a failed write to stdout, or an input
 too large for memory, too), 3 model error (reducible chain, absorbing state,
 bad shape, an exit rate past the float range of ``--method mc``), 4 verification failure.
 
-``mlq verify`` imports :mod:`verify` when it runs, so every other command
-neither compiles nor executes it.
+``mlq verify`` imports :mod:`verify` when it runs, and ``mlq stationary`` and
+``mlq ring`` import :mod:`markov`; ``project``, ``sigma``, ``enumerate`` and
+``render`` compile neither.  :mod:`markov` alone decides which models exist
+and which inputs take site values x; its ``ValueError`` exits 2.
 """
 
 from __future__ import annotations
@@ -21,14 +23,6 @@ from fractions import Fraction
 
 from . import documents
 from .errors import ChainError, ShapeError
-from .markov import (
-    MODELS,
-    model_chain,
-    queue_law,
-    ring,
-    simulate_ctmc,
-    stationary_exact,
-)
 from .mlq import count_queues, enumerate_queues, twist
 from .projection import ctm_project, label_trace, project
 
@@ -50,11 +44,8 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad integer list {text!r}") from exc
 
 
-def _parse_x(text: str | None, n: int) -> tuple[Fraction, ...]:
-    """The ``--x`` site values, unit on all ``n`` sites when absent; the
-    library function that takes them checks them against its n."""
-    if text is None:
-        return (Fraction(1),) * n
+def _parse_x(text: str) -> tuple[Fraction, ...]:
+    """The ``--x`` site values; the library function that takes them checks them."""
     return tuple(documents.parse_fraction(p) for p in text.split(","))
 
 
@@ -96,11 +87,12 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_stationary(args) -> int:
-    rates = MODELS[args.model].rates
-    if args.x is not None and not rates:
-        raise ValueError(f"--x does not apply to {args.model}, whose rates are all 1")
+    from .markov import MODELS, model_chain, queue_law, simulate_ctmc, stationary_exact
+
     lam, n = _parse_int_list(args.lam), args.n
-    x = _parse_x(args.x, n) if rates else None
+    x = None if args.x is None else _parse_x(args.x)
+    if x is None and getattr(MODELS.get(args.model), "rates", False):  # the document lists unit rates
+        x = (Fraction(1),) * n
     if args.method == "mlq":
         law = queue_law(args.model, lam, n, x)
     elif args.method == "exact":
@@ -112,10 +104,10 @@ def cmd_stationary(args) -> int:
 
 
 def cmd_ring(args) -> int:
+    from .markov import ring
+
     q = documents.parse_queue(_load_json(args.infile))
-    if q.kind == "fermionic" and args.x is not None:
-        raise ValueError("--x does not apply to a fermionic queue, whose ringing rates are all 1")
-    x = None if args.x is None else _parse_x(args.x, q.n)
+    x = None if args.x is None else _parse_x(args.x)
     image, exit_site, rate = ring(q, args.site, x, args.reverse)
     _emit(
         {
@@ -205,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sigma)
 
     p = sub.add_parser("stationary", help="stationary distribution of a ring process")
-    p.add_argument("--model", required=True, choices=tuple(MODELS))
+    p.add_argument("--model", required=True, help="the ring process; an unknown name lists the choices")
     p.add_argument("--lambda", dest="lam", required=True, help="comma-separated content/shape, e.g. 2,1")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--x", default=None, help="comma-separated site rates, default all ones")

@@ -76,17 +76,24 @@ def _row_layers(row: list[int], fresh: int, layers: list, weakly_right: bool, ma
     return below + [[x - u for x, u in zip(row, ur)] for ur, _ in unpaired[s + 1 - a :]]
 
 
+def _checked_content(word: Word, fresh_label: int) -> tuple[int, ...]:
+    """The word's labels, ascending, once ``fresh_label`` is a positive
+    integer no larger than the smallest of them: the row operators' one guard."""
+    if type(fresh_label) is not int or fresh_label < 1:
+        raise ValueError("fresh label must be a positive integer")
+    content = word.content()
+    if content and fresh_label > content[0]:
+        raise ValueError(f"fresh label exceeds smallest word label ({fresh_label} > {content[0]})")
+    return content
+
+
 def _apply_row(row: Iterable[int], fresh_label: int, word: Word, kind: str) -> Word:
     """The row operator on a ``kind`` word; see :func:`apply_row_fermionic`."""
     if word.kind != kind:
         raise ValueError(f"a {kind} row operator got a {word.kind} word")
     fermionic = kind == "fermionic"
     counts = _site_counts(row, word.n, fermionic)
-    if type(fresh_label) is not int or fresh_label < 1:
-        raise ValueError("fresh label must be a positive integer")
-    content = word.content()
-    if content and fresh_label > content[0]:
-        raise ValueError(f"fresh label {fresh_label} exceeds smallest word label {content[0]}")
+    content = _checked_content(word, fresh_label)
     layers = _row_layers(counts, fresh_label, word.layers(), fermionic)
     # every row particle stays and every word particle pairs or collapses
     if (sum(layers[0]) if layers else 0) != max(sum(counts), len(content)):
@@ -231,8 +238,7 @@ def apply_row_particlewise(row: Iterable[int], fresh_label: int, word: Word, ord
     fermionic = word.kind == "fermionic"
     row = list(row)
     free = _site_counts(row, n, fermionic)  # row particles no word particle has taken yet
-    if type(fresh_label) is not int or fresh_label < 1:
-        raise ValueError("fresh label must be a positive integer")
+    _checked_content(word, fresh_label)
     if order is None:
         order = canonical_order(word)
     else:  # a caller's order; the canonical one holds by construction
@@ -243,8 +249,6 @@ def apply_row_particlewise(row: Iterable[int], fresh_label: int, word: Word, ord
             raise ValueError("order must list exactly the word's particles")
         if any(a[1] < b[1] for a, b in zip(order, order[1:])):
             raise ValueError("order must have weakly decreasing labels")
-    if order and fresh_label > order[-1][1]:
-        raise ValueError("fresh label exceeds smallest word label")
 
     out: list[tuple[int, int]] = []
     cap = min(sum(free), len(order))

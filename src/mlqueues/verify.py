@@ -590,15 +590,11 @@ def find_ringing_counterexample(max_n: int = 4, max_k: int = 4) -> dict | None:
     whose ringing does not lump onto the exclusion process, or None."""
     _ints((max_n, max_k), "the search box bounds")
     table: dict = {}  # one table for the whole search
-    for n in range(2, max_n + 1):
-        for k in range(2, max_k + 1):
-            for alpha in itertools.product(range(n + 1), repeat=k):
-                if all(a >= b for a, b in zip(alpha, alpha[1:])):
-                    continue  # straight shapes project; skip
-                for q in enumerate_queues(alpha, n, "fermionic"):
-                    found = check_chain_projection.run({"queue": q, "x": None}, table)
-                    if found:
-                        return found[0]
+    for q in _exhaustive_queues("fermionic", max_n, max_k, max_n):
+        if q.is_straight:
+            continue  # straight shapes project; skip
+        if found := check_chain_projection.run({"queue": q, "x": None}, table):
+            return found[0]
     return None
 
 
@@ -629,11 +625,11 @@ def suite_ringing(bounds: dict | None = None, seed: int = 0) -> SuiteReport:
 
     def parts() -> list:
         rng = random.Random(seed)
-        fermionic = ((q, n) for lam in ((1,), (2, 1), (2, 2, 1)) for n in range(max(2, lam[0]), 5)
+        fermionic = (q for lam in ((1,), (2, 1), (2, 2, 1)) for n in range(max(2, lam[0]), 5)
                      for q in enumerate_queues(lam, n, "fermionic"))
         bosonic = (_random_queue(rng, "bosonic", 5, 4, 3) for _ in range(500))  # lazy: each queue, then its site
         return [
-            (check_ring_inverse, ({"queue": q, "site": i} for q, n in fermionic for i in range(1, n + 1))),
+            (check_ring_inverse, ({"queue": q, "site": i} for q in fermionic for i in range(1, q.n + 1))),
             (check_ring_inverse, ({"queue": d, "site": rng.randint(1, d.n)} for d in bosonic)),
             (check_stationary_law, [{"model": "mlq-bosonic", "lambda": (2, 1), "n": 3, "x": x}]),
             (check_chain_projection, ({"queue": d, "x": x} for alpha in ((2, 1), (1, 2))

@@ -253,7 +253,7 @@ class TestStationaryCommand:
         )
         assert code == 2
         assert out == ""
-        assert "--x" in err
+        assert f"{model} takes no site rates x" in err
 
     def test_empty_x_is_input_error(self, capsys):
         # an empty --x is an empty rate, not an absent --x
@@ -277,6 +277,24 @@ class TestStationaryCommand:
 
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("stationary", "--model", "asep", "--lambda", "2,1", "--n", "3"),
+         f"unknown model 'asep'; choose from {list(markov.MODELS)}"),
+        (("stationary", "--model", "tasep", "--lambda", "2,1", "--n", "3", "--x", "1,1,1"),
+         "tasep takes no site rates x: its rates are all 1"),
+        (("ring", "--in", "{queue}", "--site", "1", "--x", "1,1,1,1,1,1"),
+         "fermionic ringing takes no site rates x: its rates are all 1"),
+    ],
+    ids=["unknown-model", "x-for-tasep", "x-for-fermionic-ringing"],
+)
+def test_refused_input_exits_2_with_the_library_message(tmp_path, capsys, argv, message):
+    # markov owns these rules; the CLI only maps its ValueError to exit 2
+    path = write_doc(tmp_path, EX_QUEUE_DOC)
+    assert run(capsys, *(a.format(queue=path) for a in argv)) == (2, "", f"input error: {message}\n")
 
 
 MODELS = ("tasep", "tazrp", "ktazrp", "mlq-fermionic", "mlq-bosonic")
@@ -433,7 +451,7 @@ class TestRingCommand:
         path = write_doc(tmp_path, EX_QUEUE_DOC)
         code, out, err = run(capsys, "ring", "--in", path, "--site", "1", "--x", x, *reverse)
         assert (code, out) == (2, "")
-        assert "--x" in err
+        assert (f"bad rational {x!r}" if x in ("garbage", "") else "fermionic ringing takes no site rates x") in err
 
     @pytest.mark.parametrize("reverse", ((), ("--reverse",)))
     def test_empty_x_on_a_bosonic_queue_is_input_error(self, tmp_path, capsys, reverse):

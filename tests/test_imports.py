@@ -6,6 +6,7 @@ it runs."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -159,6 +160,27 @@ def test_cli_loads_verify_only_for_mlq_verify():
         "from mlqueues import cli", "assert cli.main(['verify', '--suite', 'stationary-tazrp']) == 0")
     assert "mlqueues.verify" not in with_cli
     assert "mlqueues.verify" in after_verify
+
+
+@pytest.mark.parametrize(
+    "argv, loads_markov",
+    [
+        (None, False),
+        (["project", "--in", "{queue}"], False),
+        (["sigma", "--in", "{queue}", "--i", "1"], False),
+        (["enumerate", "--alpha", "2,1", "--n", "3", "--kind", "fermionic", "--count-only"], False),
+        (["render", "--in", "{queue}"], False),
+        (["stationary", "--model", "tasep", "--lambda", "1,1", "--n", "2"], True),
+        (["ring", "--in", "{queue}", "--site", "1"], True),
+    ],
+    ids=["import", "project", "sigma", "enumerate", "render", "stationary", "ring"],
+)
+def test_cli_loads_markov_only_for_the_commands_that_run_it(tmp_path, argv, loads_markov):
+    queue = tmp_path / "queue.json"
+    queue.write_text(json.dumps({"kind": "fermionic", "n": 3, "rows": [[1, 2], [3]]}))
+    run = [] if argv is None else [f"assert cli.main({[a.format(queue=queue) for a in argv]!r}) == 0"]
+    *_, loaded = _loaded_after("from mlqueues import cli", *run)
+    assert ("mlqueues.markov" in loaded) == loads_markov
 
 
 def test_verify_loads_no_process_pool():
