@@ -8,7 +8,8 @@ bad shape, an exit rate past the float range of ``--method mc``), 4 verification
 ``mlq verify`` imports :mod:`verify` when it runs, and ``mlq stationary`` and
 ``mlq ring`` import :mod:`markov`; ``project``, ``sigma``, ``enumerate`` and
 ``render`` compile neither.  :mod:`markov` alone decides which models exist
-and which inputs take site values x; its ``ValueError`` exits 2.
+and which inputs take site values x, and :mod:`mlq` which queue kinds exist;
+their ``ValueError`` exits 2.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 from . import documents
 from .errors import ChainError, ShapeError
-from .mlq import count_queues, enumerate_queues, twist
+from .mlq import QUEUE_CLASSES, count_queues, enumerate_queues, twist
 from .projection import ctm_project, label_trace, project
 
 
@@ -170,7 +171,7 @@ def cmd_verify(args) -> int:
 def cmd_render(args) -> int:
     doc = _load_json(args.infile)
     kind = doc.get("kind") if isinstance(doc, dict) else None
-    if kind in ("fermionic", "bosonic"):
+    if isinstance(kind, str) and kind in QUEUE_CLASSES:
         print(documents.render_queue(documents.parse_queue(doc)))
     elif kind in ("fermionic_word", "bosonic_word"):
         print(documents.render_word(documents.parse_word(doc)))
@@ -216,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="stream all queues of a given shape")
     p.add_argument("--alpha", required=True, help="comma-separated row sizes, bottom row first")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kind", choices=("fermionic", "bosonic"), required=True)
+    p.add_argument("--kind", required=True, help="the queue kind; an unknown one lists the choices")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_enumerate)

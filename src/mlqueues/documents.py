@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .mlq import MLQ, QUEUE_CLASSES
+from .mlq import MLQ, _queue_class
 from .words import BosonicWord, FermionicWord, Word, _ring_size, multiset_indicator
 
 
@@ -42,11 +42,10 @@ def emit_queue(q: MLQ) -> dict:
 
 def parse_queue(doc: dict) -> MLQ:
     _require(isinstance(doc, dict), "queue document must be an object")
-    kind = doc.get("kind")
-    _require(kind in ("fermionic", "bosonic"), f"bad queue kind {kind!r}")
+    cls = _queue_class(doc.get("kind"))
     rows = doc.get("rows")
     _require(isinstance(rows, list) and all(isinstance(r, list) for r in rows), "rows must be a nonempty list of lists")
-    return QUEUE_CLASSES[kind](doc.get("n"), tuple(tuple(r) for r in rows))
+    return cls(doc.get("n"), tuple(tuple(r) for r in rows))
 
 
 def emit_word(w: Word) -> dict:

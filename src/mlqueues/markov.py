@@ -15,7 +15,8 @@ whether the next prime of a fixed Mersenne ladder is tried and certifies the
 result; the solve raises past the last prime.  Floating point appears only in
 the Monte-Carlo sampler.  ``MODELS`` is the one table of the ``mlq
 stationary`` models and their move rules, read by :func:`model_chain`,
-:func:`queue_law` and :func:`model_size`.
+:func:`queue_law` and :func:`model_size`; queue kinds and straight shapes
+are the rules of :mod:`mlq`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 from typing import Callable, Hashable, Sequence
 
 from .errors import ChainError, ShapeError
-from .mlq import MLQ, BosonicMLQ, FermionicMLQ, _queue, _site_values, count_queues, enumerate_queues
+from .mlq import MLQ, BosonicMLQ, FermionicMLQ, _queue, _queue_class, _site_values, _straight, count_queues, enumerate_queues
 from .projection import fiber_law
 from .words import BosonicWord, FermionicWord, Word, _ints, _ring_size, _wrap
 
@@ -114,12 +115,11 @@ def conjugate(lam: Sequence[int]) -> tuple[int, ...]:
 
 def _content(lam: Sequence[int], n: int, kind: str) -> tuple[int, ...]:
     """``lam`` sorted descending, once it is a valid content for ``kind`` words on ``n`` sites."""
+    _queue_class(kind)
     lam = tuple(sorted(_ints(lam, "content parts"), reverse=True))
-    if not lam or lam[-1] < 1:
-        raise ValueError("content partition must have positive parts")
+    if not conjugate(lam):
+        raise ValueError("a content needs at least one part")
     _ring_size(n)
-    if kind not in ("fermionic", "bosonic"):
-        raise ValueError(f"unknown kind {kind!r}")
     if kind == "fermionic" and len(lam) > n:
         raise ValueError(f"cannot place {len(lam)} particles on {n} exclusion sites")
     return lam
@@ -551,7 +551,7 @@ def _model(model: str, lam: Sequence[int], n: int, x: Sequence | None = None) ->
     if x is not None and not m.rates:
         raise ValueError(f"{model} takes no site rates x: its rates are all 1")
     lam = _ints(lam, "lambda parts")
-    if m.ringing and m.kind == "fermionic" and any(a < b for a, b in zip(lam, lam[1:])):
+    if m.ringing and m.kind == "fermionic" and not _straight(lam):
         raise ShapeError(f"fermionic ringing chain needs a straight shape, got {lam}")
     if m.ringing:
         count_queues(lam, n, m.kind)

@@ -3,8 +3,9 @@
 A multiline queue is a tuple of particle rows on the ring; ``rows[0]`` is the
 bottom row.  One type, :class:`MLQ`, serves both kinds: its ``kind`` says
 whether the rows are subsets of {1..n} (fermionic) or multisets (bosonic).
-Queues the package derives from validated ones (twists, ringing moves,
-enumeration) skip re-validation: ``_queue`` sets their slots directly.
+Every function that takes a kind reads it through ``_queue_class``.  Queues
+the package derives from validated ones (twists, ringing moves, enumeration)
+skip re-validation: ``_queue`` sets their slots directly.
 The twist ``twist(q, i)`` swaps the cylindrically unpaired particles between
 rows i and i+1; it realizes the combinatorial R matrix on adjacent tensor
 factors, so the braid and commutation relations hold for it (they are checked
@@ -41,6 +42,11 @@ def _site_values(x: Sequence | None, n: int) -> tuple[Fraction, ...] | None:
     return x
 
 
+def _straight(shape: Sequence[int]) -> bool:
+    """Whether the row sizes ``shape``, bottom row first, weakly decrease."""
+    return all(a >= b for a, b in zip(shape, shape[1:]))
+
+
 @dataclass(frozen=True, slots=True)
 class MLQ:
     """A multiline queue; rows are ascending tuples of sites in 1..n.  Build
@@ -72,8 +78,7 @@ class MLQ:
 
     @property
     def is_straight(self) -> bool:
-        s = self.shape
-        return all(a >= b for a, b in zip(s, s[1:]))
+        return _straight(self.shape)
 
     def weight(self) -> tuple[int, ...]:
         """The exponent vector of the weight x^D: particles per site, over all rows."""
@@ -91,6 +96,15 @@ class BosonicMLQ(MLQ):
 
 
 QUEUE_CLASSES: dict[str, type[MLQ]] = {"fermionic": FermionicMLQ, "bosonic": BosonicMLQ}
+
+
+def _queue_class(kind) -> type[MLQ]:
+    """The class of ``kind``, a key of ``QUEUE_CLASSES``; anything else, even unhashable, is a ``ValueError``."""
+    if not isinstance(kind, str) or kind not in QUEUE_CLASSES:
+        raise ValueError(f"unknown kind {kind!r}; a queue kind is one of {list(QUEUE_CLASSES)}")
+    return QUEUE_CLASSES[kind]
+
+
 _SET_N, _SET_ROWS = MLQ.n.__set__, MLQ.rows.__set__
 
 
@@ -166,7 +180,7 @@ def straighten(q: MLQ) -> tuple[MLQ, tuple[int, ...]]:
 def colex_rows(n: int, size: int, kind: str) -> list[tuple[int, ...]]:
     """The rows of ``size`` sites in {1..n} a queue of ``kind`` may hold (subsets
     if fermionic, multisets if bosonic) as ascending tuples, in colex order."""
-    pick = itertools.combinations if kind == "fermionic" else itertools.combinations_with_replacement
+    pick = itertools.combinations if _queue_class(kind) is FermionicMLQ else itertools.combinations_with_replacement
     # combinations of n..1 come descending in lex order; reversed twice, that is colex
     return [c[::-1] for c in pick(range(n, 0, -1), size)][::-1]
 
@@ -174,6 +188,7 @@ def colex_rows(n: int, size: int, kind: str) -> list[tuple[int, ...]]:
 def count_queues(alpha: Sequence[int], n: int, kind: str) -> int:
     """Closed-form size of the queue family of the given shape; the one check
     of a shape: it needs at least one row, each of a size the kind allows."""
+    fermionic = _queue_class(kind) is FermionicMLQ
     _ring_size(n)
     if not alpha:
         raise ValueError("a queue needs at least one row")
@@ -181,14 +196,12 @@ def count_queues(alpha: Sequence[int], n: int, kind: str) -> int:
     for a in _ints(alpha, "shape entries"):
         if a < 0:
             raise ValueError("shape entries must be nonnegative")
-        if kind == "fermionic":
+        if fermionic:
             if a > n:
                 raise ValueError(f"fermionic row size {a} exceeds ring size {n}")
             total *= math.comb(n, a)
-        elif kind == "bosonic":
-            total *= math.comb(n + a - 1, a)
         else:
-            raise ValueError(f"unknown kind {kind!r}")
+            total *= math.comb(n + a - 1, a)
     return total
 
 
@@ -199,5 +212,5 @@ def enumerate_queues(alpha: Sequence[int], n: int, kind: str) -> Iterator[MLQ]:
     samplers can index into it reproducibly.  A bad shape raises on the call.
     """
     count_queues(alpha, n, kind)
-    cls = QUEUE_CLASSES[kind]
+    cls = _queue_class(kind)
     return (_queue(cls, n, q_rows) for q_rows in itertools.product(*[colex_rows(n, a, kind) for a in alpha]))

@@ -43,7 +43,6 @@ from typing import Callable, Iterable
 
 from . import documents
 from .markov import (
-    MODELS,
     conjugate,
     model_chain,
     model_size,
@@ -56,6 +55,7 @@ from .markov import (
 from .mlq import MLQ, QUEUE_CLASSES, enumerate_queues, twist
 from .projection import (
     apply_row_particlewise,
+    canonical_order,
     ctm_components,
     ferrari_martin,
     label_trace,
@@ -66,7 +66,8 @@ from .words import WORD_CLASSES, Word, _ints, _wrap
 
 def worker_count() -> int:
     """Number of processes a suite call splits its cases over: the CPUs this
-    process may run on, or 1 where processes cannot be forked."""
+    process may run on, or 1 where processes cannot be forked.  While the
+    caller runs other threads, :func:`_run` uses one process instead."""
     if not hasattr(os, "fork"):
         return 1
     if hasattr(os, "sched_getaffinity"):
@@ -147,19 +148,15 @@ def _field(ok: Callable[[object], bool], what: str, read: Callable = lambda valu
     return parse
 
 
-def _queue_kind(*kinds: str):
-    return _field(lambda v: isinstance(v, dict) and v.get("kind") in kinds, f"a {' or '.join(kinds)} queue",
-                  lambda v: documents.parse_queue(v))
-
-
 def _read_rates(value) -> tuple[Fraction, ...] | None:
     return None if value is None else tuple(documents.parse_fraction(v) for v in value)
 
 
-_ANY_QUEUE, _BOSONIC = _queue_kind("fermionic", "bosonic"), _queue_kind("bosonic")
+_ANY_QUEUE = _field(lambda v: isinstance(v, dict), "a queue", documents.parse_queue)  # parse_queue reads the kind
+_BOSONIC = _field(lambda v: isinstance(v, dict) and v.get("kind") == "bosonic", "a bosonic queue", documents.parse_queue)
 _INT = _field(lambda v: type(v) is int, "an integer")
 _FLAG = _field(lambda v: type(v) is bool, "true or false")
-_MODEL = _field(lambda v: isinstance(v, str) and v in MODELS, f"one of {', '.join(map(repr, MODELS))}")
+_MODEL = _field(lambda v: isinstance(v, str), "a model name")  # markov refuses an unknown one
 _PARTS = _field(lambda v: isinstance(v, list) and all(type(p) is int for p in v), "a list of integers", tuple)
 _RATES_OR_NONE = _field(lambda v: v is None or isinstance(v, list), "a list of rationals or null", _read_rates)
 
@@ -337,12 +334,8 @@ def _random_queue(rng: random.Random, kind: str, max_n: int, max_k: int, max_par
 
 def _sweep_queues(bounds: dict, seed: int) -> list[MLQ]:
     cases: list[MLQ] = []
-    cases.extend(
-        _exhaustive_queues("fermionic", bounds["fermionic_max_n"], bounds["fermionic_max_k"], bounds["fermionic_max_part"])
-    )
-    cases.extend(
-        _exhaustive_queues("bosonic", bounds["bosonic_max_n"], bounds["bosonic_max_k"], bounds["bosonic_max_part"])
-    )
+    for kind in QUEUE_CLASSES:
+        cases.extend(_exhaustive_queues(kind, bounds[f"{kind}_max_n"], bounds[f"{kind}_max_k"], bounds[f"{kind}_max_part"]))
     rng = random.Random(seed)
     for _ in range(bounds["random_cases"]):
         kind = rng.choice(("fermionic", "bosonic"))
@@ -408,11 +401,8 @@ def check_projection_routes(case: dict, table: dict) -> list:
 
 
 def _label_classes(word) -> list:
-    """The word's particles grouped by label, labels descending, sites ascending in a group."""
-    by_label: dict = {}
-    for p in word.particles():
-        by_label.setdefault(p[1], []).append(p)
-    return [by_label[a] for a in sorted(by_label, reverse=True)]
+    """The word's particles in :func:`canonical_order`, grouped by label."""
+    return [list(group) for _, group in itertools.groupby(canonical_order(word), key=lambda p: p[1])]
 
 
 def _priority_orders(word):
@@ -622,24 +612,19 @@ def suite_ringing(bounds: dict | None = None, seed: int = 0) -> SuiteReport:
     search = {"max_n": 4, "max_k": 4}
     counterexample = _searched(search, table)  # one search serves the check and the parameters
     x = (Fraction(1), Fraction(2), Fraction(3))
-
-    def parts() -> list:
-        rng = random.Random(seed)
-        fermionic = (q for lam in ((1,), (2, 1), (2, 2, 1)) for n in range(max(2, lam[0]), 5)
-                     for q in enumerate_queues(lam, n, "fermionic"))
-        bosonic = (_random_queue(rng, "bosonic", 5, 4, 3) for _ in range(500))  # lazy: each queue, then its site
-        return [
-            (check_ring_inverse, ({"queue": q, "site": i} for q in fermionic for i in range(1, q.n + 1))),
-            (check_ring_inverse, ({"queue": d, "site": rng.randint(1, d.n)} for d in bosonic)),
-            (check_stationary_law, [{"model": "mlq-bosonic", "lambda": (2, 1), "n": 3, "x": x}]),
-            (check_chain_projection, ({"queue": d, "x": x} for alpha in ((2, 1), (1, 2))
-                                      for d in enumerate_queues(alpha, 3, "bosonic"))),
-            (check_twist_commute, ({"queue": d, "m": m, "site": i} for d in _exhaustive_queues("bosonic", 3, 3, 2)
-                                   for m in range(1, d.k) for i in range(1, d.n + 1))),
-            (check_ringing_search, [search]),
-        ]
-
-    return _run("ringing", {"seed": seed, "counterexample": counterexample}, parts, table)
+    rng = random.Random(seed)
+    bosonic = [{"queue": (d := _random_queue(rng, "bosonic", 5, 4, 3)), "site": rng.randint(1, d.n)} for _ in range(500)]
+    return _run("ringing", {"seed": seed, "counterexample": counterexample}, lambda: [
+        (check_ring_inverse, ({"queue": q, "site": i} for lam in ((1,), (2, 1), (2, 2, 1)) for n in range(max(2, lam[0]), 5)
+                              for q in enumerate_queues(lam, n, "fermionic") for i in range(1, q.n + 1))),
+        (check_ring_inverse, bosonic),
+        (check_stationary_law, [{"model": "mlq-bosonic", "lambda": (2, 1), "n": 3, "x": x}]),
+        (check_chain_projection, ({"queue": d, "x": x} for alpha in ((2, 1), (1, 2))
+                                  for d in enumerate_queues(alpha, 3, "bosonic"))),
+        (check_twist_commute, ({"queue": d, "m": m, "site": i} for d in _exhaustive_queues("bosonic", 3, 3, 2)
+                               for m in range(1, d.k) for i in range(1, d.n + 1))),
+        (check_ringing_search, [search]),
+    ], table)
 
 
 # name -> suite(bounds, seed), in the order suite_all runs them

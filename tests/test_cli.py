@@ -279,22 +279,36 @@ class TestStationaryCommand:
         assert cli.build_parser() is cli.build_parser()
 
 
+# the documents the refused inputs read, each by the name their argv gives its path
+REFUSED_DOCS = {
+    "queue": EX_QUEUE_DOC,
+    "unhashable_kind": {**EX_QUEUE_DOC, "kind": []},
+    "asep_witness": {"check": "law-mismatch", "model": "asep", "lambda": [2, 1], "n": 3, "x": None},
+}
+KINDS = "a queue kind is one of ['fermionic', 'bosonic']"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
         (("stationary", "--model", "asep", "--lambda", "2,1", "--n", "3"),
          f"unknown model 'asep'; choose from {list(markov.MODELS)}"),
+        (("verify", "--witness", "{asep_witness}"), f"unknown model 'asep'; choose from {list(markov.MODELS)}"),
+        (("enumerate", "--alpha", "2,1", "--n", "3", "--kind", "anyonic", "--count-only"),
+         f"unknown kind 'anyonic'; {KINDS}"),
+        (("project", "--in", "{unhashable_kind}"), f"unknown kind []; {KINDS}"),
         (("stationary", "--model", "tasep", "--lambda", "2,1", "--n", "3", "--x", "1,1,1"),
          "tasep takes no site rates x: its rates are all 1"),
         (("ring", "--in", "{queue}", "--site", "1", "--x", "1,1,1,1,1,1"),
          "fermionic ringing takes no site rates x: its rates are all 1"),
     ],
-    ids=["unknown-model", "x-for-tasep", "x-for-fermionic-ringing"],
+    ids=["unknown-model", "unknown-witness-model", "unknown-kind", "unhashable-document-kind", "x-for-tasep",
+         "x-for-fermionic-ringing"],
 )
 def test_refused_input_exits_2_with_the_library_message(tmp_path, capsys, argv, message):
-    # markov owns these rules; the CLI only maps its ValueError to exit 2
-    path = write_doc(tmp_path, EX_QUEUE_DOC)
-    assert run(capsys, *(a.format(queue=path) for a in argv)) == (2, "", f"input error: {message}\n")
+    # markov owns the models and mlq the queue kinds; the CLI and verify only pass on their ValueError, exit 2
+    paths = {name: write_doc(tmp_path, doc, f"{name}.json") for name, doc in REFUSED_DOCS.items()}
+    assert run(capsys, *(a.format(**paths) for a in argv)) == (2, "", f"input error: {message}\n")
 
 
 MODELS = ("tasep", "tazrp", "ktazrp", "mlq-fermionic", "mlq-bosonic")

@@ -1,14 +1,17 @@
+import ast
 import dataclasses
 import itertools
 import pickle
 import random
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mlqueues
 from mlqueues import (
     BosonicMLQ,
     BosonicWord,
@@ -18,7 +21,9 @@ from mlqueues import (
     apply_row_fermionic,
     apply_twists,
     count_queues,
+    count_states,
     enumerate_queues,
+    enumerate_states,
     label_trace,
     project,
     ring,
@@ -26,6 +31,7 @@ from mlqueues import (
     twist,
 )
 from mlqueues.mlq import _exchange, colex_rows
+from mlqueues.projection import fiber_law
 
 from conftest import bq, bw, fq, fw
 
@@ -406,3 +412,50 @@ class TestExchange:
         assert not any(t.is_alive() for t in threads)
         assert not wrong
         assert _exchange.cache_info().currsize == len(expected)
+
+
+# ---------------------------------------------------------------------------
+# one owner of the queue kinds
+# ---------------------------------------------------------------------------
+
+# every library function that takes a queue kind: each reads it through mlq._queue_class
+KIND_READERS = {
+    "colex_rows": lambda kind: colex_rows(3, 2, kind),
+    "count_queues": lambda kind: count_queues((2, 1), 3, kind),
+    "enumerate_queues": lambda kind: enumerate_queues((2, 1), 3, kind),
+    "fiber_law": lambda kind: fiber_law((2, 1), 3, kind),
+    "count_states": lambda kind: count_states((2, 1), 3, kind),
+    "enumerate_states": lambda kind: enumerate_states((2, 1), 3, kind),
+}
+
+
+@pytest.mark.parametrize("kind", ["anyonic", []], ids=["unknown", "unhashable"])
+@pytest.mark.parametrize("reader", sorted(KIND_READERS))
+def test_every_kind_reader_refuses_an_unknown_kind(reader, kind):
+    # colex_rows returned bosonic rows for any kind but "fermionic"; an unhashable kind is no TypeError
+    with pytest.raises(ValueError, match=r"^unknown kind .*; a queue kind is one of \['fermionic', 'bosonic'\]$"):
+        KIND_READERS[reader](kind)
+
+
+def _kind_membership_tests(tree: ast.AST) -> list[str]:
+    """The ``in`` / ``not in`` tests of ``tree`` whose right side is a literal holding both queue kinds."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            for op, right in zip(node.ops, node.comparators):
+                elts = right.keys if isinstance(right, ast.Dict) else getattr(right, "elts", [])
+                literals = {e.value for e in elts if isinstance(e, ast.Constant)}
+                if isinstance(op, (ast.In, ast.NotIn)) and {"fermionic", "bosonic"} <= literals:
+                    found.append(ast.unparse(node))
+    return found
+
+
+def test_only_mlq_tests_membership_in_the_queue_kinds():
+    # the detector sees a tuple, list, set or dict of both kinds; a drawn kind,
+    # rng.choice(("fermionic", "bosonic")), is no membership test and may stay anywhere
+    sample = 'k in ("fermionic", "bosonic") or k not in {"bosonic": 1, "fermionic": 2} or k in ("fermionic",)'
+    assert _kind_membership_tests(ast.parse(sample)) == [
+        "k in ('fermionic', 'bosonic')", "k not in {'bosonic': 1, 'fermionic': 2}"]
+    modules = sorted(Path(mlqueues.__file__).parent.glob("*.py"))
+    tests = {p.stem: _kind_membership_tests(ast.parse(p.read_text(encoding="utf-8"))) for p in modules if p.stem != "mlq"}
+    assert {stem: found for stem, found in tests.items() if found} == {}

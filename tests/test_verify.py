@@ -597,7 +597,8 @@ RAISING = {
 @pytest.mark.parametrize("where", sorted(RAISING))
 def test_a_raising_case_raises_as_in_the_serial_run(where, workers, monkeypatch):
     # case i is in share i mod workers, and this process runs share 0; a serial
-    # run after a failed split makes the ringing suite's rng anew
+    # run after a failed split walks the same cases: the ringing suite draws its
+    # random cases once per call
     suite, shares = RAISING[where]
     indices = _raising_on(monkeypatch, suite, shares, workers)
     raised = []
