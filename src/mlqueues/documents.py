@@ -138,5 +138,4 @@ def render_word(w: Word) -> str:
     _require_cells(max(k, 1), w.n)
     if k == 0:
         return " ".join(["."] * w.n)
-    rows = [w.layer(m) for m in range(k, 0, -1)]
-    return _grid(rows, digits)
+    return _grid(w.layers()[::-1], digits)

@@ -506,9 +506,9 @@ def _ringing_moves(q: MLQ, x: Sequence | None) -> list[tuple[MLQ, Fraction]]:
 
 
 def mlq_chain(kind: str, alpha: Sequence[int], n: int, x: Sequence | None = None) -> ChainSpec:
-    """The chain of ``mlq-{kind}`` on shape ``alpha``; ``ring`` reads ``x``, and refuses it on a fermionic queue."""
-    m, alpha, _ = _model(f"mlq-{kind}", alpha, n)
-    return _build_chain(_states(m, alpha, n), _ringing_moves, x)
+    """:func:`model_chain` of ``mlq-{kind}`` on shape ``alpha``, once ``kind`` is a queue kind."""
+    _queue_class(kind)
+    return model_chain(f"mlq-{kind}", alpha, n, x)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ not an assumption.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -169,13 +170,7 @@ def fiber_law(shape: Sequence[int], n: int, kind: str, x: Sequence | None = None
         for r in colex_rows(n, shape[j - 1], kind):
             weight = 1 if x is None else math.prod([x[s - 1] for s in r], start=Fraction(1))
             rows.append((tuple(_site_counts(r, n, fermionic)), weight))
-        pairings: dict = {}  # (row, layer) -> _match of the row against the layer
-
-        def match(row, layer, weakly_right):
-            if (hit := pairings.get((row, layer))) is None:
-                hit = pairings[row, layer] = _match(row, layer, weakly_right)
-            return hit
-
+        match = functools.cache(_match)  # made once per stage, of the module's _match when the stage starts
         pushed: dict = {}
         for stack, mass in law.items():
             for row, weight in rows:

@@ -23,10 +23,11 @@ thread that calls it.
 Checks meet the same input many times: twists map the swept queue families
 onto each other, many queues share a (row, fresh label, word) step of the
 particlewise replay, and ringing maps queues onto each other.  So a check also
-takes a table, a dict of the projections, replays or search it has made.  Each
-suite call makes one table and drops it when it returns; each process of the
-call has its own copy, shared by every check of its share.  No table is kept
-between calls.  :func:`replay_witness` runs its check on an empty table.
+takes a table, a dict of the calls it has made (projections, replays, the
+search), each keyed by its function and arguments.  Each suite call makes one
+table and drops it when it returns; each process of the call has its own copy,
+shared by every check of its share.  :func:`replay_witness` runs its check on
+an empty table.
 """
 
 from __future__ import annotations
@@ -115,9 +116,9 @@ class SuiteReport:
 @dataclass(frozen=True)
 class Check:
     """``run(case, table)`` returns the witnesses found on one case, reading and
-    filling ``table``, the one dict its suite call shares among every check it
-    runs (empty on a replay); ``fields`` maps each case field to its witness
-    parser; ``units(case)`` counts the report cases."""
+    filling ``table``, its suite call's one dict of calls (see :func:`_memo`),
+    shared by every check it runs and empty on a replay; ``fields`` maps each
+    case field to its witness parser; ``units(case)`` counts the report cases."""
 
     run: Callable[[dict, dict], list]
     fields: dict
@@ -348,20 +349,26 @@ def _sweep_queues(bounds: dict, seed: int) -> list[MLQ]:
 # ---------------------------------------------------------------------------
 
 
-def _projected(q: MLQ, table: dict) -> Word:
-    """``project(q)``, read from ``table`` (queue -> word) once computed."""
-    if (word := table.get(q)) is None:
-        word = table[q] = project(q)
-    return word
+_MISSING = object()
+
+
+def _memo(table: dict, fn: Callable, *args):
+    """``fn(*args)``, read from ``table`` once made there: an entry is one call,
+    keyed by ``(fn, *args)``, and holds its result, None too.  Callers pass
+    ``fn`` by its module name, so a rebound function runs and is counted."""
+    key = (fn, *args)
+    if (hit := table.get(key, _MISSING)) is _MISSING:
+        hit = table[key] = fn(*args)
+    return hit
 
 
 @_check("twist-invariance", fields={"queue": _ANY_QUEUE})
 def check_twist_invariance(case: dict, table: dict) -> list:
     """Projection is unchanged by every row twist; reports the first twist that changes it."""
     q = case["queue"]
-    base = _projected(q, table)
+    base = _memo(table, project, q)
     for i in range(1, q.k):
-        other = _projected(twist(q, i), table)
+        other = _memo(table, project, twist(q, i))
         if other != base:
             return [_witness("twist-invariance", case, i=i, expected=base, got=other)]
     return []
@@ -414,16 +421,14 @@ def _priority_orders(word):
 def _particlewise_mismatch(q: MLQ, trace: list, all_orders: bool, order_seed: int, table: dict) -> bool:
     """Replay the projection fold, ``trace`` = ``label_trace(q)``, with the
     queueing formulation of the row op.  The default-order replays are read
-    from ``table`` ((row, fresh label, word) -> word) once computed; the
-    other orders are replayed every time.  The rows whose orders are sampled
-    share one ``random.Random(order_seed)``, built when the first needs it."""
+    from ``table`` once made; the other orders are replayed every time.  The
+    rows whose orders are sampled share one ``random.Random(order_seed)``,
+    built when the first needs it."""
     word = WORD_CLASSES[q.kind].from_particles(q.n, ())
     rng = None
     for j in range(q.k, 0, -1):
         row, expected = q.rows[j - 1], trace[j - 1]
-        if (got := table.get((row, j, word))) is None:
-            got = table[row, j, word] = apply_row_particlewise(row, j, word)
-        if got != expected:
+        if _memo(table, apply_row_particlewise, row, j, word) != expected:
             return True
         if all_orders:
             n_particles = len(word.particles())
@@ -547,14 +552,14 @@ def check_chain_projection(case: dict, table: dict) -> list:
     per image word, the rates of the exclusion moves (fermionic, no ``x``) or the
     zero-range moves at ``x`` (bosonic) out of that projection."""
     q, x = case["queue"], case["x"]
-    tau = _projected(q, table)
+    tau = _memo(table, project, q)
     zr_rates: dict = {}
     for target, rate in tasep_transitions(tau) if q.kind == "fermionic" else tazrp_transitions(tau, x):
         zr_rates[target] = zr_rates.get(target, Fraction(0)) + rate
     mlq_rates: dict = {}
     for site in range(1, q.n + 1):
         img, _, rate = ring(q, site, x)
-        if img != q and (w := _projected(img, table)) != tau:
+        if img != q and (w := _memo(table, project, img)) != tau:
             mlq_rates[w] = mlq_rates.get(w, Fraction(0)) + rate
     if zr_rates != mlq_rates:
         zr, mlq = ({str(k): str(v) for k, v in rates.items()} for rates in (zr_rates, mlq_rates))
@@ -588,18 +593,10 @@ def find_ringing_counterexample(max_n: int = 4, max_k: int = 4) -> dict | None:
     return None
 
 
-def _searched(case: dict, table: dict) -> dict | None:
-    """The search of the case's box, made once per table, keyed apart from every queue and replay."""
-    key = ("ringing-counterexample", case["max_n"], case["max_k"])
-    if key not in table:
-        table[key] = find_ringing_counterexample(case["max_n"], case["max_k"])
-    return table[key]
-
-
 @_check("ringing-counterexample", fields={"max_n": _INT, "max_k": _INT})
 def check_ringing_search(case: dict, table: dict) -> list:
     """The counterexample search finds a witness within ``max_n`` sites and ``max_k`` rows."""
-    if _searched(case, table) is None:
+    if _memo(table, find_ringing_counterexample, case["max_n"], case["max_k"]) is None:
         return [_witness("ringing-counterexample", case, detail="no witness found in the search box")]
     return []
 
@@ -609,8 +606,8 @@ def suite_ringing(bounds: dict | None = None, seed: int = 0) -> SuiteReport:
     twist commutation, and the twisted-fermionic counterexample search."""
     _bounds(bounds)
     table: dict = {}
-    search = {"max_n": 4, "max_k": 4}
-    counterexample = _searched(search, table)  # one search serves the check and the parameters
+    search = {"max_n": 4, "max_k": 4}  # one search serves the check and the parameters
+    counterexample = _memo(table, find_ringing_counterexample, search["max_n"], search["max_k"])
     x = (Fraction(1), Fraction(2), Fraction(3))
     rng = random.Random(seed)
     bosonic = [{"queue": (d := _random_queue(rng, "bosonic", 5, 4, 3)), "site": rng.randint(1, d.n)} for _ in range(500)]

@@ -2,6 +2,7 @@ import bisect
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -360,7 +361,7 @@ class TestRateParams:
     @pytest.mark.parametrize("x", [X123, (Fraction(1), Fraction(2)), (1, 1, 1)])
     def test_fermionic_ringing_takes_no_rates(self, x):
         # fermionic ringing has unit rates; an x of any length used to be ignored
-        with pytest.raises(ValueError, match="fermionic ringing takes no site rates"):
+        with pytest.raises(ValueError, match="mlq-fermionic takes no site rates"):
             mlq_chain("fermionic", (2, 1), 3, x)
         with pytest.raises(ValueError, match="mlq-fermionic takes no site rates"):
             model_chain("mlq-fermionic", (2, 1), 3, x)
@@ -397,6 +398,9 @@ class TestModelArguments:
         assert mlq_chain("bosonic", (1, 2), 3, X123) == model_chain("mlq-bosonic", (1, 2), 3, X123)
         with pytest.raises(ShapeError):
             mlq_chain("fermionic", (1, 2), 3)
+        for kind in ("anyonic", []):  # refused as a queue kind, not as a model name
+            with pytest.raises(ValueError, match="^" + re.escape(f"unknown kind {kind!r}; a queue kind is one of ")):
+                mlq_chain(kind, (2, 1), 3)
 
 
 class TestChainSpecValidation:

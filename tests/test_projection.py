@@ -28,7 +28,7 @@ from mlqueues import (
     project,
     twist,
 )
-from mlqueues import verify
+from mlqueues import projection, verify
 from mlqueues.documents import parse_queue
 from mlqueues.projection import _fold, canonical_order, fiber_law
 
@@ -580,6 +580,30 @@ class TestFiberLaw:
     def test_bad_family_rejected(self, shape, n, kind, x):
         with pytest.raises(ValueError):
             fiber_law(shape, n, kind, x)
+
+    @pytest.mark.parametrize(
+        "shape, n, kind",
+        [((2, 1), 4, "fermionic"), ((1, 2), 4, "fermionic"), ((2, 2), 3, "bosonic"), ((1, 2), 3, "bosonic"),
+         ((3, 2, 1), 4, "fermionic"), ((1, 3, 2), 4, "fermionic"), ((3, 2, 1), 3, "bosonic"), ((2, 1, 3), 3, "bosonic")],
+    )
+    def test_each_pairing_is_made_once_per_stage(self, shape, n, kind, monkeypatch):
+        # only the stages below the top row pair, and the parts are distinct
+        # wherever two stages pair, so a row's size names its stage
+        calls = []
+        real = projection._match
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(projection, "_match", counted)
+        law = fiber_law(shape, n, kind)
+        stages = {}
+        for args in calls:
+            stages.setdefault(sum(args[0]), []).append(args)
+        assert calls and set(stages) <= set(shape[:-1])
+        assert all(len(made) == len(set(made)) for made in stages.values())
+        assert law == _enumerated_fiber_law(shape, n, kind)
 
     @pytest.mark.parametrize("x", [(1, -2), (1, -1), (0, 1), (Fraction(-1, 2), 1)])
     def test_non_positive_site_value_rejected(self, x):

@@ -1,8 +1,10 @@
+import ast
 import inspect
 import json
 import os
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -79,18 +81,25 @@ class TestSuites:
         assert a.cases == b.cases  # same exhaustive box, same random volume
 
     def test_ringing_searches_once_per_call(self, monkeypatch):
-        calls = []
+        # a search that finds nothing is stored too: None is a result, not a miss
+        _serial(monkeypatch)  # a worker's calls are not seen here
         real = verify.find_ringing_counterexample
+        for search in (real, lambda *args: None):
+            calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args or kwargs)
-            return real(*args, **kwargs)
+            def counted(*args, **kwargs):
+                calls.append(args or kwargs)
+                return search(*args, **kwargs)
 
-        monkeypatch.setattr(verify, "find_ringing_counterexample", counted)
-        for _ in range(2):
-            report = suite_ringing(SMALL, seed=2)
-            assert report.passed and report.parameters["counterexample"] is not None
-        assert len(calls) == 2
+            monkeypatch.setattr(verify, "find_ringing_counterexample", counted)
+            for _ in range(2):
+                report = json.loads(json.dumps(suite_ringing(SMALL, seed=2).to_dict()))
+                witnesses = [w for w in report["failures"] if w["check"] == "ringing-counterexample"]
+                if search is real:
+                    assert report["pass"] and report["parameters"]["counterexample"] is not None
+                else:
+                    assert len(witnesses) == 1 and report["parameters"]["counterexample"] is None
+            assert len(calls) == 2
 
     def test_same_seed_reproduces_report(self):
         a = suite_phi_equals_ctm(SMALL, seed=5)
@@ -398,6 +407,20 @@ def test_counterexample_witness_replays_under_its_fault_only(monkeypatch, tmp_pa
 # ---------------------------------------------------------------------------
 # the per-call tables of the suites
 # ---------------------------------------------------------------------------
+
+
+def test_only_memo_reads_or_writes_a_table():
+    # one memo rule: an entry is a call keyed by its function and arguments, and
+    # _memo alone makes it; every other function only hands a table on
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    touching = {
+        fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Subscript, ast.Attribute)) and isinstance(node.value, ast.Name) and node.value.id == "table"
+    }
+    assert touching == {"_memo"}
 
 # suite -> (suite function, witness kind of a check the suite runs on its table)
 TABLED_SUITES = {
